@@ -165,6 +165,10 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     of this successor map come in mirror pairs swapped by reversal; each pair
     is one face. Requires a connected graph, since the Euler characteristic of
     a disconnected embedding is not that of a single surface.
+
+    Faces come out in order of their least state. One pass over the states in
+    increasing order, skipping those already traced, finds them, so the cost
+    is linear in m.
     """
     g = emb.graph
     if g.n == 0:
@@ -186,16 +190,15 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         u, v, d = state
         return (v, u, -d * emb.sign(u, v))
 
-    todo = set()
-    for u, v in g.edges():
-        for d in (1, -1):
-            todo.add((u, v, d))
-            todo.add((v, u, d))
+    # every state in increasing order: adjacency tuples are sorted
+    states = [(u, v, d) for u in range(g.n) for v in g.neighbors(u) for d in (-1, 1)]
+    todo = set(states)
 
     faces = []
     total_degree = 0
-    while todo:
-        start = min(todo)
+    for start in states:
+        if start not in todo:
+            continue
         orbit = []
         state = start
         while True:

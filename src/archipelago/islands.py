@@ -39,10 +39,6 @@ REGIME_C = Regime("C", k=1, size=16, factor=357)
 REGIMES = {r.name: r for r in (REGIME_A, REGIME_B, REGIME_C)}
 
 
-def guarantee_threshold(regime: Regime, chi: int) -> int:
-    return regime.threshold(chi)
-
-
 @dataclass(frozen=True)
 class IslandWitness:
     """A verified k-island. Truthy; lists each member's outside-neighbor count."""

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from archipelago.graphs import Graph, connected_components, girth, has_triangle
-from archipelago.islands import Regime, find_island, forbidden_configuration, is_island
+from archipelago.islands import Regime, find_island, forbidden_configuration
 
 
 class TheoremViolation(RuntimeError):
@@ -54,21 +54,49 @@ class PeelDecomposition:
     base: tuple[int, ...]
 
     def replay_ok(self) -> bool:
-        """Re-verify every layer against the graph it was removed from."""
-        gone: set[int] = set()
+        """Re-verify every layer against the graph it was removed from.
+
+        Layers are replayed against one live mask on the original graph: each
+        must be a non-empty set of at most `regime.size` live vertices, each
+        with at most k live neighbors outside it. The base must then be
+        exactly the live vertices, in components of at most `threshold`.
+        Malformed layers (out-of-range or already removed vertices) make the
+        replay fail rather than raise. The cost is linear in n + m.
+        """
+        g, k = self.graph, self.regime.k
+        alive = [True] * g.n
         for layer in self.layers:
-            live = [v for v in range(self.graph.n) if v not in gone]
-            sub, relabel = self.graph.induced(live)
-            if not is_island(sub, [relabel[v] for v in layer], self.regime.k):
+            if not layer or len(layer) > self.regime.size:
                 return False
-            if len(layer) > self.regime.size:
-                return False
-            gone.update(layer)
-        if sorted(self.base) != sorted(set(range(self.graph.n)) - gone):
+            members = set(layer)
+            for v in members:
+                if not (0 <= v < g.n and alive[v]):
+                    return False
+            for v in members:
+                outside = 0
+                for u in g.neighbors(v):
+                    if alive[u] and u not in members:
+                        outside += 1
+                if outside > k:
+                    return False
+            for v in members:
+                alive[v] = False
+        if sorted(self.base) != [v for v in range(g.n) if alive[v]]:
             return False
-        if self.base:
-            sub, _ = self.graph.induced(self.base)
-            if any(len(c) > self.threshold for c in connected_components(sub)):
+        seen = [not a for a in alive]
+        for s in self.base:
+            if seen[s]:
+                continue
+            seen[s] = True
+            size = 1
+            queue = deque([s])
+            while queue:
+                for y in g.neighbors(queue.popleft()):
+                    if not seen[y]:
+                        seen[y] = True
+                        size += 1
+                        queue.append(y)
+            if size > self.threshold:
                 return False
         return True
 

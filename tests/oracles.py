@@ -1,0 +1,93 @@
+"""Slow reference implementations kept to cross-check the fast ones.
+
+Each function is the earlier, quadratic form of a routine in the package,
+kept verbatim apart from being lifted out of its class. They are not part of
+the package and are imported only by tests.
+"""
+
+from __future__ import annotations
+
+from archipelago.graphs import Embedding, Face, connected_components
+from archipelago.islands import is_island
+from archipelago.peeling import PeelDecomposition
+
+
+def replay_ok(dec: PeelDecomposition) -> bool:
+    """PeelDecomposition.replay_ok with one induced subgraph per layer.
+
+    Raises KeyError when a layer names a removed or out-of-range vertex.
+    """
+    gone: set[int] = set()
+    for layer in dec.layers:
+        live = [v for v in range(dec.graph.n) if v not in gone]
+        sub, relabel = dec.graph.induced(live)
+        if not is_island(sub, [relabel[v] for v in layer], dec.regime.k):
+            return False
+        if len(layer) > dec.regime.size:
+            return False
+        gone.update(layer)
+    if sorted(dec.base) != sorted(set(range(dec.graph.n)) - gone):
+        return False
+    if dec.base:
+        sub, _ = dec.graph.induced(dec.base)
+        if any(len(c) > dec.threshold for c in connected_components(sub)):
+            return False
+    return True
+
+
+def trace_faces(emb: Embedding) -> tuple[Face, ...]:
+    """trace_faces picking each face's start with min() over the untraced states."""
+    g = emb.graph
+    if g.n == 0:
+        raise ValueError("cannot trace faces of the empty graph")
+    if g.n > 1 and len(connected_components(g)) > 1:
+        raise ValueError("face tracing requires a connected graph")
+    if g.m == 0:
+        return (Face(walk=(0,), reverse_walk=(0,)),)
+
+    def step(u: int, v: int, d: int) -> tuple[int, int, int]:
+        d2 = d * emb.sign(u, v)
+        rot = emb.rotations[v]
+        i = emb._pos[v][u]
+        w = rot[(i + d2) % len(rot)]
+        return (v, w, d2)
+
+    def reverse(state: tuple[int, int, int]) -> tuple[int, int, int]:
+        u, v, d = state
+        return (v, u, -d * emb.sign(u, v))
+
+    todo = set()
+    for u, v in g.edges():
+        for d in (1, -1):
+            todo.add((u, v, d))
+            todo.add((v, u, d))
+
+    faces = []
+    total_degree = 0
+    while todo:
+        start = min(todo)
+        orbit = []
+        state = start
+        while True:
+            orbit.append(state)
+            state = step(*state)
+            if state == start:
+                break
+        mirror = {reverse(s) for s in orbit}
+        if mirror == set(orbit):
+            raise ValueError("orbit is self-paired; rotation system is inconsistent")
+        todo.difference_update(orbit)
+        todo.difference_update(mirror)
+        walk = tuple(s[0] for s in orbit)
+        rstart = reverse(orbit[0])
+        rorbit = [rstart]
+        state = step(*rstart)
+        while state != rstart:
+            rorbit.append(state)
+            state = step(*state)
+        faces.append(Face(walk=walk, reverse_walk=tuple(s[0] for s in rorbit)))
+        total_degree += len(walk)
+
+    if total_degree != 2 * g.m:
+        raise AssertionError("face degrees do not sum to twice the edge count")
+    return tuple(faces)

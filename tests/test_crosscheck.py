@@ -1,0 +1,118 @@
+"""Fast routines against the slow reference forms kept in tests/oracles.py."""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
+from archipelago.graphs import Embedding, trace_faces
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C
+from archipelago.peeling import peel
+
+# family -> (regime, chi, draw) where draw(data) builds an embedding
+FAMILIES = {
+    "triangulation": (
+        REGIME_A,
+        2,
+        lambda data: triangulation(data.draw(st.integers(4, 60)), seed=data.draw(st.integers(0, 999))),
+    ),
+    "quadrangulation": (
+        REGIME_B,
+        2,
+        lambda data: quadrangulation(data.draw(st.integers(4, 60)), seed=data.draw(st.integers(0, 999))),
+    ),
+    "hex_torus": (
+        REGIME_C,
+        0,
+        lambda data: hex_torus(data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6))),
+    ),
+    "triangulated_torus": (
+        REGIME_A,
+        0,
+        lambda data: triangulated_torus(data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6))),
+    ),
+    "hex_patch": (
+        REGIME_C,
+        2,
+        lambda data: hex_patch(
+            data.draw(st.integers(3, 5)),
+            data.draw(st.integers(3, 5)),
+            deletions=data.draw(st.integers(0, 4)),
+            seed=data.draw(st.integers(0, 999)),
+        ),
+    ),
+}
+
+
+def outcome(f, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_trace_faces_matches_oracle_under_random_signs(family, data):
+    emb = FAMILIES[family][2](data)
+    g = emb.graph
+    edges = list(g.edges())
+    negative = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges)))
+    signed = Embedding(g, emb.rotations, {e: -1 for e in negative})
+    assert outcome(trace_faces, signed) == outcome(oracles.trace_faces, signed)
+
+
+def _oracle_verdict(dec):
+    # the oracle raises KeyError on removed or out-of-range vertices
+    try:
+        return oracles.replay_ok(dec)
+    except KeyError:
+        return False
+
+
+def _mutate(data, layers, base, n):
+    """Apply one random damaging edit to a decomposition's layers and base."""
+    kind = data.draw(
+        st.sampled_from(["swap", "dissolve", "base_into_layer", "repeat", "out_of_range", "empty"])
+    )
+    if kind == "swap" and len(layers) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(layers) - 1), min_size=2, max_size=2, unique=True))
+        layers[i], layers[j] = layers[j], layers[i]
+    elif kind == "dissolve" and layers:
+        i = data.draw(st.integers(0, len(layers) - 1))
+        base = sorted(base + list(layers.pop(i)))
+    elif kind == "base_into_layer" and layers and base:
+        i = data.draw(st.integers(0, len(layers) - 1))
+        v = data.draw(st.sampled_from(base))
+        layers[i] = tuple(sorted(layers[i] + (v,)))
+        base = [u for u in base if u != v]
+    elif kind == "repeat" and len(layers) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(layers) - 1), min_size=2, max_size=2, unique=True))
+        layers[j] = layers[j] + (data.draw(st.sampled_from(layers[i])),)
+    elif kind == "out_of_range" and layers:
+        i = data.draw(st.integers(0, len(layers) - 1))
+        layers[i] = layers[i] + (data.draw(st.sampled_from([-1, n, n + 5])),)
+    elif kind == "empty":
+        layers.insert(data.draw(st.integers(0, len(layers))), ())
+    return layers, base
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_replay_ok_matches_oracle_on_mutated_decompositions(family, data):
+    regime, chi, draw = FAMILIES[family]
+    dec = peel(draw(data).graph, regime, chi)
+    assert dec.replay_ok() and oracles.replay_ok(dec)
+    layers, base = list(dec.layers), list(dec.base)
+    for _ in range(data.draw(st.integers(0, 3))):
+        layers, base = _mutate(data, layers, base, dec.graph.n)
+    mutated = replace(
+        dec,
+        layers=tuple(layers),
+        base=tuple(base),
+        threshold=data.draw(st.sampled_from([dec.threshold, 1, 3, 10])),
+    )
+    assert mutated.replay_ok() == _oracle_verdict(mutated)

@@ -13,7 +13,6 @@ from archipelago.islands import (
     IslandWitness,
     find_island,
     forbidden_configuration,
-    guarantee_threshold,
     is_island,
 )
 
@@ -49,11 +48,11 @@ class TestRegimes:
         assert set(REGIMES) == {"A", "B", "C"}
 
     def test_thresholds(self):
-        assert guarantee_threshold(REGIME_A, 2) == 0
-        assert guarantee_threshold(REGIME_A, 0) == 0
-        assert guarantee_threshold(REGIME_A, -1) == 72
-        assert guarantee_threshold(REGIME_B, -2) == 144
-        assert guarantee_threshold(REGIME_C, -1) == 357
+        assert REGIME_A.threshold(2) == 0
+        assert REGIME_A.threshold(0) == 0
+        assert REGIME_A.threshold(-1) == 72
+        assert REGIME_B.threshold(-2) == 144
+        assert REGIME_C.threshold(-1) == 357
 
 
 class TestIsIsland:

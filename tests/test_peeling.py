@@ -1,11 +1,13 @@
 import random
+import time
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
-from archipelago.graphs import Graph
+from archipelago.graphs import Graph, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C
 from archipelago.peeling import (
     TheoremViolation,
@@ -103,6 +105,46 @@ class TestPeel:
         d1 = peel(emb.graph, REGIME_A, chi=2)
         d2 = peel(emb.graph, REGIME_A, chi=2)
         assert d1.layers == d2.layers and d1.base == d2.base
+
+
+class TestReplay:
+    def _path(self):
+        return peel(Graph(5, [(i, i + 1) for i in range(4)]), REGIME_C, chi=2)
+
+    def test_vertex_repeated_across_layers_is_rejected(self):
+        dec = self._path()
+        layers = list(dec.layers)
+        layers[1] = layers[1] + (layers[0][0],)
+        assert not replace(dec, layers=tuple(layers)).replay_ok()
+
+    def test_out_of_range_vertex_is_rejected(self):
+        dec = self._path()
+        for bad in (dec.graph.n, -1):
+            layers = (dec.layers[0] + (bad,),) + dec.layers[1:]
+            assert not replace(dec, layers=layers).replay_ok()
+
+    def test_empty_or_oversized_layer_is_rejected(self):
+        dec = self._path()
+        assert not replace(dec, layers=((),) + dec.layers).replay_ok()
+        whole = replace(dec, layers=(tuple(range(5)),))
+        assert not replace(whole, regime=REGIME_A).replay_ok()  # 5 > size 3
+        assert whole.replay_ok()
+
+    def test_base_must_be_the_live_vertices_in_small_components(self):
+        dec = self._path()
+        assert not replace(dec, layers=dec.layers[1:]).replay_ok()
+        dissolved = replace(dec, layers=dec.layers[:-2], base=tuple(sorted(dec.layers[-2] + dec.layers[-1])))
+        assert not dissolved.replay_ok()  # an edge of two base vertices over threshold 0
+        assert replace(dissolved, threshold=2).replay_ok()
+
+    def test_scale_guard_4000_vertex_triangulation(self):
+        # generation traces faces; a quadratic trace or replay takes minutes here
+        start = time.perf_counter()
+        emb = triangulation(4000, seed=5)
+        assert len(trace_faces(emb)) == 2 * 4000 - 4
+        dec = peel(emb.graph, REGIME_A, chi=2)
+        assert dec.replay_ok()
+        assert time.perf_counter() - start < 10
 
 
 class TestColorFromLists:
