@@ -203,6 +203,9 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
 
     Every below-bound element is paired with an island found near it (search
     restricted to a ball around the element first, then the whole graph).
+    The search depends only on its vertex set, so it runs once per distinct
+    ball, and the whole-graph fallback at most once per report; elements
+    with the same ball share one witness.
     When the guarantee premises hold (order above threshold, and the regime's
     girth precondition), a below-bound element without any island would
     contradict the guarantee, so that case raises.
@@ -220,12 +223,17 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         precondition = girth(g) >= 6
     theorem_applies = g.n > threshold and precondition
 
+    found: dict[frozenset[int], IslandWitness | None] = {}
+    everything = frozenset(range(g.n))
+
+    def search(pool: frozenset[int]) -> IslandWitness | None:
+        if pool not in found:
+            found[pool] = find_island(g, regime.k, regime.size, restrict_to=pool)
+        return found[pool]
+
     def witness_near(roots) -> IslandWitness | None:
-        ball = _ball(g, roots, regime.size)
-        w = find_island(g, regime.k, regime.size, restrict_to=ball)
-        if w is None:
-            w = find_island(g, regime.k, regime.size)
-        return w
+        w = search(_ball(g, roots, regime.size))
+        return w if w is not None else search(everything)
 
     entries: list[BoundEntry] = []
     for v in range(g.n):
@@ -255,7 +263,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     )
 
 
-def _ball(g, roots, radius: int) -> set[int]:
+def _ball(g, roots, radius: int) -> frozenset[int]:
     seen = set(roots)
     frontier = list(seen)
     for _ in range(radius):
@@ -268,4 +276,4 @@ def _ball(g, roots, radius: int) -> set[int]:
         frontier = nxt
         if not frontier:
             break
-    return seen
+    return frozenset(seen)

@@ -247,12 +247,14 @@ def find_island(g: Graph, k: int, size: int, restrict_to=None) -> IslandWitness 
 
     With restrict_to set, members are drawn only from that vertex set, but
     outside-neighbor counts still refer to the full graph, so any witness is a
-    genuine island of g.
+    genuine island of g. An id in restrict_to outside 0..n-1 is a ValueError.
     """
     if k < 0 or size < 1:
         raise ValueError("need k >= 0 and size >= 1")
     degree_cap = k + size - 1
     pool = range(g.n) if restrict_to is None else sorted(set(restrict_to))
+    if pool and not (0 <= pool[0] and pool[-1] < g.n):
+        raise ValueError(f"restrict_to names vertices outside 0..{g.n - 1}")
     candidates = [v for v in pool if g.degree(v) <= degree_cap]
     cand_set = set(candidates)
     for seed in candidates:

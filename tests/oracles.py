@@ -1,14 +1,22 @@
 """Slow reference implementations kept to cross-check the fast ones.
 
-Each function is the earlier, quadratic form of a routine in the package,
+Each function is the earlier, slower form of a routine in the package,
 kept verbatim apart from being lifted out of its class. They are not part of
 the package and are imported only by tests.
 """
 
 from __future__ import annotations
 
-from archipelago.graphs import Embedding, Face, connected_components
-from archipelago.islands import is_island
+from archipelago.discharging import (
+    FACE_BOUND,
+    VERTEX_BOUND,
+    BoundEntry,
+    BoundsReport,
+    ChargeState,
+    _ball,
+)
+from archipelago.graphs import Embedding, Face, connected_components, euler_characteristic, girth, has_triangle
+from archipelago.islands import IslandWitness, find_island, is_island
 from archipelago.peeling import PeelDecomposition
 
 
@@ -91,3 +99,53 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     if total_degree != 2 * g.m:
         raise AssertionError("face degrees do not sum to twice the edge count")
     return tuple(faces)
+
+
+def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
+    """charge_bounds_report with one ball search, and one fallback, per element."""
+    regime = state.regime
+    g = emb.graph
+    chi = euler_characteristic(emb)
+    threshold = regime.threshold(chi)
+    vb = VERTEX_BOUND[regime.name]
+    fb = FACE_BOUND[regime.name]
+    precondition = True
+    if regime.name == "B":
+        precondition = not has_triangle(g)
+    elif regime.name == "C":
+        precondition = girth(g) >= 6
+    theorem_applies = g.n > threshold and precondition
+
+    def witness_near(roots) -> IslandWitness | None:
+        ball = _ball(g, roots, regime.size)
+        w = find_island(g, regime.k, regime.size, restrict_to=ball)
+        if w is None:
+            w = find_island(g, regime.k, regime.size)
+        return w
+
+    entries: list[BoundEntry] = []
+    for v in range(g.n):
+        if state.vertex_charge[v] < vb:
+            entries.append(BoundEntry("v", v, state.vertex_charge[v], witness_near([v])))
+    if fb is not None:
+        for fi, face in enumerate(emb.faces):
+            if state.face_charge[fi] < fb:
+                entries.append(
+                    BoundEntry("f", fi, state.face_charge[fi], witness_near(face.vertices()))
+                )
+    if theorem_applies:
+        for e in entries:
+            if e.witness is None:
+                raise AssertionError(
+                    f"{e.kind}{e.index} is below bound with no island anywhere; "
+                    "the guarantee is contradicted"
+                )
+    return BoundsReport(
+        regime=regime,
+        chi=chi,
+        threshold=threshold,
+        vertex_bound=vb,
+        face_bound=fb,
+        theorem_applies=theorem_applies,
+        entries=tuple(entries),
+    )

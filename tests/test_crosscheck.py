@@ -1,14 +1,17 @@
 """Fast routines against the slow reference forms kept in tests/oracles.py."""
 
+import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
-from archipelago.graphs import Embedding, trace_faces
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C
+from archipelago.graphs import Embedding, Graph, trace_faces
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES
 from archipelago.peeling import peel
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
@@ -116,3 +119,60 @@ def test_replay_ok_matches_oracle_on_mutated_decompositions(family, data):
         threshold=data.draw(st.sampled_from([dec.threshold, 1, 3, 10])),
     )
     assert mutated.replay_ok() == _oracle_verdict(mutated)
+
+
+def relabel(emb, perm):
+    """The same embedding with vertex v renamed perm[v]."""
+    g = emb.graph
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    rotations = [None] * g.n
+    for v, rot in enumerate(emb.rotations):
+        rotations[perm[v]] = [perm[u] for u in rot]
+    signs = {(perm[u], perm[v]): -1 for u, v in g.edges() if emb.sign(u, v) == -1}
+    return Embedding(Graph(g.n, edges), rotations, signs)
+
+
+# the regimes whose girth precondition each family meets, so that the
+# guarantee can apply: B needs no triangle, C girth at least 6
+IN_SCOPE = {
+    "triangulation": "A",
+    "quadrangulation": "AB",
+    "hex_torus": "ABC",
+    "triangulated_torus": "A",
+    "hex_patch": "ABC",
+}
+
+
+def assert_report_matches_oracle(emb, regime):
+    state = discharge(emb, regime)
+    # BoundsReport and BoundEntry compare field by field, witnesses included
+    assert outcome(charge_bounds_report, state, emb) == outcome(oracles.charge_bounds_report, state, emb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_charge_bounds_report_matches_oracle_under_relabelling(family, data):
+    emb = FAMILIES[family][2](data)
+    # the labelling decides which seed each island search meets first
+    emb = relabel(emb, data.draw(st.permutations(range(emb.graph.n))))
+    assert_report_matches_oracle(emb, REGIMES[data.draw(st.sampled_from(IN_SCOPE[family]))])
+
+
+# Outside the precondition the oracle repeats a fruitless whole-graph search
+# per element, seconds each from about 20 vertices, so these inputs are small
+# and fixed rather than drawn.
+@pytest.mark.parametrize(
+    "make, args, regime",
+    [
+        (triangulation, (16, 3), "B"),
+        (triangulation, (16, 3), "C"),
+        (triangulated_torus, (3, 4), "B"),
+        (triangulated_torus, (3, 4), "C"),
+        (quadrangulation, (20, 1), "C"),
+    ],
+)
+def test_charge_bounds_report_matches_oracle_outside_precondition(make, args, regime):
+    emb = make(*args)
+    perm = list(range(emb.graph.n))
+    random.Random(regime).shuffle(perm)
+    assert_report_matches_oracle(relabel(emb, perm), REGIMES[regime])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from archipelago import discharging
 from archipelago.discharging import (
     ChargeState,
     Transfer,
@@ -11,7 +12,7 @@ from archipelago.discharging import (
 )
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
 from archipelago.graphs import Embedding, Graph, euler_characteristic
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
 from tests.test_graphs import icosahedron_embedding
 
 
@@ -276,6 +277,21 @@ class TestBoundsReport:
         report = charge_bounds_report(state, emb)
         assert report.theorem_applies
         assert all(e.witness is not None for e in report.entries)
+
+    def test_one_search_per_distinct_ball(self, monkeypatch):
+        # every radius-10 ball of this quadrangulation is the whole graph,
+        # so its 46 below-bound elements share one island search
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("restrict_to"))
+            return find_island(*args, **kwargs)
+
+        monkeypatch.setattr(discharging, "find_island", counting)
+        emb = quadrangulation(80, seed=9)
+        report = charge_bounds_report(discharge(emb, REGIME_B), emb)
+        assert len(report.entries) == 46
+        assert calls == [frozenset(range(80))]
 
     def test_faces_can_dip_with_witnesses(self):
         # the cube's faces all end slightly negative; every entry needs an

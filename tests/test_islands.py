@@ -193,6 +193,14 @@ class TestFindIsland:
         assert find_island(g, 0, 2, restrict_to=[0, 1]) is None
         assert find_island(g, 0, 4, restrict_to=[0, 1, 2, 3]) is not None
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_restrict_to_rejects_out_of_range(self, bad):
+        # -1 used to wrap around to vertex 5 and end in an AssertionError
+        # blaming the search; 6 raised IndexError
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(ValueError, match="outside"):
+            find_island(g, 2, 1, restrict_to=[bad])
+
     def test_rejects_bad_parameters(self):
         g = Graph(1, [])
         with pytest.raises(ValueError):
