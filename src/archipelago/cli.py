@@ -41,10 +41,12 @@ from archipelago.graphs import (
     Embedding,
     Graph,
     parse_embedding,
-    parse_graph,
     parse_terminals,
+    read_rotations,
+    read_rows,
     serialize_embedding,
     serialize_graph,
+    significant_lines,
     terminal_comments,
 )
 from archipelago.islands import REGIMES, find_island, is_island
@@ -55,6 +57,7 @@ from archipelago.peeling import (
     color_from_lists,
     extend_coloring,
     peel,
+    sink_violation,
 )
 from archipelago.solver import mc_decide, mc_local_search, mc_optimize
 
@@ -65,10 +68,7 @@ from archipelago.solver import mc_decide, mc_local_search, mc_optimize
 def parse_lists(text: str) -> dict[int, list[int]]:
     """Per-vertex color menus, one line "v: c1 c2 ..." each."""
     lists: dict[int, list[int]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in significant_lines(text):
         head, sep, rest = line.partition(":")
         if not sep:
             raise ValueError(f"bad list line {line!r}; expected 'v: c1 c2 ...'")
@@ -89,10 +89,7 @@ def serialize_lists(lists: dict[int, list[int]]) -> str:
 def parse_coloring(text: str) -> dict[int, int]:
     """Chosen colors, one line "v c" each."""
     coloring: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"bad coloring line {line!r}; expected 'v c'")
@@ -124,12 +121,13 @@ def _write(path: str, text: str, report: dict, kind: str):
 
 
 def _load_graph(path: str, report: dict) -> tuple[Graph, str]:
-    """Read a graph file; embedding files are accepted and stripped."""
+    """Read a graph file; embedding files are accepted, checked and stripped."""
     text = _read(path, report)
-    try:
-        return parse_graph(text), text
-    except ValueError:
-        return parse_embedding(text).graph, text
+    n, edges, rest = read_rows(text, 2, "edge")
+    g = Graph(n, edges)
+    if rest:
+        read_rotations(g, rest)
+    return g, text
 
 
 def _jsonable(x):
@@ -217,12 +215,8 @@ def _cmd_color(args, report, ctx) -> int:
     t0 = time.perf_counter()
     if args.four_plus_sink:
         coloring, dec = color_four_plus_sink(g, args.chi)
-        lists = None
         rep = audit(g, coloring)
-        sizes = rep.component_sizes
-        sink_bound = max(3, dec.threshold)
-        ok = all(sizes.get(c, 0) <= 3 for c in (1, 2, 3, 4))
-        ok = ok and sizes.get(5, 0) <= sink_bound
+        ok = sink_violation(rep, dec) is None
     else:
         if not args.lists:
             raise ValueError("--lists is required unless --four-plus-sink")
@@ -230,8 +224,8 @@ def _cmd_color(args, report, ctx) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
-        # the 12-vertex guarantee only counts when the fallback stayed quiet
-        size = 12 if args.footnote_12 and not caught else regime.size
+        # the planar guarantee only counts when the fallback stayed quiet
+        size = regime.planar_size if args.footnote_12 and not caught else regime.size
         for msg in caught:
             print(f"warning: {msg.message}", file=sys.stderr)
         coloring = extend_coloring(dec, lists)
@@ -476,8 +470,7 @@ def _cmd_hyper2color(args, report, ctx) -> int:
 SUITE_NAMES = ("planar-A", "quad-B", "hex-C", "torus-C",
                "planar-sink", "torus-sink")
 
-_SUITE_REGIME = {"planar-A": ("A", 5, 3), "quad-B": ("B", 3, 10),
-                 "hex-C": ("C", 2, 16), "torus-C": ("C", 2, 16)}
+_SUITE_REGIME = {"planar-A": "A", "quad-B": "B", "hex-C": "C", "torus-C": "C"}
 
 
 def _suite_specs(name: str, seed: int, count: int) -> list[GenSpec]:
@@ -520,26 +513,18 @@ def run_suite_instance(name: str, spec: GenSpec) -> dict:
     try:
         if name.endswith("-sink"):
             coloring, dec = color_four_plus_sink(g, chi)
-            rep = audit(g, coloring)
-            sizes = rep.component_sizes
-            bound = max(3, dec.threshold)
-            bad = [c for c in (1, 2, 3, 4) if sizes.get(c, 0) > 3]
-            if bad:
-                record["detail"] = f"colors {bad} exceed 3"
-            elif sizes.get(5, 0) > bound:
-                record["detail"] = f"sink color exceeds {bound}"
-            else:
-                record["pass"] = True
+            detail = sink_violation(audit(g, coloring), dec)
+            record["pass"] = detail is None
+            record["detail"] = detail or ""
             return record
-        regime_name, width, size = _SUITE_REGIME[name]
-        regime = REGIMES[regime_name]
+        regime = REGIMES[_SUITE_REGIME[name]]
         w = find_island(g, regime.k, regime.size)
         if w is None or not is_island(g, w.members, regime.k):
             record["detail"] = "no island found"
             return record
-        lists = _draw_lists(g, width, spec.seed)
+        lists = _draw_lists(g, regime.k + 1, spec.seed)
         coloring = color_from_lists(g, lists, regime, chi)
-        bound = max(size, regime.threshold(chi))
+        bound = max(regime.size, regime.threshold(chi))
         rep = audit(g, coloring, max_size=bound, lists=lists)
         if not rep.ok:
             record["detail"] = (
@@ -750,8 +735,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         print(f"{tv}", file=sys.stderr)
         if g is not None:
             print(f"residual dumped to {path}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(_jsonable(report), indent=2))
+        _emit(args, report, [])
         return 3, report
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -759,8 +743,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     except AssertionError as e:
         print(f"property failed: {e}", file=sys.stderr)
         report["verdicts"]["assertion"] = str(e)
-        if args.json:
-            print(json.dumps(_jsonable(report), indent=2))
+        _emit(args, report, [])
         return 1, report
     return code, report
 

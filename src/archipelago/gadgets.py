@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic
+from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, read_rows
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
 
@@ -32,6 +32,8 @@ class Hypergraph3:
     edges: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("vertex count must be nonnegative")
         for e in self.edges:
             if len(e) != 3 or len(set(e)) != 3:
                 raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
@@ -46,26 +48,11 @@ class Hypergraph3:
 
 
 def parse_hypergraph(text: str) -> Hypergraph3:
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("empty hypergraph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} hyperedges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"hyperedge line {ln!r} must have 3 vertices")
-        edges.append(tuple(sorted(int(p) for p in parts)))
-    return Hypergraph3(n, tuple(edges))
+    """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
+    n, edges, rest = read_rows(text, 3, "hyperedge")
+    if rest:
+        raise ValueError(f"trailing content after {len(edges)} hyperedges: {rest[0]!r}")
+    return Hypergraph3.from_edges(n, edges)
 
 
 def serialize_hypergraph(h: Hypergraph3) -> str:

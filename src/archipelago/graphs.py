@@ -368,29 +368,44 @@ def has_triangle(g: Graph) -> bool:
 # file formats
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain edge-list format.
+def significant_lines(text: str) -> list[str]:
+    """The non-blank lines, stripped; in every format "#" comments out the rest of a line."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.partition("#")[0].strip()
+        if line:
+            out.append(line)
+    return out
 
-    First significant line is "n m"; each following line is an edge "u v".
-    Lines starting with "#" and blank lines are ignored.
+
+def read_rows(text: str, width: int, what: str) -> tuple[int, list[tuple[int, ...]], list[str]]:
+    """Read the header "n m" and m rows of `width` integers, naming rows `what`.
+
+    Returns n, the rows, and the significant lines after them for the caller.
     """
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     if not lines:
-        raise ValueError("empty graph file")
+        raise ValueError("empty file")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n m'")
     n, m = int(header[0]), int(header[1])
-    edges = []
+    rows = []
     for line in lines[1 : 1 + m]:
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise ValueError(f"expected {m} edges, found {len(edges)}")
-    if len(lines) > 1 + m:
-        raise ValueError(f"trailing content after {m} edges: {lines[1 + m]!r}")
+        if len(parts) != width:
+            raise ValueError(f"bad {what} line {line!r}")
+        rows.append(tuple(map(int, parts)))
+    if len(rows) != m:
+        raise ValueError(f"expected {m} {what}s, found {len(rows)}")
+    return n, rows, lines[1 + m :]
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain edge-list format: a header "n m", then m lines "u v"."""
+    n, edges, rest = read_rows(text, 2, "edge")
+    if rest:
+        raise ValueError(f"trailing content after {len(edges)} edges: {rest[0]!r}")
     return Graph(n, edges)
 
 
@@ -402,31 +417,21 @@ def serialize_graph(g: Graph, comments: list[str] | None = None) -> str:
 
 
 def parse_embedding(text: str) -> Embedding:
-    """Parse the embedding format: a graph section, rotation lines, optional signs.
+    """Parse the embedding format: a graph section, rotation lines, optional signs."""
+    n, edges, rest = read_rows(text, 2, "edge")
+    return read_rotations(Graph(n, edges), rest)
 
-    Rotation lines look like "v: a b c". An optional section opened by a line
-    "signs:" lists negative edges as "u v -1".
+
+def read_rotations(g: Graph, lines: list[str]) -> Embedding:
+    """The embedding of g given by rotation lines "v: a b c", one per vertex,
+    then an optional section "signs:" of lines "u v -1". A vertex or an edge
+    named twice is an error.
     """
-    lines = _significant_lines(text)
-    if not lines:
-        raise ValueError("empty embedding file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad header {lines[0]!r}; expected 'n m'")
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    for line in lines[1 : 1 + m]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    g = Graph(n, edges)
-
     rotations: dict[int, list[int]] = {}
     signs: dict[tuple[int, int], int] = {}
     in_signs = False
-    for line in lines[1 + m :]:
-        if line.strip() == "signs:":
+    for line in lines:
+        if line == "signs:":
             in_signs = True
             continue
         if in_signs:
@@ -434,22 +439,27 @@ def parse_embedding(text: str) -> Embedding:
             if len(parts) != 3:
                 raise ValueError(f"bad sign line {line!r}; expected 'u v -1'")
             u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
-            signs[(u, v)] = s
+            key = (u, v) if u < v else (v, u)
+            if key in signs:
+                raise ValueError(f"two sign lines for edge {key}")
+            signs[key] = s
         else:
             head, sep, rest = line.partition(":")
             if not sep:
                 raise ValueError(f"bad rotation line {line!r}; expected 'v: a b c'")
             v = int(head)
-            if not 0 <= v < n:
+            if not 0 <= v < g.n:
                 raise ValueError(f"rotation line for out-of-range vertex {v}")
+            if v in rotations:
+                raise ValueError(f"two rotation lines for vertex {v}")
             rotations[v] = [int(x) for x in rest.split()]
-    for v in range(n):
+    for v in range(g.n):
         if v not in rotations:
             if g.degree(v) == 0:
                 rotations[v] = []
             else:
                 raise ValueError(f"missing rotation for vertex {v}")
-    return Embedding(g, [rotations[v] for v in range(n)], signs)
+    return Embedding(g, [rotations[v] for v in range(g.n)], signs)
 
 
 def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> str:
@@ -464,15 +474,6 @@ def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> st
         out.append("signs:")
         out.extend(f"{u} {v} -1" for u, v in neg)
     return "\n".join(out) + "\n"
-
-
-def _significant_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
 
 
 def parse_terminals(text: str) -> dict[str, int]:

@@ -3,40 +3,16 @@
 A set X is a k-island when every vertex of X has at most k neighbors outside
 X. Small islands are the units removed by the peeling colorer: the guarantees
 say that above a size threshold (linear in the negated Euler characteristic),
-a small island always exists. Three parameter regimes are supported:
-
-  A: any connected embedded graph; 4-islands of at most 3 vertices.
-  B: triangle-free; 2-islands of at most 10 vertices.
-  C: girth at least 6; 1-islands of at most 16 vertices.
+a small island always exists. The three parameter regimes are the rows of
+the table in archipelago.regimes, re-exported here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from archipelago.graphs import Graph
-
-
-@dataclass(frozen=True)
-class Regime:
-    """One row of the guarantee table."""
-
-    name: str
-    k: int  # island members may have at most k neighbors outside
-    size: int  # an island of at most this many vertices is guaranteed
-    factor: int  # guarantee holds once n > factor * (-chi)
-
-    def threshold(self, chi: int) -> int:
-        """Largest order with no guarantee: islands promised once n exceeds this."""
-        return max(0, -self.factor * chi)
-
-
-REGIME_A = Regime("A", k=4, size=3, factor=72)
-REGIME_B = Regime("B", k=2, size=10, factor=72)
-REGIME_C = Regime("C", k=1, size=16, factor=357)
-
-REGIMES = {r.name: r for r in (REGIME_A, REGIME_B, REGIME_C)}
+from archipelago.regimes import REGIME_A, REGIME_B, REGIME_C, REGIMES, Regime  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)
@@ -97,138 +73,13 @@ def forbidden_configuration(g: Graph, regime: Regime) -> IslandWitness | None:
     B and C the scans are fast sufficient checks and the general search is the
     fallback. Every hit is re-verified with is_island before being returned.
     """
-    if regime.name == "A":
-        found = _config_regime_a(g)
-    elif regime.name == "B":
-        found = _config_path(g, low_deg=4, end_deg=3, max_vertices=10, k=2)
-    elif regime.name == "C":
-        found = _config_path(g, low_deg=3, end_deg=2, max_vertices=16, k=1)
-    else:
-        raise ValueError(f"unknown regime {regime.name!r}")
+    found = regime.scan(g, regime.size)
     if found is None:
         return None
     witness = is_island(g, found, regime.k)
     if not witness:
         raise AssertionError(f"configuration scan produced a non-island: {found}")
     return witness
-
-
-def _config_regime_a(g: Graph) -> list[int] | None:
-    # single vertex of degree at most 4
-    for v in range(g.n):
-        if g.degree(v) <= 4:
-            return [v]
-    # edge between two degree-5 vertices
-    for u, v in g.edges():
-        if g.degree(u) == 5 and g.degree(v) == 5:
-            return [u, v]
-    # degree-5, degree-(at most 6), degree-5 path
-    for mid in range(g.n):
-        if g.degree(mid) <= 6:
-            fives = [u for u in g.neighbors(mid) if g.degree(u) == 5]
-            if len(fives) >= 2:
-                return [fives[0], mid, fives[1]]
-    # triangle with all degrees at most 6
-    for u, v in g.edges():
-        if g.degree(u) <= 6 and g.degree(v) <= 6:
-            nu = set(g.neighbors(u))
-            for w in g.neighbors(v):
-                if w in nu and g.degree(w) <= 6:
-                    return [u, v, w]
-    return None
-
-
-def _config_path(g: Graph, low_deg: int, end_deg: int, max_vertices: int, k: int) -> list[int] | None:
-    """Path of at most max_vertices low-degree vertices with exact-degree ends.
-
-    Ends may coincide: a short cycle through a single end-degree vertex whose
-    other vertices all have low degree also qualifies (the repeated endpoint is
-    listed once). Isolated low-degree vertices are found first.
-    """
-    for v in range(g.n):
-        if g.degree(v) <= end_deg - 1:
-            return [v]
-    ends = [v for v in range(g.n) if g.degree(v) == end_deg]
-    if not ends:
-        return None
-    low = [v for v in range(g.n) if g.degree(v) <= low_deg]
-    lowset = set(low)
-    # BFS inside the low-degree subgraph from each endpoint, looking for
-    # another endpoint within max_vertices - 1 steps
-    depth_cap = max_vertices - 1
-    endset = set(ends)
-    for s in ends:
-        prev = {s: -1}
-        level = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if level[x] >= depth_cap:
-                continue
-            for y in g.neighbors(x):
-                if y in lowset and y not in level:
-                    level[y] = level[x] + 1
-                    prev[y] = x
-                    if y in endset:
-                        path = [y]
-                        while path[-1] != s:
-                            path.append(prev[path[-1]])
-                        return path
-                    queue.append(y)
-        # coincident ends: shortest low-degree cycle through s, at most
-        # max_vertices - 1 further vertices
-        cyc = _short_cycle_through(g, s, lowset, max_len=max_vertices)
-        if cyc is not None:
-            return cyc
-    return None
-
-
-def _short_cycle_through(g: Graph, s: int, allowed: set[int], max_len: int) -> list[int] | None:
-    """A cycle through s of at most max_len vertices inside `allowed`, or None.
-
-    BFS from s labeling each vertex with the first neighbor of s on its branch;
-    an edge joining two branches (or a branch back to s at distance >= 2 along
-    a different branch) closes a cycle through s.
-    """
-    branch = {s: s}
-    prev = {s: -1}
-    level = {s: 0}
-    queue = deque()
-    for u in g.neighbors(s):
-        if u in allowed:
-            branch[u] = u
-            prev[u] = s
-            level[u] = 1
-            queue.append(u)
-    best: list[int] | None = None
-    while queue:
-        x = queue.popleft()
-        if 2 * level[x] + 1 > max_len:
-            break
-        for y in g.neighbors(x):
-            if y == s or y not in allowed:
-                continue
-            if y not in branch:
-                branch[y] = branch[x]
-                prev[y] = x
-                level[y] = level[x] + 1
-                queue.append(y)
-            elif branch[y] != branch[x] and prev[x] != y:
-                length = level[x] + level[y] + 1
-                if length <= max_len:
-                    left = [x]
-                    while left[-1] != s:
-                        left.append(prev[left[-1]])
-                    right = [y]
-                    while right[-1] != s:
-                        right.append(prev[right[-1]])
-                    cycle = list(dict.fromkeys(left + right))
-                    if len(cycle) <= max_len:
-                        if best is None or len(cycle) < len(best):
-                            best = cycle
-        if best is not None and len(best) <= 2 * level[x]:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------

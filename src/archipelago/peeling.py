@@ -14,8 +14,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 
-from archipelago.graphs import Graph, connected_components, girth, has_triangle
-from archipelago.islands import Regime, find_island, forbidden_configuration
+from archipelago.graphs import Graph, connected_components
+from archipelago.islands import REGIME_A, Regime, find_island, forbidden_configuration
 
 
 class TheoremViolation(RuntimeError):
@@ -104,21 +104,20 @@ class PeelDecomposition:
 def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelDecomposition:
     """Decompose g into islands and a small base.
 
-    chi is the Euler characteristic of a surface the graph embeds in; it only
-    enters through the threshold below which island-free components are
-    acceptable. Regime B requires a triangle-free graph, regime C girth at
-    least 6.
+    chi, at most 2, is the Euler characteristic of a surface the graph
+    embeds in; it only enters through the threshold below which island-free
+    components are acceptable. g must meet the regime's precondition.
 
     footnote_12 asserts, on the caller's authority, that the input is a
-    2-edge-connected planar graph; regime C then looks for islands of at
-    most 12 vertices first and falls back to 16 with a warning when none
+    2-edge-connected planar graph; regime C then looks for islands of its
+    planar size (12) first and falls back to 16 with a warning when none
     exists, rather than failing.
     """
-    if regime.name == "B" and has_triangle(g):
-        raise ValueError("regime B needs a triangle-free graph")
-    if regime.name == "C" and girth(g) < 6:
-        raise ValueError("regime C needs girth at least 6")
-    if footnote_12 and regime.name != "C":
+    if chi > 2:
+        raise ValueError(f"chi {chi} is above 2; no connected surface has a larger one")
+    if not regime.precondition(g):
+        raise ValueError(f"regime {regime.name} needs {regime.needs}")
+    if footnote_12 and regime.planar_size is None:
         raise ValueError("the 12-island refinement applies to regime C only")
     threshold = regime.threshold(chi)
     alive = [True] * g.n
@@ -165,16 +164,17 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
             worklist.extend(tuple(inv[i] for i in piece) for piece in pieces)
             continue
         witness = forbidden_configuration(sub, regime)
-        if footnote_12 and (witness is None or len(witness.members) > 12):
-            twelve = find_island(sub, regime.k, 12)
-            if twelve is not None:
-                witness = twelve
+        if footnote_12 and (witness is None or len(witness.members) > regime.planar_size):
+            planar = find_island(sub, regime.k, regime.planar_size)
+            if planar is not None:
+                witness = planar
             else:
                 if witness is None:
                     witness = find_island(sub, regime.k, regime.size)
                 if witness is not None:
                     warnings.warn(
-                        "no 12-island in a residual component; using up to 16 "
+                        f"no {regime.planar_size}-island in a residual component; "
+                        f"using up to {regime.size} "
                         "(is the input really 2-edge-connected and planar?)",
                         RuntimeWarning,
                         stacklevel=2,
@@ -247,29 +247,29 @@ def color_from_lists(
 def color_four_plus_sink(g: Graph, chi: int):
     """Five colors: 1..4 form tiny components, 5 is the sink for the base.
 
-    Peels with the (4, 3) regime. Base vertices get color 5; island members
-    take the smallest color among 1..5 not used by an already-colored
-    neighbor outside the island. A member only reaches color 5 when its (at
-    most four) outside neighbors use exactly 1..4, so color 5 never crosses a
-    layer boundary: components of colors 1..4 have at most 3 vertices, and
-    color-5 components at most max(3, threshold).
-
-    Returns (coloring, decomposition).
+    Peels with regime A and extends from lists that put 5 first for base
+    vertices and last for island members. A member only takes 5 when its (at
+    most four) outside neighbors use exactly 1..4, so color 5 never crosses
+    a layer boundary: components of colors 1..4 have at most 3 vertices,
+    color-5 ones at most max(3, threshold). Returns (coloring, decomposition).
     """
-    from archipelago.islands import REGIME_A
-
     dec = peel(g, REGIME_A, chi)
-    coloring = {v: 5 for v in dec.base}
-    for layer in reversed(dec.layers):
-        members = set(layer)
-        for v in sorted(layer):
-            used = {
-                coloring[u]
-                for u in g.neighbors(v)
-                if u in coloring and u not in members
-            }
-            coloring[v] = next(c for c in (1, 2, 3, 4, 5) if c not in used)
-    return coloring, dec
+    base = set(dec.base)
+    lists = {v: (5, 1, 2, 3, 4) if v in base else (1, 2, 3, 4, 5) for v in range(g.n)}
+    return extend_coloring(dec, lists), dec
+
+
+def sink_violation(rep: ColoringReport, dec: PeelDecomposition) -> str | None:
+    """Why an audited four-plus-sink coloring breaks its bounds, or None."""
+    sizes = rep.component_sizes
+    small = dec.regime.size
+    bad = [c for c in (1, 2, 3, 4) if sizes.get(c, 0) > small]
+    if bad:
+        return f"colors {bad} exceed {small}"
+    bound = max(small, dec.threshold)
+    if sizes.get(5, 0) > bound:
+        return f"sink color exceeds {bound}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,270 @@
+"""The guarantee table: one row per parameter regime.
+
+  A: any connected embedded graph; 4-islands of at most 3 vertices.
+  B: triangle-free; 2-islands of at most 10 vertices.
+  C: girth at least 6; 1-islands of at most 16 vertices.
+
+A row holds every fact the program uses about its regime, and island
+search, peeling and discharging read the row, never the regime's name.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterator
+
+from archipelago.graphs import Embedding, Graph, girth, has_triangle
+
+# one application of a discharging rule: (rule, source, target, amount),
+# with each element named ("v", vertex id) or ("f", face index)
+Move = tuple[str, tuple[str, int], tuple[str, int], Fraction]
+
+
+@dataclass(frozen=True)
+class Regime:
+    """One row of the guarantee table."""
+
+    name: str
+    k: int  # island members may have at most k neighbors outside
+    size: int  # an island of at most this many vertices is guaranteed
+    factor: int  # guarantee holds once n > factor * (-chi)
+    # constant-size island patterns: scan(g, size) returns members or None
+    scan: Callable[[Graph, int], list[int] | None]
+    vertex_charge: tuple[int, int]  # (a, b): a vertex of degree d starts with a*d + b
+    face_charge: tuple[int, int]  # (c, e): a face of degree d starts with c*d + e
+    rules: Callable[[Embedding], Iterator[Move]]  # transfers in the order applied
+    vertex_bound: Fraction  # a vertex ending below this has an island nearby
+    face_bound: Fraction | None  # likewise for faces; None: faces hold no charge
+    precondition: Callable[[Graph], bool] = lambda g: True
+    needs: str = ""  # the precondition in words, for errors
+    planar_size: int | None = None  # island size on 2-edge-connected planar input
+
+    def __repr__(self) -> str:
+        return f"Regime(name={self.name!r}, k={self.k}, size={self.size}, factor={self.factor})"
+
+    def threshold(self, chi: int) -> int:
+        """Largest order with no guarantee: islands promised once n exceeds this."""
+        return max(0, -self.factor * chi)
+
+
+# ---------------------------------------------------------------------------
+# forbidden configurations: constant-size patterns that are islands directly
+
+
+def _config_regime_a(g: Graph, size: int) -> list[int] | None:
+    # every pattern has at most `size` (3) vertices and is exhaustive for A
+    # single vertex of degree at most 4
+    for v in range(g.n):
+        if g.degree(v) <= 4:
+            return [v]
+    # edge between two degree-5 vertices
+    for u, v in g.edges():
+        if g.degree(u) == 5 and g.degree(v) == 5:
+            return [u, v]
+    # degree-5, degree-(at most 6), degree-5 path
+    for mid in range(g.n):
+        if g.degree(mid) <= 6:
+            fives = [u for u in g.neighbors(mid) if g.degree(u) == 5]
+            if len(fives) >= 2:
+                return [fives[0], mid, fives[1]]
+    # triangle with all degrees at most 6
+    for u, v in g.edges():
+        if g.degree(u) <= 6 and g.degree(v) <= 6:
+            nu = set(g.neighbors(u))
+            for w in g.neighbors(v):
+                if w in nu and g.degree(w) <= 6:
+                    return [u, v, w]
+    return None
+
+
+def _config_path(g: Graph, max_vertices: int, low_deg: int, end_deg: int) -> list[int] | None:
+    """Path of at most max_vertices low-degree vertices with exact-degree ends.
+
+    Ends may coincide: a short cycle through a single end-degree vertex whose
+    other vertices all have low degree also qualifies (the repeated endpoint is
+    listed once). Isolated low-degree vertices are found first.
+    """
+    for v in range(g.n):
+        if g.degree(v) <= end_deg - 1:
+            return [v]
+    ends = [v for v in range(g.n) if g.degree(v) == end_deg]
+    if not ends:
+        return None
+    low = [v for v in range(g.n) if g.degree(v) <= low_deg]
+    lowset = set(low)
+    # BFS inside the low-degree subgraph from each endpoint, looking for
+    # another endpoint within max_vertices - 1 steps
+    depth_cap = max_vertices - 1
+    endset = set(ends)
+    for s in ends:
+        prev = {s: -1}
+        level = {s: 0}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            if level[x] >= depth_cap:
+                continue
+            for y in g.neighbors(x):
+                if y in lowset and y not in level:
+                    level[y] = level[x] + 1
+                    prev[y] = x
+                    if y in endset:
+                        path = [y]
+                        while path[-1] != s:
+                            path.append(prev[path[-1]])
+                        return path
+                    queue.append(y)
+        # coincident ends: shortest low-degree cycle through s, at most
+        # max_vertices - 1 further vertices
+        cyc = _short_cycle_through(g, s, lowset, max_len=max_vertices)
+        if cyc is not None:
+            return cyc
+    return None
+
+
+def _short_cycle_through(g: Graph, s: int, allowed: set[int], max_len: int) -> list[int] | None:
+    """A cycle through s of at most max_len vertices inside `allowed`, or None.
+
+    BFS from s labeling each vertex with the first neighbor of s on its branch;
+    an edge joining two branches (or a branch back to s at distance >= 2 along
+    a different branch) closes a cycle through s.
+    """
+    branch = {s: s}
+    prev = {s: -1}
+    level = {s: 0}
+    queue = deque()
+    for u in g.neighbors(s):
+        if u in allowed:
+            branch[u] = u
+            prev[u] = s
+            level[u] = 1
+            queue.append(u)
+    best: list[int] | None = None
+    while queue:
+        x = queue.popleft()
+        if 2 * level[x] + 1 > max_len:
+            break
+        for y in g.neighbors(x):
+            if y == s or y not in allowed:
+                continue
+            if y not in branch:
+                branch[y] = branch[x]
+                prev[y] = x
+                level[y] = level[x] + 1
+                queue.append(y)
+            elif branch[y] != branch[x] and prev[x] != y:
+                length = level[x] + level[y] + 1
+                if length <= max_len:
+                    left = [x]
+                    while left[-1] != s:
+                        left.append(prev[left[-1]])
+                    right = [y]
+                    while right[-1] != s:
+                        right.append(prev[right[-1]])
+                    cycle = list(dict.fromkeys(left + right))
+                    if len(cycle) <= max_len:
+                        if best is None or len(cycle) < len(best):
+                            best = cycle
+        if best is not None and len(best) <= 2 * level[x]:
+            break
+    return best
+
+
+# ---------------------------------------------------------------------------
+# discharging rules
+
+
+def _vertex_rules_a(emb: Embedding) -> Iterator[Move]:
+    # R1/R2: rich vertices support poor neighbors; R3: degree 6 tops up
+    # degree 5. All flows are along edges.
+    g = emb.graph
+    for v in range(g.n):
+        dv = g.degree(v)
+        if dv >= 7:
+            for u in g.neighbors(v):
+                du = g.degree(u)
+                if du == 5:
+                    yield "R1", ("v", v), ("v", u), Fraction(1, 4)
+                elif du == 6:
+                    yield "R2", ("v", v), ("v", u), Fraction(1, 12)
+        elif dv == 6:
+            for u in g.neighbors(v):
+                if g.degree(u) == 5:
+                    yield "R3", ("v", v), ("v", u), Fraction(1, 6)
+
+
+def _walk_rule(emb: Embedding, starter_deg: int, inner_deg: int, min_inner: int,
+               amount: Fraction, face_rule: str, vertex_rule: str) -> Iterator[Move]:
+    """Facial-path rule: each low-degree starter is paid once per boundary pass.
+
+    For every face, both boundary orientations, and every occurrence of a
+    vertex of degree exactly starter_deg, walk forward over vertices of
+    degree exactly inner_deg. A long enough run means the face pays the
+    starter; otherwise the vertex ending the run pays (it can be the starter
+    itself when the run wraps all the way around, a logged net-zero event).
+    """
+    g = emb.graph
+    for fi, face in enumerate(emb.faces):
+        for w in (face.walk, face.reverse_walk):
+            d = len(w)
+            for i, s in enumerate(w):
+                if g.degree(s) != starter_deg:
+                    continue
+                j = 1
+                while j < d and g.degree(w[(i + j) % d]) == inner_deg:
+                    j += 1
+                if j == d:
+                    u, inner = s, d - 1
+                else:
+                    u, inner = w[(i + j) % d], j - 1
+                if inner >= min_inner:
+                    yield face_rule, ("f", fi), ("v", s), amount
+                else:
+                    yield vertex_rule, ("v", u), ("v", s), amount
+
+
+def _rules_b(emb: Embedding) -> Iterator[Move]:
+    yield from _walk_rule(emb, starter_deg=3, inner_deg=4, min_inner=3,
+                          amount=Fraction(1, 6), face_rule="B1f", vertex_rule="B1v")
+    # corner = one occurrence on a positive boundary walk; heavy vertices
+    # feed their faces, faces sprinkle their light corners
+    g = emb.graph
+    for fi, face in enumerate(emb.faces):
+        for v in face.walk:
+            dv = g.degree(v)
+            if dv >= 5:
+                yield "B2v", ("v", v), ("f", fi), Fraction(1, 18)
+            elif dv in (3, 4):
+                yield "B2f", ("f", fi), ("v", v), Fraction(1, 54)
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+
+REGIME_A = Regime(
+    "A", k=4, size=3, factor=72, scan=_config_regime_a,
+    # faces enter the Euler identity with 2d - 6 >= 0 but keep no charge
+    vertex_charge=(1, -6), face_charge=(2, -6), rules=_vertex_rules_a,
+    vertex_bound=Fraction(1, 12), face_bound=None,
+)
+REGIME_B = Regime(
+    "B", k=2, size=10, factor=72, scan=partial(_config_path, low_deg=4, end_deg=3),
+    vertex_charge=(1, -4), face_charge=(1, -4), rules=_rules_b,
+    vertex_bound=Fraction(1, 18), face_bound=Fraction(0),
+    precondition=lambda g: not has_triangle(g), needs="a triangle-free graph",
+)
+REGIME_C = Regime(
+    "C", k=1, size=16, factor=357, scan=partial(_config_path, low_deg=3, end_deg=2),
+    vertex_charge=(2, -6), face_charge=(1, -6),
+    rules=partial(_walk_rule, starter_deg=2, inner_deg=3, min_inner=5,
+                  amount=Fraction(1, 2), face_rule="C1f", vertex_rule="C1v"),
+    vertex_bound=Fraction(0), face_bound=Fraction(0),
+    precondition=lambda g: girth(g) >= 6, needs="girth at least 6",
+    planar_size=12,
+)
+
+REGIMES = {r.name: r for r in (REGIME_A, REGIME_B, REGIME_C)}

@@ -7,17 +7,12 @@ the package and are imported only by tests.
 
 from __future__ import annotations
 
-from archipelago.discharging import (
-    FACE_BOUND,
-    VERTEX_BOUND,
-    BoundEntry,
-    BoundsReport,
-    ChargeState,
-    _ball,
-)
+from fractions import Fraction
+
+from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, _ball
 from archipelago.graphs import Embedding, Face, connected_components, euler_characteristic, girth, has_triangle
-from archipelago.islands import IslandWitness, find_island, is_island
-from archipelago.peeling import PeelDecomposition
+from archipelago.islands import REGIME_A, IslandWitness, find_island, is_island
+from archipelago.peeling import PeelDecomposition, peel
 
 
 def replay_ok(dec: PeelDecomposition) -> bool:
@@ -101,8 +96,17 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     return tuple(faces)
 
 
+# the bounds as literals, so that the cross-check also pins the regime table
+VERTEX_BOUND = {"A": Fraction(1, 12), "B": Fraction(1, 18), "C": Fraction(0)}
+FACE_BOUND = {"A": None, "B": Fraction(0), "C": Fraction(0)}
+
+
 def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
-    """charge_bounds_report with one ball search, and one fallback, per element."""
+    """charge_bounds_report with one ball search, and one fallback, per element.
+
+    Bounds and preconditions are looked up by regime name, as they were before
+    the regime table held them.
+    """
     regime = state.regime
     g = emb.graph
     chi = euler_characteristic(emb)
@@ -149,3 +153,19 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         theorem_applies=theorem_applies,
         entries=tuple(entries),
     )
+
+
+def color_four_plus_sink(g, chi: int):
+    """color_four_plus_sink with its own colouring loop in place of extend_coloring."""
+    dec = peel(g, REGIME_A, chi)
+    coloring = {v: 5 for v in dec.base}
+    for layer in reversed(dec.layers):
+        members = set(layer)
+        for v in sorted(layer):
+            used = {
+                coloring[u]
+                for u in g.neighbors(v)
+                if u in coloring and u not in members
+            }
+            coloring[v] = next(c for c in (1, 2, 3, 4, 5) if c not in used)
+    return coloring, dec

@@ -27,6 +27,10 @@ class TestFormats:
         lists = {0: [1, 5, 9], 1: [2, 3], 2: [7]}
         assert parse_lists(serialize_lists(lists)) == lists
 
+    def test_inline_comments(self):
+        assert parse_lists("0: 1 2 # menu\n# 1: 5\n1: 3\n") == {0: [1, 2], 1: [3]}
+        assert parse_coloring("0 1 # chosen\n\n1 3\n") == {0: 1, 1: 3}
+
     def test_lists_reject_garbage(self):
         with pytest.raises(ValueError):
             parse_lists("0 1 2\n")
@@ -153,6 +157,28 @@ class TestColor:
         assert code == 0
         sizes = rep["verdicts"]["report"]["component_sizes"]
         assert all(size <= 3 for size in sizes.values())
+
+    @pytest.mark.parametrize("extra", [[], ["--four-plus-sink"]])
+    def test_chi_above_two_is_a_usage_error(self, tmp_path, capsys, extra):
+        emb = tmp_path / "t.emb"
+        dispatch(["islands", "gen", "--family", "triangulation", "--n", "20",
+                  "--seed", "0", "--out", str(emb)])
+        lists = tmp_path / "l.txt"
+        write_lists(lists, 20, [1, 2, 3, 4, 5])
+        argv = ["islands", "color", "--graph", str(emb), "--regime", "A", "--chi", "3"]
+        argv += extra or ["--lists", str(lists)]
+        capsys.readouterr()
+        code, _ = dispatch(argv)
+        assert code == 2
+        assert "chi 3 is above 2" in capsys.readouterr().err
+
+    def test_embedding_graph_files_are_checked(self, tmp_path, capsys):
+        # the rotation section of an embedding given as --graph must be consistent
+        bad = tmp_path / "bad.emb"
+        bad.write_text("3 2\n0 1\n1 2\n0: 1\n1: 0 2\n1: 2 0\n2: 1\n")
+        code, _ = dispatch(["islands", "find", "--graph", str(bad), "--regime", "A"])
+        assert code == 2
+        assert "two rotation lines for vertex 1" in capsys.readouterr().err
 
     def test_footnote_12(self, tmp_path):
         emb = tmp_path / "h.emb"

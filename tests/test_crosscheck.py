@@ -12,7 +12,7 @@ from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
 from archipelago.graphs import Embedding, Graph, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES
-from archipelago.peeling import peel
+from archipelago.peeling import color_four_plus_sink, peel
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
 FAMILIES = {
@@ -92,8 +92,10 @@ def _mutate(data, layers, base, n):
         v = data.draw(st.sampled_from(base))
         layers[i] = tuple(sorted(layers[i] + (v,)))
         base = [u for u in base if u != v]
-    elif kind == "repeat" and len(layers) >= 2:
-        i, j = data.draw(st.lists(st.integers(0, len(layers) - 1), min_size=2, max_size=2, unique=True))
+    elif kind == "repeat" and len(layers) >= 2 and any(layers):
+        # an earlier "empty" edit may have left a layer with nothing to repeat
+        i = data.draw(st.sampled_from([i for i, layer in enumerate(layers) if layer]))
+        j = data.draw(st.sampled_from([j for j in range(len(layers)) if j != i]))
         layers[j] = layers[j] + (data.draw(st.sampled_from(layers[i])),)
     elif kind == "out_of_range" and layers:
         i = data.draw(st.integers(0, len(layers) - 1))
@@ -119,6 +121,27 @@ def test_replay_ok_matches_oracle_on_mutated_decompositions(family, data):
         threshold=data.draw(st.sampled_from([dec.threshold, 1, 3, 10])),
     )
     assert mutated.replay_ok() == _oracle_verdict(mutated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_color_four_plus_sink_matches_oracle(family, data):
+    _, chi, draw = FAMILIES[family]
+    g = draw(data).graph
+    # the same colouring, colour by colour, from the same decomposition
+    assert color_four_plus_sink(g, chi)[0] == oracles.color_four_plus_sink(g, chi)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 14), chi=st.integers(-2, -1), data=st.data())
+def test_color_four_plus_sink_matches_oracle_with_a_base(n, chi, data):
+    # the families peel down to nothing; a dense core below the threshold of
+    # a negative chi stays as the base, which takes the sink colour
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    removed = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    g = Graph(n, [p for p in pairs if p not in removed])
+    coloring, dec = color_four_plus_sink(g, chi)
+    assert (coloring, dec) == oracles.color_four_plus_sink(g, chi)
 
 
 def relabel(emb, perm):

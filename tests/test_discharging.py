@@ -315,10 +315,3 @@ class TestStateBasics:
     def test_total(self):
         state = ChargeState(REGIME_A, [Fraction(1), Fraction(-2)], [Fraction(3)], [])
         assert state.total() == 2
-
-    def test_unknown_regime(self):
-        from archipelago.islands import Regime
-
-        emb = emb_sorted(Graph(2, [(0, 1)]))
-        with pytest.raises(ValueError):
-            initial_charges(emb, Regime("Z", 1, 1, 1))

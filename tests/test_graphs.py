@@ -301,6 +301,23 @@ class TestFormats:
         assert again.sign(0, 1) == -1 and again.sign(1, 2) == 1
         assert euler_characteristic(again) == 1
 
+    def test_embedding_rejects_repeated_rotation_line(self):
+        with pytest.raises(ValueError, match="two rotation lines for vertex 1"):
+            parse_embedding("3 2\n0 1\n1 2\n0: 1\n1: 0 2\n1: 2 0\n2: 1\n")
+
+    def test_embedding_rejects_two_sign_lines_for_one_edge(self):
+        text = "2 1\n0 1\n0: 1\n1: 0\nsigns:\n0 1 -1\n"
+        assert parse_embedding(text).sign(0, 1) == -1
+        with pytest.raises(ValueError, match=r"two sign lines for edge \(0, 1\)"):
+            parse_embedding(text + "1 0 1\n")
+        with pytest.raises(ValueError, match="two sign lines"):
+            parse_embedding(text + "0 1 -1\n")
+
+    def test_inline_comments_in_every_section(self):
+        assert parse_graph("2 1 # header\n0 1 # edge\n") == Graph(2, [(0, 1)])
+        emb = parse_embedding("2 1\n0 1\n0: 1 # rotation\n1: 0\nsigns: # negative edges\n0 1 -1 # flip\n")
+        assert emb.rotations == ((1,), (0,)) and emb.sign(0, 1) == -1
+
     def test_terminal_comments(self):
         text = "# terminal y 0\n# terminal z 1\n2 1\n0 1\n"
         assert parse_terminals(text) == {"y": 0, "z": 1}
