@@ -13,12 +13,9 @@ residual component is dumped next to the input for inspection).
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from fractions import Fraction
 
 from archipelago.discharging import charge_bounds_report, discharge
@@ -40,13 +37,15 @@ from archipelago.generators import FAMILIES, GenSpec, gen
 from archipelago.graphs import (
     Embedding,
     Graph,
+    parse_coloring,
     parse_embedding,
+    parse_lists,
     parse_terminals,
     read_rotations,
     read_rows,
+    serialize_coloring,
     serialize_embedding,
     serialize_graph,
-    significant_lines,
     terminal_comments,
 )
 from archipelago.islands import REGIMES, find_island, is_island
@@ -54,54 +53,12 @@ from archipelago.peeling import (
     TheoremViolation,
     audit,
     color_four_plus_sink,
-    color_from_lists,
     extend_coloring,
     peel,
     sink_violation,
 )
-from archipelago.solver import mc_decide, mc_local_search, mc_optimize
-
-
-# ---------------------------------------------------------------------------
-# file formats not owned by other modules
-
-def parse_lists(text: str) -> dict[int, list[int]]:
-    """Per-vertex color menus, one line "v: c1 c2 ..." each."""
-    lists: dict[int, list[int]] = {}
-    for line in significant_lines(text):
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ValueError(f"bad list line {line!r}; expected 'v: c1 c2 ...'")
-        v = int(head)
-        if v in lists:
-            raise ValueError(f"duplicate list for vertex {v}")
-        lists[v] = [int(c) for c in rest.split()]
-        if not lists[v]:
-            raise ValueError(f"empty list for vertex {v}")
-    return lists
-
-
-def serialize_lists(lists: dict[int, list[int]]) -> str:
-    out = [f"{v}: " + " ".join(str(c) for c in lists[v]) for v in sorted(lists)]
-    return "\n".join(out) + "\n"
-
-
-def parse_coloring(text: str) -> dict[int, int]:
-    """Chosen colors, one line "v c" each."""
-    coloring: dict[int, int] = {}
-    for line in significant_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad coloring line {line!r}; expected 'v c'")
-        v = int(parts[0])
-        if v in coloring:
-            raise ValueError(f"vertex {v} colored twice")
-        coloring[v] = int(parts[1])
-    return coloring
-
-
-def serialize_coloring(coloring: dict[int, int]) -> str:
-    return "\n".join(f"{v} {coloring[v]}" for v in sorted(coloring)) + "\n"
+from archipelago.solver import mc_decide, mc_optimize
+from archipelago.suites import SUITE_NAMES, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +104,14 @@ def _emit(args, report: dict, lines: list[str]):
     else:
         for line in lines:
             print(line)
+
+
+def _coloring_lines(args, coloring: dict[int, int], report: dict) -> list[str]:
+    """Write the coloring to --out, or return it as "v c" output lines."""
+    if args.out:
+        _write(args.out, serialize_coloring(coloring), report, "coloring")
+        return []
+    return [f"{v} {coloring[v]}" for v in sorted(coloring)]
 
 
 def _audit_report(rep, base_size: int) -> dict:
@@ -205,12 +170,16 @@ def _cmd_find(args, report, ctx) -> int:
 
 
 def _cmd_color(args, report, ctx) -> int:
+    if args.four_plus_sink and args.lists:
+        raise ValueError("--four-plus-sink ignores lists; give one or the other")
+    if args.four_plus_sink and (args.footnote_12 or args.regime not in (None, "A")):
+        raise ValueError("--four-plus-sink peels with regime A; "
+                         "it takes no other --regime and no --footnote-12")
+    if not args.four_plus_sink and not (args.regime and args.lists):
+        raise ValueError("--regime and --lists are required unless --four-plus-sink")
     g, _ = _load_graph(args.graph, report)
     ctx["graph"] = g
     ctx["residual_path"] = args.graph + ".residual"
-    regime = REGIMES[args.regime]
-    if args.four_plus_sink and args.lists:
-        raise ValueError("--four-plus-sink ignores lists; give one or the other")
 
     t0 = time.perf_counter()
     if args.four_plus_sink:
@@ -218,9 +187,8 @@ def _cmd_color(args, report, ctx) -> int:
         rep = audit(g, coloring)
         ok = sink_violation(rep, dec) is None
     else:
-        if not args.lists:
-            raise ValueError("--lists is required unless --four-plus-sink")
         lists = parse_lists(_read(args.lists, report))
+        regime = REGIMES[args.regime]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
@@ -236,12 +204,9 @@ def _cmd_color(args, report, ctx) -> int:
 
     report["verdicts"]["report"] = _audit_report(rep, len(dec.base))
     report["verdicts"]["ok"] = ok
-    lines = []
-    if args.out:
-        _write(args.out, serialize_coloring(coloring), report, "coloring")
-    else:
+    lines = _coloring_lines(args, coloring, report)
+    if not args.out:
         report["verdicts"]["coloring"] = {str(v): coloring[v] for v in sorted(coloring)}
-        lines.extend(f"{v} {coloring[v]}" for v in sorted(coloring))
     lines.append(f"max component {rep.max_component}; base {len(dec.base)}")
     _emit(args, report, lines)
     return 0 if ok else 1
@@ -338,32 +303,11 @@ def _cmd_solve(args, report, ctx) -> int:
             k=res.k, exact=res.exact, nodes_explored=res.nodes_explored)
         lines = [f"k {res.k} ({'exact' if res.exact else 'budget ran out'}); "
                  f"{res.nodes_explored} nodes"]
-        if args.out:
-            _write(args.out, serialize_coloring(res.coloring), report, "coloring")
-        else:
-            lines.extend(f"{v} {res.coloring[v]}" for v in sorted(res.coloring))
-        _emit(args, report, lines)
+        _emit(args, report, lines + _coloring_lines(args, res.coloring, report))
         return 0
 
     if args.k is None:
         raise ValueError("--k is required unless --optimize")
-    if args.heuristic:
-        t0 = time.perf_counter()
-        coloring, rep = mc_local_search(g, args.k, seed=args.seed,
-                                        iterations=args.iterations)
-        report["timings"]["solve"] = round(time.perf_counter() - t0, 6)
-        reached = rep.max_component <= args.k
-        report["verdicts"].update(
-            max_component=rep.max_component, reached=reached)
-        lines = [f"best max component {rep.max_component} "
-                 f"(target {args.k})"]
-        if args.out:
-            _write(args.out, serialize_coloring(coloring), report, "coloring")
-        else:
-            lines.extend(f"{v} {coloring[v]}" for v in sorted(coloring))
-        _emit(args, report, lines)
-        return 0 if reached else 1
-
     pins = _parse_pins(args.pin, parse_terminals(text))
     t0 = time.perf_counter()
     res = mc_decide(g, args.k, pins=pins or None, budget=args.budget)
@@ -373,10 +317,7 @@ def _cmd_solve(args, report, ctx) -> int:
         best_max_component=res.best_max_component)
     lines = [f"{res.verdict}; {res.nodes_explored} nodes"]
     if res.coloring is not None:
-        if args.out:
-            _write(args.out, serialize_coloring(res.coloring), report, "coloring")
-        else:
-            lines.extend(f"{v} {res.coloring[v]}" for v in sorted(res.coloring))
+        lines.extend(_coloring_lines(args, res.coloring, report))
     _emit(args, report, lines)
     return 0 if res.verdict == "yes" else 1
 
@@ -456,122 +397,23 @@ def _cmd_hyper2color(args, report, ctx) -> int:
         return 1
     report["verdicts"]["colorable"] = True
     report["verdicts"]["coloring"] = {str(v): c for v, c in sorted(hcol.items())}
-    lines = [f"{v} {c}" for v, c in sorted(hcol.items())]
-    if args.out:
-        _write(args.out, serialize_coloring(hcol), report, "coloring")
-        lines = []
-    _emit(args, report, lines + ["2-colorable"])
+    _emit(args, report, _coloring_lines(args, hcol, report) + ["2-colorable"])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-SUITE_NAMES = ("planar-A", "quad-B", "hex-C", "torus-C",
-               "planar-sink", "torus-sink")
-
-_SUITE_REGIME = {"planar-A": "A", "quad-B": "B", "hex-C": "C", "torus-C": "C"}
-
-
-def _suite_specs(name: str, seed: int, count: int) -> list[GenSpec]:
-    rng = random.Random(f"{name}:{seed}")
-    specs = []
-    for _ in range(count):
-        s = rng.randrange(2**31)
-        if name in ("planar-A", "planar-sink"):
-            specs.append(GenSpec("triangulation", seed=s, n=rng.randrange(20, 501)))
-        elif name == "quad-B":
-            specs.append(GenSpec("quadrangulation", seed=s, n=rng.randrange(20, 501)))
-        elif name == "hex-C":
-            specs.append(GenSpec("hex_patch", seed=s, rows=rng.randrange(3, 9),
-                                 cols=rng.randrange(3, 9),
-                                 deletions=rng.randrange(0, 6)))
-        elif name in ("torus-C", "torus-sink"):
-            family = "hex_torus" if name == "torus-C" else "triangulated_torus"
-            specs.append(GenSpec(family, seed=s, rows=rng.randrange(3, 9),
-                                 cols=rng.randrange(3, 9)))
-        else:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return specs
-
-
-def _draw_lists(g: Graph, width: int, seed: int) -> dict[int, list[int]]:
-    rng = random.Random(f"lists:{seed}")
-    return {v: sorted(rng.sample(range(1, 10), width)) for v in range(g.n)}
-
-
-def run_suite_instance(name: str, spec: GenSpec) -> dict:
-    """One generated instance through its suite's pipeline.
-
-    Returns a record with pass/fail and enough to replay; a peel running
-    out of islands is reported as kind "violation" with the residual.
-    """
-    emb = gen(spec)
-    g = emb.graph
-    chi = 0 if spec.family.endswith("torus") else 2
-    record = {"spec": asdict(spec), "n": g.n, "pass": False, "detail": ""}
-    try:
-        if name.endswith("-sink"):
-            coloring, dec = color_four_plus_sink(g, chi)
-            detail = sink_violation(audit(g, coloring), dec)
-            record["pass"] = detail is None
-            record["detail"] = detail or ""
-            return record
-        regime = REGIMES[_SUITE_REGIME[name]]
-        w = find_island(g, regime.k, regime.size)
-        if w is None or not is_island(g, w.members, regime.k):
-            record["detail"] = "no island found"
-            return record
-        lists = _draw_lists(g, regime.k + 1, spec.seed)
-        coloring = color_from_lists(g, lists, regime, chi)
-        bound = max(regime.size, regime.threshold(chi))
-        rep = audit(g, coloring, max_size=bound, lists=lists)
-        if not rep.ok:
-            record["detail"] = (
-                f"audit failed: max component {rep.max_component}, "
-                f"{len(rep.list_violations)} list violations")
-            return record
-        record["pass"] = True
-        return record
-    except TheoremViolation as tv:
-        record["detail"] = str(tv)
-        record["kind"] = "violation"
-        record["residual"] = sorted(tv.residual)
-        record["regime"] = tv.regime.name
-        record["chi"] = tv.chi
-        record["edges"] = list(g.edges())
-        record["graph_n"] = g.n
-        return record
-
-
-def _run_one(task):
-    name, spec = task
-    return run_suite_instance(name, spec)
-
-
 def _cmd_suite(args, report, ctx) -> int:
-    if args.name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {args.name!r}; choose from {SUITE_NAMES}")
-    specs = _suite_specs(args.name, args.seed, args.count)
-    tasks = [(args.name, spec) for spec in specs]
     t0 = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_run_one, tasks))
-    else:
-        records = [_run_one(t) for t in tasks]
+    records = run_suite(args.name, args.seed, args.count, args.workers)
     report["timings"]["suite"] = round(time.perf_counter() - t0, 6)
 
-    for i, rec in enumerate(records):
-        rec["index"] = i
     failures = [r for r in records if not r["pass"]]
     report["verdicts"]["suite"] = args.name
     report["verdicts"]["passed"] = len(records) - len(failures)
     report["verdicts"]["count"] = len(records)
-    report["verdicts"]["failures"] = [
-        {k: v for k, v in r.items() if k not in ("edges", "graph_n")}
-        for r in failures
-    ]
+    report["verdicts"]["failures"] = failures
     lines = [f"{args.name}: {len(records) - len(failures)}/{len(records)} pass "
              f"(seed {args.seed})"]
     for r in failures:
@@ -580,17 +422,15 @@ def _cmd_suite(args, report, ctx) -> int:
 
     violation = next((r for r in failures if r.get("kind") == "violation"), None)
     if violation is not None:
-        g = Graph(violation["graph_n"], violation["edges"])
-        regime = REGIMES[violation["regime"]]
-        tv = TheoremViolation(regime, violation["chi"],
+        # generators are deterministic, so the spec rebuilds the graph
+        g = gen(GenSpec(**violation["spec"])).graph
+        tv = TheoremViolation(REGIMES[violation["regime"]], violation["chi"],
                               tuple(violation["residual"]))
         path = f"residual-{args.name}-{violation['spec']['seed']}.g"
         _dump_residual(g, tv, path, report)
         lines.append(f"  residual dumped to {path}")
-        _emit(args, report, lines)
-        return 3
     _emit(args, report, lines)
-    return 0 if not failures else 1
+    return 3 if violation is not None else 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +456,10 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
                            help="peel and color from lists")
         p.add_argument("--graph", required=True)
         p.add_argument("--lists")
-        p.add_argument("--regime", choices=sorted(REGIMES), required=True)
-        p.add_argument("--chi", type=int, default=2)
+        p.add_argument("--regime", choices=sorted(REGIMES),
+                       help="required unless --four-plus-sink, which uses A")
+        p.add_argument("--chi", type=int, default=2,
+                       help="Euler characteristic of the surface; trusted as given")
         p.add_argument("--four-plus-sink", action="store_true")
         p.add_argument("--footnote-12", action="store_true",
                        help="assert 2-edge-connected planar input; "
@@ -663,10 +505,6 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=10**7)
         p.add_argument("--optimize", action="store_true",
                        help="find the least k instead of deciding one")
-        p.add_argument("--heuristic", action="store_true",
-                       help="local search; no completeness claim")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iterations", type=int, default=10000)
         p.add_argument("--out", help="coloring file to write")
         p.set_defaults(handler=_cmd_solve)
 
@@ -700,7 +538,7 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
     elif prog == "suite":
         p = sub.add_parser("run", parents=[common],
                            help="run a generated acceptance suite")
-        p.add_argument("--name", required=True)
+        p.add_argument("--name", choices=SUITE_NAMES, required=True)
         p.add_argument("--count", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from archipelago.graphs import Embedding, Graph, bipartition, connected_components, girth
+from archipelago.graphs import Embedding, Graph, bipartition, girth
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,10 @@ def has_triangle(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # file formats
 
+# Largest n a file header may declare: Graph() allocates a list per vertex before
+# any row is read. The largest graph the program makes has 21,986 (reduce_girth8).
+MAX_VERTICES = 10**6
+
 
 def significant_lines(text: str) -> list[str]:
     """The non-blank lines, stripped; in every format "#" comments out the rest of a line."""
@@ -390,6 +394,8 @@ def read_rows(text: str, width: int, what: str) -> tuple[int, list[tuple[int, ..
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n m'")
     n, m = int(header[0]), int(header[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"header declares {n} vertices; at most {MAX_VERTICES} are read")
     rows = []
     for line in lines[1 : 1 + m]:
         parts = line.split()
@@ -490,3 +496,42 @@ def parse_terminals(text: str) -> dict[str, int]:
 
 def terminal_comments(terminals: dict[str, int]) -> list[str]:
     return [f"terminal {name} {vid}" for name, vid in terminals.items()]
+
+
+def parse_lists(text: str) -> dict[int, list[int]]:
+    """Per-vertex color menus, one line "v: c1 c2 ..." each."""
+    lists: dict[int, list[int]] = {}
+    for line in significant_lines(text):
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad list line {line!r}; expected 'v: c1 c2 ...'")
+        v = int(head)
+        if v in lists:
+            raise ValueError(f"duplicate list for vertex {v}")
+        lists[v] = [int(c) for c in rest.split()]
+        if not lists[v]:
+            raise ValueError(f"empty list for vertex {v}")
+    return lists
+
+
+def serialize_lists(lists: dict[int, list[int]]) -> str:
+    out = [f"{v}: " + " ".join(str(c) for c in lists[v]) for v in sorted(lists)]
+    return "\n".join(out) + "\n"
+
+
+def parse_coloring(text: str) -> dict[int, int]:
+    """Chosen colors, one line "v c" each."""
+    coloring: dict[int, int] = {}
+    for line in significant_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad coloring line {line!r}; expected 'v c'")
+        v = int(parts[0])
+        if v in coloring:
+            raise ValueError(f"vertex {v} colored twice")
+        coloring[v] = int(parts[1])
+    return coloring
+
+
+def serialize_coloring(coloring: dict[int, int]) -> str:
+    return "\n".join(f"{v} {coloring[v]}" for v in sorted(coloring)) + "\n"

@@ -237,13 +237,6 @@ def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
     return coloring
 
 
-def color_from_lists(
-    g: Graph, lists, regime: Regime, chi: int, footnote_12: bool = False
-) -> dict[int, int]:
-    """Peel g and color it from lists; the one-call form of the two steps."""
-    return extend_coloring(peel(g, regime, chi, footnote_12=footnote_12), lists)
-
-
 def color_four_plus_sink(g: Graph, chi: int):
     """Five colors: 1..4 form tiny components, 5 is the sink for the base.
 

@@ -1,4 +1,4 @@
-"""Exact and heuristic search for 2-colorings with small monochromatic pieces.
+"""Exact search for 2-colorings with small monochromatic pieces.
 
 mc_decide answers whether the graph has a red/blue coloring in which every
 monochromatic connected component has at most k vertices, optionally under
@@ -9,7 +9,6 @@ by size, no path compression, merges logged on a trail).
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -225,38 +224,3 @@ def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
     worst = max(len(c) for c in connected_components(g))
     return OptimizeResult(worst, coloring, False, spent)
 
-
-def mc_local_search(g: Graph, k: int, seed: int = 0, iterations: int = 10000):
-    """Randomized repair heuristic; returns (best coloring, its audit report).
-
-    Starts from a random coloring and flips one vertex of a random oversized
-    component per step, accepting whenever the total oversize does not grow.
-    Finding nothing proves nothing; this never reports infeasibility.
-    """
-    rng = random.Random(seed)
-    coloring = {v: rng.randrange(2) for v in range(g.n)}
-
-    def oversize(report):
-        return sum(len(m) - k for m in report.oversized_components)
-
-    report = audit(g, coloring, max_size=k)
-    best = (dict(coloring), report)
-    best_score = oversize(report)
-    score = best_score
-    for _ in range(iterations):
-        if score == 0:
-            break
-        over = report.oversized_components
-        comp = over[rng.randrange(len(over))]
-        v = comp[rng.randrange(len(comp))]
-        coloring[v] = 1 - coloring[v]
-        candidate = audit(g, coloring, max_size=k)
-        cand_score = oversize(candidate)
-        if cand_score <= score:
-            report, score = candidate, cand_score
-            if score < best_score:
-                best = (dict(coloring), report)
-                best_score = score
-        else:
-            coloring[v] = 1 - coloring[v]
-    return best

@@ -40,7 +40,7 @@ from archipelago.graphs import (
     girth,
 )
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island, is_island
-from archipelago.peeling import audit, color_four_plus_sink, color_from_lists
+from archipelago.peeling import audit, color_four_plus_sink, extend_coloring, peel
 from archipelago.solver import mc_decide, mc_optimize
 
 
@@ -95,7 +95,7 @@ def test_criterion_02_five_list_colorings(capsys):
     for i, emb in enumerate(_suite1()):
         g = emb.graph
         lists = _draw_lists(g.n, 5, f"c2:{i}")
-        coloring = color_from_lists(g, lists, REGIME_A, 2)
+        coloring = extend_coloring(peel(g, REGIME_A, 2), lists)
         rep = audit(g, coloring, max_size=3, lists=lists)
         worst = max(worst, rep.max_component)
         if not rep.ok:
@@ -118,7 +118,7 @@ def test_criterion_03_quadrangulations(capsys):
             ok = False
             break
         lists = _draw_lists(g.n, 3, f"c3:{i}")
-        rep = audit(g, color_from_lists(g, lists, REGIME_B, 2),
+        rep = audit(g, extend_coloring(peel(g, REGIME_B, 2), lists),
                     max_size=10, lists=lists)
         worst = max(worst, rep.max_component)
         if not rep.ok:
@@ -142,7 +142,7 @@ def test_criterion_04_hex_patches_and_torus(capsys):
             ok = False
             break
         lists = _draw_lists(g.n, 2, f"c4:{i}")
-        rep = audit(g, color_from_lists(g, lists, REGIME_C, 2),
+        rep = audit(g, extend_coloring(peel(g, REGIME_C, 2), lists),
                     max_size=16, lists=lists)
         worst = max(worst, rep.max_component)
         if not rep.ok:

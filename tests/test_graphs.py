@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from archipelago.gadgets import parse_hypergraph
 from archipelago.graphs import (
     Embedding,
     Graph,
@@ -317,6 +319,17 @@ class TestFormats:
         assert parse_graph("2 1 # header\n0 1 # edge\n") == Graph(2, [(0, 1)])
         emb = parse_embedding("2 1\n0 1\n0: 1 # rotation\n1: 0\nsigns: # negative edges\n0 1 -1 # flip\n")
         assert emb.rotations == ((1,), (0,)) and emb.sign(0, 1) == -1
+
+    @pytest.mark.parametrize("parse", [parse_graph, parse_embedding, parse_hypergraph])
+    def test_header_above_vertex_cap_is_rejected_before_allocating(self, parse):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 1000000 are read"):
+                parse("2000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_terminal_comments(self):
         text = "# terminal y 0\n# terminal z 1\n2 1\n0 1\n"

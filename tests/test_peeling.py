@@ -13,7 +13,6 @@ from archipelago.peeling import (
     TheoremViolation,
     audit,
     color_four_plus_sink,
-    color_from_lists,
     extend_coloring,
     peel,
 )
@@ -194,13 +193,6 @@ class TestColorFromLists:
         lists = {v: [0, 1, 2, 3, 4] for v in range(5)}
         with pytest.raises(ValueError):
             extend_coloring(dec, lists)
-
-    def test_one_call_form(self):
-        emb = quadrangulation(80, seed=2)
-        lists = {v: [0, 1, 2] for v in range(80)}
-        assert color_from_lists(emb.graph, lists, REGIME_B, 2) == extend_coloring(
-            peel(emb.graph, REGIME_B, 2), lists
-        )
 
 
 class TestFootnoteTwelve:

@@ -7,7 +7,7 @@ import pytest
 
 from archipelago.graphs import Graph
 from archipelago.peeling import audit
-from archipelago.solver import mc_decide, mc_local_search, mc_optimize
+from archipelago.solver import mc_decide, mc_optimize
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -189,37 +189,3 @@ class TestOptimize:
         assert res.k == 5
         assert largest_mono_component(complete(5), res.coloring) <= res.k
 
-
-class TestLocalSearch:
-    def test_path_reaches_bound(self):
-        coloring, report = mc_local_search(path(10), 2, seed=3)
-        assert report.max_component <= 2
-        assert report.ok
-        assert largest_mono_component(path(10), coloring) <= 2
-
-    def test_grid_reports_without_guarantee(self):
-        edges = []
-        for r in range(10):
-            for c in range(10):
-                v = 10 * r + c
-                if c + 1 < 10:
-                    edges.append((v, v + 1))
-                if r + 1 < 10:
-                    edges.append((v, v + 10))
-        g = Graph(100, edges)
-        coloring, report = mc_local_search(g, 4, seed=1, iterations=4000)
-        assert set(coloring) == set(range(100))
-        assert report.max_component == max(len(m) for _, m in report.components)
-
-    def test_seed_determinism(self):
-        g = random_graph(12, 0.3, 11)
-        a = mc_local_search(g, 2, seed=5)
-        b = mc_local_search(g, 2, seed=5)
-        assert a[0] == b[0]
-        assert a[1] == b[1]
-
-    def test_never_claims_infeasibility(self):
-        coloring, report = mc_local_search(complete(3), 1, seed=0, iterations=50)
-        assert not report.ok
-        assert report.oversized_components
-        assert set(coloring) == {0, 1, 2}
