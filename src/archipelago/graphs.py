@@ -55,6 +55,12 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
+    def vertices(self) -> range:
+        return range(self.n)
+
+    def __contains__(self, v: int) -> bool:
+        return 0 <= v < self.n
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
@@ -84,6 +90,37 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
+
+
+class LiveView:
+    """Read-only view of a graph's vertices that are still alive.
+
+    It shares its owner's `alive` mask and live-degree list, so it follows
+    later removals without copying, and answers Graph's n / degree /
+    neighbors / vertices / `in` over live vertices only, with the graph's ids.
+    """
+
+    __slots__ = ("n", "_graph", "_alive", "_deg")
+
+    def __init__(self, graph: Graph, alive: list[bool], live_deg: list[int]):
+        self.n = graph.n
+        self._graph = graph
+        self._alive = alive
+        self._deg = live_deg
+
+    def degree(self, v: int) -> int:
+        return self._deg[v]
+
+    def neighbors(self, v: int) -> list[int]:
+        alive = self._alive
+        return [u for u in self._graph.neighbors(v) if alive[u]]
+
+    def vertices(self) -> list[int]:
+        alive = self._alive
+        return [v for v in range(self.n) if alive[v]]
+
+    def __contains__(self, v: int) -> bool:
+        return 0 <= v < self.n and self._alive[v]
 
 
 @dataclass(frozen=True)
@@ -231,11 +268,11 @@ def euler_characteristic(emb: Embedding) -> int:
     return emb.graph.n - emb.graph.m + len(emb.faces)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
+def connected_components(g: Graph | LiveView) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, ordered by minimum."""
     seen = [False] * g.n
     comps = []
-    for s in range(g.n):
+    for s in g.vertices():
         if seen[s]:
             continue
         comp = [s]

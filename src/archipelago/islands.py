@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from archipelago.graphs import Graph
+from archipelago.graphs import Graph, LiveView
 from archipelago.regimes import REGIME_A, REGIME_B, REGIME_C, REGIMES, Regime  # noqa: F401 - re-exported
 
 
@@ -40,14 +40,17 @@ class IslandRefusal:
         return False
 
 
-def is_island(g: Graph, members, k: int) -> IslandWitness | IslandRefusal:
-    """Check the island condition for an explicit vertex set."""
+def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | IslandRefusal:
+    """Check the island condition for an explicit vertex set.
+
+    On a LiveView, a removed vertex is refused like an out-of-range one.
+    """
     mset = set(members)
     if not mset:
         return IslandRefusal(k=k, vertex=None, outside_count=None, reason="empty set")
     for v in mset:
-        if not 0 <= v < g.n:
-            return IslandRefusal(k=k, vertex=v, outside_count=None, reason="vertex out of range")
+        if v not in g:
+            return IslandRefusal(k=k, vertex=v, outside_count=None, reason="vertex not in the graph")
     outside = {}
     for v in sorted(mset):
         cnt = sum(1 for u in g.neighbors(v) if u not in mset)
@@ -66,14 +69,19 @@ def is_island(g: Graph, members, k: int) -> IslandWitness | IslandRefusal:
 # forbidden configurations: constant-size patterns that are islands directly
 
 
-def forbidden_configuration(g: Graph, regime: Regime) -> IslandWitness | None:
+def forbidden_configuration(
+    g: Graph | LiveView, regime: Regime, anchors=None, size: int | None = None
+) -> IslandWitness | None:
     """Scan for a known constant-size island pattern of the regime.
 
     For regime A the pattern list is exhaustive for the (4, 3) guarantee; for
     B and C the scans are fast sufficient checks and the general search is the
-    fallback. Every hit is re-verified with is_island before being returned.
+    fallback. The scan searches from `anchors` (default: every vertex) for
+    patterns of at most `size` vertices (default: the regime's). Every hit is
+    re-verified with is_island before being returned.
     """
-    found = regime.scan(g, regime.size)
+    size = regime.size if size is None else size
+    found = regime.scan(g, size, g.vertices() if anchors is None else anchors)
     if found is None:
         return None
     witness = is_island(g, found, regime.k)
@@ -86,7 +94,7 @@ def forbidden_configuration(g: Graph, regime: Regime) -> IslandWitness | None:
 # general search
 
 
-def find_island(g: Graph, k: int, size: int, restrict_to=None) -> IslandWitness | None:
+def find_island(g: Graph | LiveView, k: int, size: int, restrict_to=None) -> IslandWitness | None:
     """Search for a k-island of at most `size` vertices; None if none exists.
 
     Complete: a minimal island is connected, so it lies in the subgraph
@@ -103,7 +111,7 @@ def find_island(g: Graph, k: int, size: int, restrict_to=None) -> IslandWitness 
     if k < 0 or size < 1:
         raise ValueError("need k >= 0 and size >= 1")
     degree_cap = k + size - 1
-    pool = range(g.n) if restrict_to is None else sorted(set(restrict_to))
+    pool = g.vertices() if restrict_to is None else sorted(set(restrict_to))
     if pool and not (0 <= pool[0] and pool[-1] < g.n):
         raise ValueError(f"restrict_to names vertices outside 0..{g.n - 1}")
     candidates = [v for v in pool if g.degree(v) <= degree_cap]
@@ -118,7 +126,7 @@ def find_island(g: Graph, k: int, size: int, restrict_to=None) -> IslandWitness 
     return None
 
 
-def _grow_island(g: Graph, k: int, size: int, seed: int, cand_set: set[int]) -> set[int] | None:
+def _grow_island(g: Graph | LiveView, k: int, size: int, seed: int, cand_set: set[int]) -> set[int] | None:
     """Branch search for an island containing seed, ids >= seed, within cand_set."""
 
     def violating(included: set[int]) -> int | None:

@@ -1,11 +1,17 @@
 """Peeling decompositions and the clustered colorings they support.
 
 peel() repeatedly removes a small island from the graph (layer by layer)
-until every remaining component is at or below the regime's guarantee
-threshold; those components form the base. Coloring the base first and the
-layers in reverse removal order, with each island member avoiding only its
-already-colored neighbors outside the island, keeps every monochromatic
-component inside a single layer or a single base component.
+until none is left; the remaining vertices form the base, whose components
+must be at or below the regime's guarantee threshold. Coloring the base
+first and the layers in reverse removal order, with each island member
+avoiding only its already-colored neighbors outside the island, keeps every
+monochromatic component inside a single layer or a single base component.
+
+peel() never copies the graph. It looks for each island in the order
+cascade, local scan, full scan, find_island, and reads a LiveView of the
+vertices not yet removed; only the last two steps cost more than the
+neighborhood of the island just removed, and they run only when the first
+two find nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 
-from archipelago.graphs import Graph, connected_components
+from archipelago.graphs import Graph, LiveView, connected_components
 from archipelago.islands import REGIME_A, Regime, find_island, forbidden_configuration
 
 
@@ -49,9 +55,13 @@ class PeelDecomposition:
     graph: Graph
     regime: Regime
     chi: int
-    threshold: int
     layers: tuple[tuple[int, ...], ...]
     base: tuple[int, ...]
+
+    @property
+    def threshold(self) -> int:
+        """The regime's threshold at chi, so that the two cannot disagree."""
+        return self.regime.threshold(self.chi)
 
     def replay_ok(self) -> bool:
         """Re-verify every layer against the graph it was removed from.
@@ -108,10 +118,26 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
     embeds in; it only enters through the threshold below which island-free
     components are acceptable. g must meet the regime's precondition.
 
+    Each island is looked for in this order, on a LiveView of the vertices
+    not yet removed:
+      1. cascade: a vertex with at most k live neighbors is a one-vertex island;
+      2. local scan: the regime's patterns, searched from each live neighbor
+         of a removed vertex (only those changed degree) until it yields none;
+      3. full scan: the patterns, searched from every live vertex;
+      4. find_island on the live graph.
+    When all four fail, the live vertices are the base; one component pass
+    splits it, and a component above the threshold is a TheoremViolation.
+    Steps 1 and 2 cost time proportional to the degrees around the island
+    just removed; steps 3 and 4 cost linear time or more, and run only when
+    the first two find nothing, so inputs that the cascade and the local scans
+    clear peel in near-linear time. Soundness and completeness rest on steps
+    3 and 4, never on the local rule, and every witness of steps 2-4 is
+    re-verified by is_island against the live graph.
+
     footnote_12 asserts, on the caller's authority, that the input is a
-    2-edge-connected planar graph; regime C then looks for islands of its
-    planar size (12) first and falls back to 16 with a warning when none
-    exists, rather than failing.
+    2-edge-connected planar graph; regime C then caps islands at its planar
+    size (12). When no such island is left but a larger one is, it warns and
+    raises the cap to 16 for the rest of the peel, rather than failing.
     """
     if chi > 2:
         raise ValueError(f"chi {chi} is above 2; no connected surface has a larger one")
@@ -119,87 +145,65 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
         raise ValueError(f"regime {regime.name} needs {regime.needs}")
     if footnote_12 and regime.planar_size is None:
         raise ValueError("the 12-island refinement applies to regime C only")
-    threshold = regime.threshold(chi)
+    k = regime.k
+    cap = regime.planar_size if footnote_12 else regime.size
     alive = [True] * g.n
     live_deg = [g.degree(v) for v in range(g.n)]
+    live = LiveView(g, alive, live_deg)
+    remaining = g.n
     layers: list[tuple[int, ...]] = []
-    base: list[int] = []
+    low = deque(v for v in range(g.n) if live_deg[v] <= k)  # cascade queue
+    anchors: list[int] = []  # vertices whose degree dropped since they were scanned
 
-    def remove(vs):
-        for v in vs:
+    def remove(members):
+        nonlocal remaining
+        layers.append(members)
+        remaining -= len(members)
+        for v in members:
             alive[v] = False
-        for v in vs:
+        for v in members:
             for u in g.neighbors(v):
                 if alive[u]:
                     live_deg[u] -= 1
+                    if live_deg[u] == k:
+                        low.append(u)
+                    anchors.append(u)
 
-    def cascade(comp):
-        # vertices whose live degree is at most k are single-vertex islands
-        queue = deque(sorted(v for v in comp if live_deg[v] <= regime.k))
-        queued = set(queue)
-        while queue:
-            v = queue.popleft()
-            if not alive[v]:
-                continue
-            layers.append((v,))
-            remove([v])
-            for u in g.neighbors(v):
-                if alive[u] and live_deg[u] <= regime.k and u not in queued:
-                    queued.add(u)
-                    queue.append(u)
+    while True:
+        while low:
+            v = low.popleft()
+            if alive[v]:
+                remove((v,))
+        if not remaining:
+            break
+        witness = None
+        while anchors and witness is None:
+            a = anchors.pop()
+            if alive[a]:
+                witness = forbidden_configuration(live, regime, (a,), cap)
+        if witness is None:
+            witness = forbidden_configuration(live, regime, None, cap) or find_island(live, k, cap)
+        if witness is None and cap < regime.size:
+            witness = forbidden_configuration(live, regime) or find_island(live, k, regime.size)
+            if witness is not None:
+                warnings.warn(
+                    f"no {cap}-island in a residual component; "
+                    f"using up to {regime.size} "
+                    "(is the input really 2-edge-connected and planar?)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                cap = regime.size
+        if witness is None:
+            break
+        remove(witness.members)
 
-    worklist = deque(tuple(c) for c in connected_components(g))
-    while worklist:
-        comp = [v for v in worklist.popleft() if alive[v]]
-        if not comp:
-            continue
-        cascade(comp)
-        comp = [v for v in comp if alive[v]]
-        if not comp:
-            continue
-        sub, relabel = g.induced(comp)
-        inv = {i: v for v, i in relabel.items()}
-        pieces = connected_components(sub)
-        if len(pieces) > 1:
-            worklist.extend(tuple(inv[i] for i in piece) for piece in pieces)
-            continue
-        witness = forbidden_configuration(sub, regime)
-        if footnote_12 and (witness is None or len(witness.members) > regime.planar_size):
-            planar = find_island(sub, regime.k, regime.planar_size)
-            if planar is not None:
-                witness = planar
-            else:
-                if witness is None:
-                    witness = find_island(sub, regime.k, regime.size)
-                if witness is not None:
-                    warnings.warn(
-                        f"no {regime.planar_size}-island in a residual component; "
-                        f"using up to {regime.size} "
-                        "(is the input really 2-edge-connected and planar?)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        elif witness is None:
-            witness = find_island(sub, regime.k, regime.size)
-        if witness is not None:
-            members = sorted(inv[i] for i in witness.members)
-            layers.append(tuple(members))
-            remove(members)
-            worklist.append(tuple(v for v in comp if alive[v]))
-            continue
-        if len(comp) <= threshold:
-            base.extend(comp)
-            continue
-        raise TheoremViolation(regime, chi, tuple(comp))
-
-    return PeelDecomposition(
-        graph=g,
-        regime=regime,
-        chi=chi,
-        threshold=threshold,
-        layers=tuple(layers),
-        base=tuple(sorted(base)),
-    )
+    threshold = regime.threshold(chi)
+    for comp in connected_components(live):
+        if len(comp) > threshold:
+            raise TheoremViolation(regime, chi, tuple(comp))
+    base = tuple(live.vertices())
+    return PeelDecomposition(graph=g, regime=regime, chi=chi, layers=tuple(layers), base=base)
 
 
 def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:

@@ -14,9 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
-from archipelago.graphs import Embedding, Graph, girth, has_triangle
+from archipelago.graphs import Embedding, Graph, LiveView, girth, has_triangle
 
 # one application of a discharging rule: (rule, source, target, amount),
 # with each element named ("v", vertex id) or ("f", face index)
@@ -31,8 +32,9 @@ class Regime:
     k: int  # island members may have at most k neighbors outside
     size: int  # an island of at most this many vertices is guaranteed
     factor: int  # guarantee holds once n > factor * (-chi)
-    # constant-size island patterns: scan(g, size) returns members or None
-    scan: Callable[[Graph, int], list[int] | None]
+    # constant-size island patterns: scan(g, size, anchors) searches from
+    # the anchors (a re-iterable of vertices) and returns members or None
+    scan: Callable[[Graph | LiveView, int, Iterable[int]], list[int] | None]
     vertex_charge: tuple[int, int]  # (a, b): a vertex of degree d starts with a*d + b
     face_charge: tuple[int, int]  # (c, e): a face of degree d starts with c*d + e
     rules: Callable[[Embedding], Iterator[Move]]  # transfers in the order applied
@@ -54,52 +56,58 @@ class Regime:
 # forbidden configurations: constant-size patterns that are islands directly
 
 
-def _config_regime_a(g: Graph, size: int) -> list[int] | None:
-    # every pattern has at most `size` (3) vertices and is exhaustive for A
+def _config_regime_a(g: Graph | LiveView, size: int, anchors: Iterable[int]) -> list[int] | None:
+    # every pattern has at most `size` (3) vertices and is exhaustive for A:
+    # some pattern is found whenever one contains an anchor
     # single vertex of degree at most 4
-    for v in range(g.n):
+    for v in anchors:
         if g.degree(v) <= 4:
             return [v]
     # edge between two degree-5 vertices
-    for u, v in g.edges():
-        if g.degree(u) == 5 and g.degree(v) == 5:
-            return [u, v]
-    # degree-5, degree-(at most 6), degree-5 path
-    for mid in range(g.n):
+    for v in anchors:
+        if g.degree(v) == 5:
+            for u in g.neighbors(v):
+                if g.degree(u) == 5:
+                    return [v, u]
+    # degree-5, degree-(at most 6), degree-5 path: the anchor in the middle,
+    # then at an end
+    beside = (u for v in anchors if g.degree(v) == 5 for u in g.neighbors(v))
+    for mid in chain(anchors, beside):
         if g.degree(mid) <= 6:
             fives = [u for u in g.neighbors(mid) if g.degree(u) == 5]
             if len(fives) >= 2:
                 return [fives[0], mid, fives[1]]
     # triangle with all degrees at most 6
-    for u, v in g.edges():
-        if g.degree(u) <= 6 and g.degree(v) <= 6:
+    for u in anchors:
+        if g.degree(u) <= 6:
             nu = set(g.neighbors(u))
-            for w in g.neighbors(v):
-                if w in nu and g.degree(w) <= 6:
-                    return [u, v, w]
+            for v in g.neighbors(u):
+                if g.degree(v) <= 6:
+                    for w in g.neighbors(v):
+                        if w in nu and g.degree(w) <= 6:
+                            return [u, v, w]
     return None
 
 
-def _config_path(g: Graph, max_vertices: int, low_deg: int, end_deg: int) -> list[int] | None:
+def _config_path(g: Graph | LiveView, max_vertices: int, anchors: Iterable[int],
+                 low_deg: int, end_deg: int) -> list[int] | None:
     """Path of at most max_vertices low-degree vertices with exact-degree ends.
 
     Ends may coincide: a short cycle through a single end-degree vertex whose
     other vertices all have low degree also qualifies (the repeated endpoint is
-    listed once). Isolated low-degree vertices are found first.
+    listed once). Isolated low-degree vertices are found first. Only anchors
+    are tried as the first end, so every pattern with an end at an anchor is
+    found; the far end may be any vertex.
     """
-    for v in range(g.n):
+    for v in anchors:
         if g.degree(v) <= end_deg - 1:
             return [v]
-    ends = [v for v in range(g.n) if g.degree(v) == end_deg]
-    if not ends:
-        return None
-    low = [v for v in range(g.n) if g.degree(v) <= low_deg]
-    lowset = set(low)
     # BFS inside the low-degree subgraph from each endpoint, looking for
     # another endpoint within max_vertices - 1 steps
     depth_cap = max_vertices - 1
-    endset = set(ends)
-    for s in ends:
+    for s in anchors:
+        if g.degree(s) != end_deg:
+            continue
         prev = {s: -1}
         level = {s: 0}
         queue = deque([s])
@@ -108,10 +116,11 @@ def _config_path(g: Graph, max_vertices: int, low_deg: int, end_deg: int) -> lis
             if level[x] >= depth_cap:
                 continue
             for y in g.neighbors(x):
-                if y in lowset and y not in level:
+                dy = g.degree(y)
+                if dy <= low_deg and y not in level:
                     level[y] = level[x] + 1
                     prev[y] = x
-                    if y in endset:
+                    if dy == end_deg:
                         path = [y]
                         while path[-1] != s:
                             path.append(prev[path[-1]])
@@ -119,14 +128,14 @@ def _config_path(g: Graph, max_vertices: int, low_deg: int, end_deg: int) -> lis
                     queue.append(y)
         # coincident ends: shortest low-degree cycle through s, at most
         # max_vertices - 1 further vertices
-        cyc = _short_cycle_through(g, s, lowset, max_len=max_vertices)
+        cyc = _short_cycle_through(g, s, low_deg, max_len=max_vertices)
         if cyc is not None:
             return cyc
     return None
 
 
-def _short_cycle_through(g: Graph, s: int, allowed: set[int], max_len: int) -> list[int] | None:
-    """A cycle through s of at most max_len vertices inside `allowed`, or None.
+def _short_cycle_through(g: Graph | LiveView, s: int, low_deg: int, max_len: int) -> list[int] | None:
+    """A cycle through s of at most max_len vertices, others of degree <= low_deg.
 
     BFS from s labeling each vertex with the first neighbor of s on its branch;
     an edge joining two branches (or a branch back to s at distance >= 2 along
@@ -137,7 +146,7 @@ def _short_cycle_through(g: Graph, s: int, allowed: set[int], max_len: int) -> l
     level = {s: 0}
     queue = deque()
     for u in g.neighbors(s):
-        if u in allowed:
+        if g.degree(u) <= low_deg:
             branch[u] = u
             prev[u] = s
             level[u] = 1
@@ -148,7 +157,7 @@ def _short_cycle_through(g: Graph, s: int, allowed: set[int], max_len: int) -> l
         if 2 * level[x] + 1 > max_len:
             break
         for y in g.neighbors(x):
-            if y == s or y not in allowed:
+            if y == s or g.degree(y) > low_deg:
                 continue
             if y not in branch:
                 branch[y] = branch[x]

@@ -7,12 +7,15 @@ the package and are imported only by tests.
 
 from __future__ import annotations
 
+import warnings
+from collections import deque
 from fractions import Fraction
 
+from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, _ball
-from archipelago.graphs import Embedding, Face, connected_components, euler_characteristic, girth, has_triangle
-from archipelago.islands import REGIME_A, IslandWitness, find_island, is_island
-from archipelago.peeling import PeelDecomposition, peel
+from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, girth, has_triangle
+from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
+from archipelago.peeling import PeelDecomposition, TheoremViolation
 
 
 def replay_ok(dec: PeelDecomposition) -> bool:
@@ -157,7 +160,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
 
 def color_four_plus_sink(g, chi: int):
     """color_four_plus_sink with its own colouring loop in place of extend_coloring."""
-    dec = peel(g, REGIME_A, chi)
+    dec = peeling.peel(g, REGIME_A, chi)
     coloring = {v: 5 for v in dec.base}
     for layer in reversed(dec.layers):
         members = set(layer)
@@ -169,3 +172,108 @@ def color_four_plus_sink(g, chi: int):
             }
             coloring[v] = next(c for c in (1, 2, 3, 4, 5) if c not in used)
     return coloring, dec
+
+
+def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelDecomposition:
+    """peel with one induced subgraph, component split and whole-component scan per island.
+
+    Its PeelDecomposition no longer takes the threshold, which is now derived
+    from chi. The docstring of the original follows.
+
+    Decompose g into islands and a small base.
+
+    chi, at most 2, is the Euler characteristic of a surface the graph
+    embeds in; it only enters through the threshold below which island-free
+    components are acceptable. g must meet the regime's precondition.
+
+    footnote_12 asserts, on the caller's authority, that the input is a
+    2-edge-connected planar graph; regime C then looks for islands of its
+    planar size (12) first and falls back to 16 with a warning when none
+    exists, rather than failing.
+    """
+    if chi > 2:
+        raise ValueError(f"chi {chi} is above 2; no connected surface has a larger one")
+    if not regime.precondition(g):
+        raise ValueError(f"regime {regime.name} needs {regime.needs}")
+    if footnote_12 and regime.planar_size is None:
+        raise ValueError("the 12-island refinement applies to regime C only")
+    threshold = regime.threshold(chi)
+    alive = [True] * g.n
+    live_deg = [g.degree(v) for v in range(g.n)]
+    layers: list[tuple[int, ...]] = []
+    base: list[int] = []
+
+    def remove(vs):
+        for v in vs:
+            alive[v] = False
+        for v in vs:
+            for u in g.neighbors(v):
+                if alive[u]:
+                    live_deg[u] -= 1
+
+    def cascade(comp):
+        # vertices whose live degree is at most k are single-vertex islands
+        queue = deque(sorted(v for v in comp if live_deg[v] <= regime.k))
+        queued = set(queue)
+        while queue:
+            v = queue.popleft()
+            if not alive[v]:
+                continue
+            layers.append((v,))
+            remove([v])
+            for u in g.neighbors(v):
+                if alive[u] and live_deg[u] <= regime.k and u not in queued:
+                    queued.add(u)
+                    queue.append(u)
+
+    worklist = deque(tuple(c) for c in connected_components(g))
+    while worklist:
+        comp = [v for v in worklist.popleft() if alive[v]]
+        if not comp:
+            continue
+        cascade(comp)
+        comp = [v for v in comp if alive[v]]
+        if not comp:
+            continue
+        sub, relabel = g.induced(comp)
+        inv = {i: v for v, i in relabel.items()}
+        pieces = connected_components(sub)
+        if len(pieces) > 1:
+            worklist.extend(tuple(inv[i] for i in piece) for piece in pieces)
+            continue
+        witness = forbidden_configuration(sub, regime)
+        if footnote_12 and (witness is None or len(witness.members) > regime.planar_size):
+            planar = find_island(sub, regime.k, regime.planar_size)
+            if planar is not None:
+                witness = planar
+            else:
+                if witness is None:
+                    witness = find_island(sub, regime.k, regime.size)
+                if witness is not None:
+                    warnings.warn(
+                        f"no {regime.planar_size}-island in a residual component; "
+                        f"using up to {regime.size} "
+                        "(is the input really 2-edge-connected and planar?)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+        elif witness is None:
+            witness = find_island(sub, regime.k, regime.size)
+        if witness is not None:
+            members = sorted(inv[i] for i in witness.members)
+            layers.append(tuple(members))
+            remove(members)
+            worklist.append(tuple(v for v in comp if alive[v]))
+            continue
+        if len(comp) <= threshold:
+            base.extend(comp)
+            continue
+        raise TheoremViolation(regime, chi, tuple(comp))
+
+    return PeelDecomposition(
+        graph=g,
+        regime=regime,
+        chi=chi,
+        layers=tuple(layers),
+        base=tuple(sorted(base)),
+    )

@@ -1,7 +1,9 @@
 """Fast routines against the slow reference forms kept in tests/oracles.py."""
 
 import random
+import warnings
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ import oracles
 from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
 from archipelago.graphs import Embedding, Graph, trace_faces
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES
-from archipelago.peeling import color_four_plus_sink, peel
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island
+from archipelago.peeling import TheoremViolation, color_four_plus_sink, peel
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
 FAMILIES = {
@@ -114,11 +116,12 @@ def test_replay_ok_matches_oracle_on_mutated_decompositions(family, data):
     layers, base = list(dec.layers), list(dec.base)
     for _ in range(data.draw(st.integers(0, 3))):
         layers, base = _mutate(data, layers, base, dec.graph.n)
+    # the threshold follows chi: 0 from chi 0 up, 72 or 357 times -chi below
     mutated = replace(
         dec,
         layers=tuple(layers),
         base=tuple(base),
-        threshold=data.draw(st.sampled_from([dec.threshold, 1, 3, 10])),
+        chi=data.draw(st.sampled_from([dec.chi, 2, 0, -1])),
     )
     assert mutated.replay_ok() == _oracle_verdict(mutated)
 
@@ -199,3 +202,113 @@ def test_charge_bounds_report_matches_oracle_outside_precondition(make, args, re
     perm = list(range(emb.graph.n))
     random.Random(regime).shuffle(perm)
     assert_report_matches_oracle(relabel(emb, perm), REGIMES[regime])
+
+
+# --- peel against the induced-subgraph oracle ------------------------------
+#
+# Layers may differ from the oracle's, since the two peel in different
+# orders. The base may not: an island X of G leaves X & V' an island of
+# G[V'], so no peeling order can remove a vertex of an island-free core, and
+# every order ends at the same core.
+
+
+def peel_outcome(f, *args):
+    """f's decomposition, or the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return exc
+
+
+def assert_peel_matches_oracle(g, regime, chi, footnote_12=False):
+    with warnings.catch_warnings():
+        # footnote 12's fallback warning depends on the order of removal
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = peel_outcome(peel, g, regime, chi, footnote_12)
+        want = peel_outcome(oracles.peel, g, regime, chi, footnote_12)
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, TheoremViolation):
+        # both name an island-free component above the threshold, not
+        # necessarily the same one
+        assert len(got.residual) > got.threshold
+        assert find_island(g.induced(got.residual)[0], regime.k, regime.size) is None
+    elif not isinstance(got, Exception):
+        assert got.replay_ok() and oracles.replay_ok(got)
+        assert got.base == want.base
+
+
+def disjoint_union(graphs):
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    return Graph(n, edges)
+
+
+def relabel_graph(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def clique(t):
+    return Graph(t, list(combinations(range(t), 2)))
+
+
+def biclique(s, t):
+    return Graph(s + t, [(u, s + v) for u in range(s) for v in range(t)])
+
+
+def cycle(t):
+    return Graph(t, [(i, (i + 1) % t) for i in range(t)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_peel_matches_oracle_on_every_family(family, data):
+    emb = FAMILIES[family][2](data)
+    emb = relabel(emb, data.draw(st.permutations(range(emb.graph.n))))
+    regime = REGIMES[data.draw(st.sampled_from(IN_SCOPE[family]))]
+    assert_peel_matches_oracle(emb.graph, regime, FAMILIES[family][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_peel_matches_oracle_with_footnote_12_on_hex_patches(data):
+    emb = FAMILIES["hex_patch"][2](data)
+    emb = relabel(emb, data.draw(st.permutations(range(emb.graph.n))))
+    assert_peel_matches_oracle(emb.graph, REGIME_C, 2, footnote_12=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(6, 14), chi=st.sampled_from([-2, -1, 0, 2]), data=st.data())
+def test_peel_matches_oracle_on_dense_graphs(n, chi, data):
+    # below 0 the base may keep a dense core; from 0 up such a core is a
+    # TheoremViolation in both
+    pairs = list(combinations(range(n), 2))
+    removed = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    assert_peel_matches_oracle(Graph(n, [p for p in pairs if p not in removed]), REGIME_A, chi)
+
+
+# pieces a regime accepts: cliques only under A, cycles of at least 4 (B) or
+# 6 (C) vertices, and K(s, t) blocks under B (K(8, 8) has no 2-island of at
+# most 10 vertices, so it stays as a base or raises)
+PIECES = {
+    "A": st.one_of(st.builds(clique, st.integers(1, 10)), st.builds(cycle, st.integers(3, 9))),
+    "B": st.one_of(st.builds(biclique, st.integers(1, 8), st.integers(1, 9)), st.builds(cycle, st.integers(4, 9))),
+    "C": st.builds(cycle, st.integers(6, 12)),
+}
+
+
+@pytest.mark.parametrize("chi", [-1, 0, 2])
+def test_peel_matches_oracle_on_k9_plus_c5(chi):
+    assert_peel_matches_oracle(disjoint_union([clique(9), cycle(5)]), REGIME_A, chi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from("ABC"), chi=st.sampled_from([-1, 0, 2]), data=st.data())
+def test_peel_matches_oracle_on_disjoint_unions(name, chi, data):
+    pieces = data.draw(st.lists(PIECES[name], min_size=1, max_size=4))
+    family = data.draw(st.sampled_from(["hex_torus", "hex_patch"] if name == "C" else ["quadrangulation"]))
+    pieces.append(FAMILIES[family][2](data).graph)
+    g = disjoint_union(data.draw(st.permutations(pieces)))
+    g = relabel_graph(g, data.draw(st.permutations(range(g.n))))
+    assert_peel_matches_oracle(g, REGIMES[name], chi)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from archipelago.graphs import Graph
+from archipelago.graphs import Graph, LiveView, connected_components
 from archipelago.islands import (
     REGIME_A,
     REGIME_B,
@@ -78,6 +78,20 @@ class TestIsIsland:
     def test_whole_graph_is_island(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         assert is_island(g, range(5), 0)
+
+    def test_live_view(self):
+        # the path 0-1-2-3 with vertex 2 removed
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        alive, live_deg = [True, True, False, True], [1, 1, 0, 0]
+        view = LiveView(g, alive, live_deg)
+        assert is_island(view, [0, 1], 0) and not is_island(g, [0, 1], 0)
+        assert not is_island(view, [2], 0)
+        assert not is_island(view, [1, 2], 1)
+        assert find_island(view, 0, 2).members == (0, 1)
+        assert connected_components(view) == [[0, 1], [3]]
+        # the view follows later removals of its owner
+        alive[1], live_deg[0] = False, 0
+        assert view.neighbors(0) == [] and view.vertices() == [0, 3]
 
 
 class TestForbiddenConfigurationA:

@@ -134,7 +134,16 @@ class TestReplay:
         assert not replace(dec, layers=dec.layers[1:]).replay_ok()
         dissolved = replace(dec, layers=dec.layers[:-2], base=tuple(sorted(dec.layers[-2] + dec.layers[-1])))
         assert not dissolved.replay_ok()  # an edge of two base vertices over threshold 0
-        assert replace(dissolved, threshold=2).replay_ok()
+        assert replace(dissolved, chi=-1).replay_ok()  # threshold 357
+
+    def test_threshold_follows_chi(self):
+        # a stored threshold of 10**9 once let an unpeeled triangulation pass
+        dec = peel(triangulation(60, seed=1).graph, REGIME_A, 2)
+        with pytest.raises(TypeError):
+            replace(dec, threshold=10**9)
+        assert not replace(dec, layers=(), base=tuple(range(60))).replay_ok()
+        assert replace(dec, layers=(), base=tuple(range(60)), chi=-1).replay_ok()
+        assert replace(dec, chi=-1).threshold == REGIME_A.threshold(-1) == 72
 
     def test_scale_guard_4000_vertex_triangulation(self):
         # generation traces faces; a quadratic trace or replay takes minutes here
@@ -144,6 +153,18 @@ class TestReplay:
         dec = peel(emb.graph, REGIME_A, chi=2)
         assert dec.replay_ok()
         assert time.perf_counter() - start < 10
+
+
+    def test_scale_guard_3200_vertex_hex_torus(self):
+        # regime C leaves the cascade with no vertex to remove, so every
+        # island comes from a scan; re-scanning whole components per island
+        # took 8.9 s here
+        start = time.perf_counter()
+        g = hex_torus(40, 40).graph
+        dec = peel(g, REGIME_C, chi=0)
+        assert time.perf_counter() - start < 1
+        assert g.n == 3200 and dec.base == ()
+        assert dec.replay_ok()
 
 
 class TestColorFromLists:
@@ -211,6 +232,16 @@ class TestFootnoteTwelve:
             lists = {v: [0, 1] for v in range(g.n)}
             coloring = extend_coloring(dec, lists)
             assert audit(g, coloring, max_size=12, lists=lists).ok
+
+    def test_falls_back_with_one_warning(self):
+        # a 3-regular torus of girth 6 has no 1-island below 6 vertices, so a
+        # planar size of 5 fails at once; the cap then stays at 16
+        row = replace(REGIME_C, planar_size=5)
+        with pytest.warns(RuntimeWarning, match="no 5-island") as caught:
+            dec = peel(hex_torus(4, 4).graph, row, chi=0, footnote_12=True)
+        assert len(caught) == 1
+        assert max(len(layer) for layer in dec.layers) > 5
+        assert dec.base == () and dec.replay_ok()
 
     def test_only_regime_c(self):
         emb = triangulation(20, seed=4)
