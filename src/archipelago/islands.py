@@ -81,7 +81,7 @@ def forbidden_configuration(
     re-verified with is_island before being returned.
     """
     size = regime.size if size is None else size
-    found = regime.scan(g, size, g.vertices() if anchors is None else anchors)
+    found = regime.scan(g, size, anchors)
     if found is None:
         return None
     witness = is_island(g, found, regime.k)

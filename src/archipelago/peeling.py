@@ -136,8 +136,9 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
 
     footnote_12 asserts, on the caller's authority, that the input is a
     2-edge-connected planar graph; regime C then caps islands at its planar
-    size (12). When no such island is left but a larger one is, it warns and
-    raises the cap to 16 for the rest of the peel, rather than failing.
+    size (12). When no such island is left but a larger one is, that one
+    island may have up to 16 vertices; the first time, it warns rather than
+    failing. The cap of 12 holds again for the next island.
     """
     if chi > 2:
         raise ValueError(f"chi {chi} is above 2; no connected surface has a larger one")
@@ -147,13 +148,14 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
         raise ValueError("the 12-island refinement applies to regime C only")
     k = regime.k
     cap = regime.planar_size if footnote_12 else regime.size
+    warned = False
     alive = [True] * g.n
     live_deg = [g.degree(v) for v in range(g.n)]
     live = LiveView(g, alive, live_deg)
     remaining = g.n
     layers: list[tuple[int, ...]] = []
     low = deque(v for v in range(g.n) if live_deg[v] <= k)  # cascade queue
-    anchors: list[int] = []  # vertices whose degree dropped since they were scanned
+    anchors: dict[int, None] = {}  # vertices whose degree dropped since they were scanned
 
     def remove(members):
         nonlocal remaining
@@ -167,7 +169,7 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
                     live_deg[u] -= 1
                     if live_deg[u] == k:
                         low.append(u)
-                    anchors.append(u)
+                    anchors[u] = None
 
     while True:
         while low:
@@ -178,14 +180,14 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
             break
         witness = None
         while anchors and witness is None:
-            a = anchors.pop()
+            a, _ = anchors.popitem()
             if alive[a]:
                 witness = forbidden_configuration(live, regime, (a,), cap)
         if witness is None:
             witness = forbidden_configuration(live, regime, None, cap) or find_island(live, k, cap)
         if witness is None and cap < regime.size:
             witness = forbidden_configuration(live, regime) or find_island(live, k, regime.size)
-            if witness is not None:
+            if witness is not None and not warned:
                 warnings.warn(
                     f"no {cap}-island in a residual component; "
                     f"using up to {regime.size} "
@@ -193,7 +195,7 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                cap = regime.size
+                warned = True
         if witness is None:
             break
         remove(witness.members)

@@ -33,8 +33,9 @@ class Regime:
     size: int  # an island of at most this many vertices is guaranteed
     factor: int  # guarantee holds once n > factor * (-chi)
     # constant-size island patterns: scan(g, size, anchors) searches from
-    # the anchors (a re-iterable of vertices) and returns members or None
-    scan: Callable[[Graph | LiveView, int, Iterable[int]], list[int] | None]
+    # the anchors (a re-iterable of vertices, or None for every vertex) and
+    # returns members or None
+    scan: Callable[[Graph | LiveView, int, Iterable[int] | None], list[int] | None]
     vertex_charge: tuple[int, int]  # (a, b): a vertex of degree d starts with a*d + b
     face_charge: tuple[int, int]  # (c, e): a face of degree d starts with c*d + e
     rules: Callable[[Embedding], Iterator[Move]]  # transfers in the order applied
@@ -56,9 +57,12 @@ class Regime:
 # forbidden configurations: constant-size patterns that are islands directly
 
 
-def _config_regime_a(g: Graph | LiveView, size: int, anchors: Iterable[int]) -> list[int] | None:
+def _config_regime_a(g: Graph | LiveView, size: int, anchors: Iterable[int] | None) -> list[int] | None:
     # every pattern has at most `size` (3) vertices and is exhaustive for A:
     # some pattern is found whenever one contains an anchor
+    every = anchors is None
+    if every:
+        anchors = g.vertices()
     # single vertex of degree at most 4
     for v in anchors:
         if g.degree(v) <= 4:
@@ -70,9 +74,10 @@ def _config_regime_a(g: Graph | LiveView, size: int, anchors: Iterable[int]) -> 
                 if g.degree(u) == 5:
                     return [v, u]
     # degree-5, degree-(at most 6), degree-5 path: the anchor in the middle,
-    # then at an end
-    beside = (u for v in anchors if g.degree(v) == 5 for u in g.neighbors(v))
-    for mid in chain(anchors, beside):
+    # then at an end (when every vertex is an anchor, every middle is one)
+    mids = anchors if every else chain(
+        anchors, (u for v in anchors if g.degree(v) == 5 for u in g.neighbors(v)))
+    for mid in mids:
         if g.degree(mid) <= 6:
             fives = [u for u in g.neighbors(mid) if g.degree(u) == 5]
             if len(fives) >= 2:
@@ -89,7 +94,7 @@ def _config_regime_a(g: Graph | LiveView, size: int, anchors: Iterable[int]) -> 
     return None
 
 
-def _config_path(g: Graph | LiveView, max_vertices: int, anchors: Iterable[int],
+def _config_path(g: Graph | LiveView, max_vertices: int, anchors: Iterable[int] | None,
                  low_deg: int, end_deg: int) -> list[int] | None:
     """Path of at most max_vertices low-degree vertices with exact-degree ends.
 
@@ -97,8 +102,10 @@ def _config_path(g: Graph | LiveView, max_vertices: int, anchors: Iterable[int],
     other vertices all have low degree also qualifies (the repeated endpoint is
     listed once). Isolated low-degree vertices are found first. Only anchors
     are tried as the first end, so every pattern with an end at an anchor is
-    found; the far end may be any vertex.
+    found; the far end may be any vertex. None tries every vertex.
     """
+    if anchors is None:
+        anchors = g.vertices()
     for v in anchors:
         if g.degree(v) <= end_deg - 1:
             return [v]

@@ -8,7 +8,7 @@ import pytest
 
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
 from archipelago.graphs import Graph, trace_faces
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
 from archipelago.peeling import (
     TheoremViolation,
     audit,
@@ -134,7 +134,10 @@ class TestReplay:
         assert not replace(dec, layers=dec.layers[1:]).replay_ok()
         dissolved = replace(dec, layers=dec.layers[:-2], base=tuple(sorted(dec.layers[-2] + dec.layers[-1])))
         assert not dissolved.replay_ok()  # an edge of two base vertices over threshold 0
-        assert replace(dissolved, chi=-1).replay_ok()  # threshold 357
+        # at chi -1 the threshold is the factor: a 2-vertex component passes
+        # at threshold 2 and fails at 1
+        assert replace(dissolved, regime=replace(REGIME_C, factor=2), chi=-1).replay_ok()
+        assert not replace(dissolved, regime=replace(REGIME_C, factor=1), chi=-1).replay_ok()
 
     def test_threshold_follows_chi(self):
         # a stored threshold of 10**9 once let an unpeeled triangulation pass
@@ -233,15 +236,32 @@ class TestFootnoteTwelve:
             coloring = extend_coloring(dec, lists)
             assert audit(g, coloring, max_size=12, lists=lists).ok
 
-    def test_falls_back_with_one_warning(self):
-        # a 3-regular torus of girth 6 has no 1-island below 6 vertices, so a
-        # planar size of 5 fails at once; the cap then stays at 16
+    def test_falls_back_per_island_with_one_warning(self):
+        # a hexagon 0..5 with one spoke each into a 6x6 hex torus (ids 6..)
+        # with three edges cut: minimum degree 3 and girth 6, so a planar
+        # size of 5 fails at once and the hexagon goes first. Then the spoke
+        # ends 7 and 17 bound the 3-vertex island 7, 6, 17, while the end of
+        # vertex 5's spoke, scanned first, is 5 steps from any other end
+        torus = hex_torus(6, 6).graph
+        cut = {(1, 2), (10, 11), (17, 28)}
+        edges = [(u + 6, v + 6) for u, v in torus.edges() if (u, v) not in cut]
+        edges += [(i, (i + 1) % 6) for i in range(6)]
+        edges += zip(range(6), (7, 16, 17, 8, 23, 34))
+        g = Graph(6 + torus.n, edges)
         row = replace(REGIME_C, planar_size=5)
         with pytest.warns(RuntimeWarning, match="no 5-island") as caught:
-            dec = peel(hex_torus(4, 4).graph, row, chi=0, footnote_12=True)
+            dec = peel(g, row, chi=0, footnote_12=True)
         assert len(caught) == 1
-        assert max(len(layer) for layer in dec.layers) > 5
+        assert dec.layers[0] == tuple(range(6))
         assert dec.base == () and dec.replay_ok()
+        # the cap holds again wherever a 5-island is left
+        alive = [True] * g.n
+        for layer in dec.layers:
+            if len(layer) > 5:
+                live, _ = g.induced([v for v in range(g.n) if alive[v]])
+                assert find_island(live, 1, 5) is None
+            for v in layer:
+                alive[v] = False
 
     def test_only_regime_c(self):
         emb = triangulation(20, seed=4)
