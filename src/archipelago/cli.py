@@ -11,6 +11,7 @@ residual component is dumped next to the input for inspection).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -294,6 +295,9 @@ def _parse_pins(pin_args, terminals: dict[str, int]) -> dict[int, int]:
 
 
 def _cmd_solve(args, report, ctx) -> int:
+    if args.optimize and (args.pin or args.k is not None):
+        raise ValueError("--optimize searches every k without pins; "
+                         "it takes no --pin and no --k")
     g, text = _load_graph(args.graph, report)
     if args.optimize:
         t0 = time.perf_counter()
@@ -436,6 +440,7 @@ def _cmd_suite(args, report, ctx) -> int:
 # ---------------------------------------------------------------------------
 # parsers and dispatch
 
+@functools.cache
 def _build_parser(prog: str) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

@@ -328,37 +328,41 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
     )
 
 
-def girth(g: Graph) -> float:
+def girth(g: Graph, cap: int | None = None) -> float:
     """Length of a shortest cycle; math.inf for forests.
 
     BFS from every vertex; a non-tree edge (x, y) seen from root r witnesses a
     cycle of length level[x] + level[y] + 1 through r when y is not x's BFS
     parent. The shortest cycle is found from any root lying on it, so the
     minimum over roots is exact. Roots after the first are pruned against the
-    best bound found so far.
+    best bound found so far. With cap, no cycle longer than cap is looked for:
+    every root is pruned from the start, and math.inf means none of at most
+    cap vertices.
     """
-    best = math.inf
+    best = math.inf if cap is None else cap + 1
+    level = [-1] * g.n  # -1 off the current root's search
+    parent = [-1] * g.n
     for r in range(g.n):
-        level = {r: 0}
-        parent = {r: -1}
-        queue = deque([r])
-        while queue:
-            x = queue.popleft()
+        level[r], parent[r] = 0, -1
+        order = [r]  # the BFS queue, kept whole to reset the marks
+        for x in order:
             lx = level[x]
             if 2 * lx + 1 >= best:
                 break
             for y in g.neighbors(x):
-                if y not in level:
+                if level[y] < 0:
                     level[y] = lx + 1
                     parent[y] = x
-                    queue.append(y)
+                    order.append(y)
                 elif y != parent[x] and level[y] >= lx:
                     cand = lx + level[y] + 1
                     if cand < best:
                         best = cand
+        for x in order:
+            level[x] = -1
         if best == 3:
             break
-    return best
+    return best if cap is None or best <= cap else math.inf
 
 
 def degeneracy_order(g: Graph) -> tuple[int, list[int]]:

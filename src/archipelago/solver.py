@@ -5,6 +5,14 @@ monochromatic connected component has at most k vertices, optionally under
 pinned colors. The search is depth-first over colors with unit propagation;
 cluster sizes are tracked by a union-find that supports exact rollback (union
 by size, no path compression, merges logged on a trail).
+
+A node costs time in the degrees of the vertices it colors and uncolors, plus
+a forward scan for the next branching vertex, not a pass over all n vertices.
+Each vertex keeps a count of its colored neighbors, and a pointer holds a rank
+in the branching order below which no frontier vertex lies; the scan starts
+there. It skips only vertices that are off the frontier, so the search picks
+the same vertex, tries colors in the same order and explores the same tree as
+a scan from the first rank.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ class OptimizeResult:
 
 
 class _State:
-    """Colors plus rollback-able cluster bookkeeping."""
+    """Colors plus rollback-able cluster and frontier bookkeeping."""
 
     def __init__(self, g: Graph, k: int):
         self.adj = tuple(g.neighbors(v) for v in range(g.n))
@@ -43,36 +51,47 @@ class _State:
         self.size = [1] * g.n
         self.union_trail: list[int] = []  # merged child roots
         self.color_trail: list[int] = []  # vertices in assignment order
+        self.colored_nbrs = [0] * g.n
+        # branching order, its inverse, and a rank no frontier vertex is below
+        self.priority = sorted(range(g.n), key=lambda v: (-len(self.adj[v]), v))
+        self.rank = sorted(range(g.n), key=self.priority.__getitem__)
+        self.low = 0
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def try_size(self, v: int, c: int) -> int:
-        """Cluster size if v were colored c, without mutating anything."""
-        roots = set()
+    def try_sizes(self, v: int) -> list[int]:
+        """Cluster sizes if v were colored 0 and 1, without mutating anything."""
+        color, parent, roots, sizes = self.color, self.parent, [], [1, 1]
         for u in self.adj[v]:
-            if self.color[u] == c:
-                roots.add(self.find(u))
-        return 1 + sum(self.size[r] for r in roots)
+            c = color[u]
+            if c != -1:
+                while parent[u] != u:
+                    u = parent[u]
+                if u not in roots:
+                    roots.append(u)
+                    sizes[c] += self.size[u]
+        return sizes
 
     def assign(self, v: int, c: int) -> bool:
         """Color v with c unless the resulting cluster would exceed k."""
-        if self.try_size(v, c) > self.k:
+        if self.try_sizes(v)[c] > self.k:
             return False
-        self.color[v] = c
+        color, colored_nbrs, parent, size = self.color, self.colored_nbrs, self.parent, self.size
+        color[v] = c
         self.color_trail.append(v)
+        root = v  # of v's cluster
         for u in self.adj[v]:
-            if self.color[u] == c:
-                ru, rv = self.find(u), self.find(v)
+            colored_nbrs[u] += 1
+            if color[u] == c:
+                ru, rv = u, root
+                while parent[ru] != ru:
+                    ru = parent[ru]
                 if ru != rv:
-                    if self.size[ru] < self.size[rv]:
+                    if size[ru] < size[rv]:
                         ru, rv = rv, ru
-                    self.parent[rv] = ru
-                    self.size[ru] += self.size[rv]
+                    parent[rv] = root = ru
+                    size[ru] += size[rv]
                     self.union_trail.append(rv)
+            elif color[u] == -1 and self.rank[u] < self.low:
+                self.low = self.rank[u]
         return True
 
     def marks(self) -> tuple[int, int]:
@@ -85,7 +104,22 @@ class _State:
             self.size[self.parent[child]] -= self.size[child]
             self.parent[child] = child
         while len(self.color_trail) > cmark:
-            self.color[self.color_trail.pop()] = -1
+            v = self.color_trail.pop()
+            self.color[v] = -1
+            for u in self.adj[v]:
+                self.colored_nbrs[u] -= 1
+            if self.colored_nbrs[v] and self.rank[v] < self.low:
+                self.low = self.rank[v]
+
+    def pick(self) -> int | None:
+        """First vertex in priority that is uncolored with a colored neighbor."""
+        color, colored_nbrs, priority = self.color, self.colored_nbrs, self.priority
+        for i in range(self.low, len(priority)):
+            v = priority[i]
+            if color[v] == -1 and colored_nbrs[v]:
+                self.low = i
+                return v
+        return None
 
     def propagate(self, queue: deque) -> bool:
         """Force single-choice vertices; False when one has no choice.
@@ -100,8 +134,8 @@ class _State:
             v = queue.popleft()
             if color[v] != -1:
                 continue
-            ok0 = self.try_size(v, 0) <= self.k
-            ok1 = self.try_size(v, 1) <= self.k
+            size0, size1 = self.try_sizes(v)
+            ok0, ok1 = size0 <= self.k, size1 <= self.k
             if not ok0 and not ok1:
                 return False
             if ok0 != ok1:
@@ -147,45 +181,32 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
         if not any(v in pins for v in comp):
             if not state.assign(comp[0], 0):
                 return MCResult("no", None, 0)
-    seeds = deque(
-        u
-        for v in range(g.n)
-        if state.color[v] != -1
-        for u in state.adj[v]
-        if state.color[u] == -1
-    )
+    seeds = deque(u for v in range(g.n) if state.color[v] != -1
+                  for u in state.adj[v] if state.color[u] == -1)
     if not state.propagate(seeds):
         return MCResult("no", None, 0)
 
-    priority = sorted(range(g.n), key=lambda v: (-len(state.adj[v]), v))
-
-    def pick() -> int | None:
-        for v in priority:
-            if state.color[v] == -1 and any(state.color[u] != -1 for u in state.adj[v]):
-                return v
-        return None
-
     nodes = 0
-    first = pick()
+    first = state.pick()
     if first is None:
         return _yes(g, state, nodes)
-    stack: list[list] = [[first, [0, 1], state.marks()]]
+    stack: list[list] = [[first, 0, state.marks()]]  # vertex, next color, marks
     while stack:
         frame = stack[-1]
-        v, colors, marks = frame
+        v, c, marks = frame
         state.undo_to(marks)
-        if not colors:
+        if c == 2:
             stack.pop()
             continue
-        c = colors.pop(0)
+        frame[1] = c + 1
         nodes += 1
         if nodes > budget:
             return MCResult("inconclusive", None, nodes - 1)
         if state.attempt(v, c):
-            nxt = pick()
+            nxt = state.pick()
             if nxt is None:
                 return _yes(g, state, nodes)
-            stack.append([nxt, [0, 1], state.marks()])
+            stack.append([nxt, 0, state.marks()])
     return MCResult("no", None, nodes)
 
 

@@ -7,15 +7,17 @@ the package and are imported only by tests.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, _ball
-from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, girth, has_triangle
+from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
-from archipelago.peeling import PeelDecomposition, TheoremViolation
+from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
+from archipelago.solver import MCResult, OptimizeResult
 
 
 def replay_ok(dec: PeelDecomposition) -> bool:
@@ -277,3 +279,235 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
         layers=tuple(layers),
         base=tuple(sorted(base)),
     )
+
+
+
+# girth with dict marks and no cap
+
+def girth(g: Graph) -> float:
+    """Length of a shortest cycle; math.inf for forests.
+
+    BFS from every vertex; a non-tree edge (x, y) seen from root r witnesses a
+    cycle of length level[x] + level[y] + 1 through r when y is not x's BFS
+    parent. The shortest cycle is found from any root lying on it, so the
+    minimum over roots is exact. Roots after the first are pruned against the
+    best bound found so far.
+    """
+    best = math.inf
+    for r in range(g.n):
+        level = {r: 0}
+        parent = {r: -1}
+        queue = deque([r])
+        while queue:
+            x = queue.popleft()
+            lx = level[x]
+            if 2 * lx + 1 >= best:
+                break
+            for y in g.neighbors(x):
+                if y not in level:
+                    level[y] = lx + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif y != parent[x] and level[y] >= lx:
+                    cand = lx + level[y] + 1
+                    if cand < best:
+                        best = cand
+        if best == 3:
+            break
+    return best
+
+
+# mc_decide and mc_optimize with pick() scanning every vertex at every node
+
+class _State:
+    """Colors plus rollback-able cluster bookkeeping."""
+
+    def __init__(self, g: Graph, k: int):
+        self.adj = tuple(g.neighbors(v) for v in range(g.n))
+        self.k = k
+        self.color = [-1] * g.n
+        self.parent = list(range(g.n))
+        self.size = [1] * g.n
+        self.union_trail: list[int] = []  # merged child roots
+        self.color_trail: list[int] = []  # vertices in assignment order
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def try_size(self, v: int, c: int) -> int:
+        """Cluster size if v were colored c, without mutating anything."""
+        roots = set()
+        for u in self.adj[v]:
+            if self.color[u] == c:
+                roots.add(self.find(u))
+        return 1 + sum(self.size[r] for r in roots)
+
+    def assign(self, v: int, c: int) -> bool:
+        """Color v with c unless the resulting cluster would exceed k."""
+        if self.try_size(v, c) > self.k:
+            return False
+        self.color[v] = c
+        self.color_trail.append(v)
+        for u in self.adj[v]:
+            if self.color[u] == c:
+                ru, rv = self.find(u), self.find(v)
+                if ru != rv:
+                    if self.size[ru] < self.size[rv]:
+                        ru, rv = rv, ru
+                    self.parent[rv] = ru
+                    self.size[ru] += self.size[rv]
+                    self.union_trail.append(rv)
+        return True
+
+    def marks(self) -> tuple[int, int]:
+        return len(self.union_trail), len(self.color_trail)
+
+    def undo_to(self, marks: tuple[int, int]):
+        umark, cmark = marks
+        while len(self.union_trail) > umark:
+            child = self.union_trail.pop()
+            self.size[self.parent[child]] -= self.size[child]
+            self.parent[child] = child
+        while len(self.color_trail) > cmark:
+            self.color[self.color_trail.pop()] = -1
+
+    def propagate(self, queue: deque) -> bool:
+        """Force single-choice vertices; False when one has no choice.
+
+        A vertex's options only change when a neighbor takes a color
+        (cluster merges elsewhere never alter the size its coloring would
+        create), so enqueueing the uncolored neighbors of each newly colored
+        vertex sees every change.
+        """
+        color = self.color
+        while queue:
+            v = queue.popleft()
+            if color[v] != -1:
+                continue
+            ok0 = self.try_size(v, 0) <= self.k
+            ok1 = self.try_size(v, 1) <= self.k
+            if not ok0 and not ok1:
+                return False
+            if ok0 != ok1:
+                if not self.assign(v, 0 if ok0 else 1):
+                    return False
+                for u in self.adj[v]:
+                    if color[u] == -1:
+                        queue.append(u)
+        return True
+
+    def attempt(self, v: int, c: int) -> bool:
+        if not self.assign(v, c):
+            return False
+        queue = deque(u for u in self.adj[v] if self.color[u] == -1)
+        return self.propagate(queue)
+
+
+def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
+    """Decide whether a 2-coloring with monochromatic pieces of at most k exists.
+
+    pins maps vertices to required colors (0 or 1). Contradictory pins raise;
+    an unsatisfiable instance returns "no"; exceeding the node budget returns
+    "inconclusive". Flip symmetry is broken by pinning the smallest vertex of
+    every component no pin touches; the verdict is unaffected because each
+    component can be flipped independently.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    pins = dict(pins) if pins else {}
+    for v, c in pins.items():
+        if not 0 <= v < g.n:
+            raise ValueError(f"pinned vertex {v} out of range")
+        if c not in (0, 1):
+            raise ValueError(f"pin color {c} must be 0 or 1")
+    if g.n == 0:
+        return MCResult("yes", {}, 0, 0)
+
+    state = _State(g, k)
+    for v in sorted(pins):
+        if not state.assign(v, pins[v]):
+            raise ValueError("inconsistent pins")
+    for comp in connected_components(g):
+        if not any(v in pins for v in comp):
+            if not state.assign(comp[0], 0):
+                return MCResult("no", None, 0)
+    seeds = deque(
+        u
+        for v in range(g.n)
+        if state.color[v] != -1
+        for u in state.adj[v]
+        if state.color[u] == -1
+    )
+    if not state.propagate(seeds):
+        return MCResult("no", None, 0)
+
+    priority = sorted(range(g.n), key=lambda v: (-len(state.adj[v]), v))
+
+    def pick() -> int | None:
+        for v in priority:
+            if state.color[v] == -1 and any(state.color[u] != -1 for u in state.adj[v]):
+                return v
+        return None
+
+    nodes = 0
+    first = pick()
+    if first is None:
+        return _yes(g, state, nodes)
+    stack: list[list] = [[first, [0, 1], state.marks()]]
+    while stack:
+        frame = stack[-1]
+        v, colors, marks = frame
+        state.undo_to(marks)
+        if not colors:
+            stack.pop()
+            continue
+        c = colors.pop(0)
+        nodes += 1
+        if nodes > budget:
+            return MCResult("inconclusive", None, nodes - 1)
+        if state.attempt(v, c):
+            nxt = pick()
+            if nxt is None:
+                return _yes(g, state, nodes)
+            stack.append([nxt, [0, 1], state.marks()])
+    return MCResult("no", None, nodes)
+
+
+def _yes(g: Graph, state: _State, nodes: int) -> MCResult:
+    coloring = {v: state.color[v] for v in range(g.n)}
+    if any(c == -1 for c in coloring.values()):
+        raise AssertionError("search finished with uncolored vertices")
+    report = audit(g, coloring, max_size=state.k)
+    if report.oversized_components:
+        raise AssertionError("search returned an oversized component; solver bug")
+    return MCResult("yes", coloring, nodes, report.max_component)
+
+
+def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
+    """Smallest k for which a coloring exists, within a shared node budget.
+
+    Runs the decision procedure for k = 1, 2, ... The result is exact unless
+    some smaller k came back inconclusive; if the budget runs dry entirely,
+    the all-zeros coloring supplies a trivial upper bound.
+    """
+    if g.n == 0:
+        return OptimizeResult(0, {}, True, 0)
+    spent = 0
+    inconclusive_seen = False
+    for k in range(1, g.n + 1):
+        remaining = budget - spent
+        if remaining <= 0:
+            break
+        res = mc_decide(g, k, budget=remaining)
+        spent += res.nodes_explored
+        if res.verdict == "yes":
+            return OptimizeResult(k, res.coloring, not inconclusive_seen, spent)
+        if res.verdict == "inconclusive":
+            inconclusive_seen = True
+    coloring = {v: 0 for v in range(g.n)}
+    worst = max(len(c) for c in connected_components(g))
+    return OptimizeResult(worst, coloring, False, spent)
+

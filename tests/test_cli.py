@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -5,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from archipelago import suites
+from archipelago import cli, suites
 from archipelago.cli import dispatch
 from archipelago.generators import GenSpec, gen
 from archipelago.graphs import (
@@ -403,6 +404,56 @@ class TestSolve:
         assert code == 1
         assert rep["verdicts"]["verdict"] == "inconclusive"
         assert rep["verdicts"]["nodes_explored"] == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--pin", "0=1"], ["--pin", "0=1", "--pin", "1=1"], ["--k", "1"],
+        ["--pin", "0=1", "--pin", "1=1", "--k", "1"],
+    ])
+    def test_optimize_rejects_pins_and_k(self, tmp_path, capsys, extra):
+        g = tmp_path / "c5.g"
+        g.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        out = tmp_path / "c5.col"
+        code, _ = dispatch(["mc", "solve", "--graph", str(g), "--optimize",
+                            *extra, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "it takes no --pin and no --k" in err
+        assert not out.exists()
+
+
+class TestParserCache:
+    def test_dispatches_share_one_parser(self, tmp_path, monkeypatch):
+        g = tmp_path / "p2.g"
+        g.write_text("2 1\n0 1\n")
+        built = []
+        real = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            built.append(parser)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for _ in range(2):
+            code, _ = dispatch(["mc", "solve", "--graph", str(g), "--k", "1"])
+            assert code == 0
+        assert len(built) == 2 and built[0] is built[1]
+        assert cli._build_parser("mc") is not cli._build_parser("islands")
+
+    def test_appended_options_do_not_leak(self, tmp_path):
+        g = tmp_path / "p4.g"
+        g.write_text("4 3\n0 1\n1 2\n2 3\n")
+        # the ends of a path on 4 vertices differ in every proper coloring
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "1",
+                              "--pin", "0=0", "--pin", "3=0"])
+        assert code == 1 and rep["verdicts"]["verdict"] == "no"
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "1"])
+        assert code == 0 and rep["verdicts"]["verdict"] == "yes"
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "1",
+                              "--pin", "3=0"])
+        assert code == 0 and rep["verdicts"]["verdict"] == "yes"
+        args = cli._build_parser("mc").parse_args(["solve", "--graph", "x"])
+        assert args.pin is None and args.k is None and not args.optimize
 
 
 class TestGadget:

@@ -1,5 +1,6 @@
 """Fast routines against the slow reference forms kept in tests/oracles.py."""
 
+import math
 import random
 import warnings
 from dataclasses import replace
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from archipelago.discharging import charge_bounds_report, discharge
+from archipelago.gadgets import build_equalizer, build_N, build_uncrosser, validate_uncrosser
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
-from archipelago.graphs import Embedding, Graph, trace_faces
+from archipelago.graphs import Embedding, Graph, girth, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island
 from archipelago.peeling import TheoremViolation, color_four_plus_sink, peel
+from archipelago.solver import mc_decide, mc_optimize
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
 FAMILIES = {
@@ -312,3 +315,88 @@ def test_peel_matches_oracle_on_disjoint_unions(name, chi, data):
     g = disjoint_union(data.draw(st.permutations(pieces)))
     g = relabel_graph(g, data.draw(st.permutations(range(g.n))))
     assert_peel_matches_oracle(g, REGIMES[name], chi)
+
+
+# solver: the same tree, so the same results field by field
+
+
+@st.composite
+def solver_cases(draw):
+    """A random graph (often disconnected), valid pins, k and maybe a budget."""
+    n = draw(st.integers(1, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else set()
+    pins = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1), max_size=3))
+    budget = draw(st.one_of(st.just(10**7), st.integers(0, 60)))
+    return Graph(n, sorted(edges)), pins, draw(st.integers(1, 6)), budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=solver_cases())
+def test_mc_decide_matches_oracle(case):
+    g, pins, k, budget = case
+    assert outcome(mc_decide, g, k, pins, budget) == outcome(oracles.mc_decide, g, k, pins, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=solver_cases())
+def test_mc_optimize_matches_oracle(case):
+    g, _, _, budget = case
+    assert mc_optimize(g, budget) == oracles.mc_optimize(g, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([triangulation, quadrangulation]), n=st.integers(6, 20),
+       seed=st.integers(0, 999), data=st.data())
+def test_mc_optimize_matches_oracle_on_surfaces(make, n, seed, data):
+    g = make(n, seed=seed).graph
+    g = relabel_graph(g, data.draw(st.permutations(range(g.n))))
+    assert mc_optimize(g) == oracles.mc_optimize(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(make=st.sampled_from([build_N, build_equalizer]), k=st.integers(1, 4),
+       y=st.integers(0, 1), z=st.integers(0, 1),
+       budget=st.one_of(st.just(10**7), st.integers(0, 200)))
+def test_mc_decide_matches_oracle_on_links(make, k, y, z, budget):
+    gg = make(2)
+    pins = {gg.terminals["y"]: y, gg.terminals["z"]: z}
+    assert mc_decide(gg.graph, k, pins, budget) == oracles.mc_decide(gg.graph, k, pins, budget)
+
+
+def test_validate_uncrosser_runs_match_oracle():
+    u = build_uncrosser(2)
+    t = u.terminals
+    runs = {
+        "north_south_split": (2, {t["x_N"]: 0, t["x_S"]: 1}),
+        "west_east_split": (2, {t["x_W"]: 0, t["x_E"]: 1}),
+        "corner_agree": (2, {t["x_N"]: 0, t["x_W"]: 0}),
+        "corner_disagree": (2, {t["x_N"]: 0, t["x_W"]: 1}),
+    }
+    report = validate_uncrosser(u, 2)
+    assert report.ok
+    for name, (k, pins) in runs.items():
+        assert report.checks[name] == oracles.mc_decide(u.graph, k, pins, 10**6), name
+
+
+# girth: list marks and an optional cap against the dict-marked search
+
+
+def assert_girth_matches_oracle(g):
+    want = oracles.girth(g)
+    assert girth(g) == want
+    for cap in range(9):
+        assert girth(g, cap=cap) == (want if want <= cap else math.inf), cap
+    assert REGIME_C.precondition(g) == (want >= 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_girth_matches_oracle_on_every_family(family, data):
+    assert_girth_matches_oracle(FAMILIES[family][2](data).graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=solver_cases())
+def test_girth_matches_oracle_on_random_graphs(case):
+    assert_girth_matches_oracle(case[0])

@@ -1,10 +1,13 @@
 """Decision solver checked against exhaustive enumeration on small graphs."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from archipelago.gadgets import reduce_girth8
+from archipelago.generators import hypergraph3
 from archipelago.graphs import Graph
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide, mc_optimize
@@ -152,6 +155,17 @@ class TestDecide:
         assert res.coloring is None
         assert res.nodes_explored == 2
         assert mc_decide(cycle(6), 2).verdict == "yes"
+
+    def test_node_cost_does_not_grow_with_the_graph(self):
+        # 5,000 nodes on a 21,986-vertex reduction: about 4 s when every node
+        # scanned all vertices for the next branching vertex
+        g = reduce_girth8(hypergraph3(8, 6, seed=1), 2).graph
+        assert g.n == 21986
+        t0 = time.perf_counter()
+        res = mc_decide(g, 2, budget=5000)
+        elapsed = time.perf_counter() - t0
+        assert res.verdict == "inconclusive" and res.nodes_explored == 5000
+        assert elapsed < 1.0
 
     def test_deterministic(self):
         g = random_graph(8, 0.4, 7)
