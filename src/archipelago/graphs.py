@@ -328,18 +328,16 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
     )
 
 
-def girth(g: Graph, cap: int | None = None) -> float:
+def girth(g: Graph) -> float:
     """Length of a shortest cycle; math.inf for forests.
 
     BFS from every vertex; a non-tree edge (x, y) seen from root r witnesses a
     cycle of length level[x] + level[y] + 1 through r when y is not x's BFS
     parent. The shortest cycle is found from any root lying on it, so the
     minimum over roots is exact. Roots after the first are pruned against the
-    best bound found so far. With cap, no cycle longer than cap is looked for:
-    every root is pruned from the start, and math.inf means none of at most
-    cap vertices.
+    best bound found so far.
     """
-    best = math.inf if cap is None else cap + 1
+    best = math.inf
     level = [-1] * g.n  # -1 off the current root's search
     parent = [-1] * g.n
     for r in range(g.n):
@@ -362,7 +360,7 @@ def girth(g: Graph, cap: int | None = None) -> float:
             level[x] = -1
         if best == 3:
             break
-    return best if cap is None or best <= cap else math.inf
+    return best
 
 
 def degeneracy_order(g: Graph) -> tuple[int, list[int]]:

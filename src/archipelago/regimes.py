@@ -279,7 +279,7 @@ REGIME_C = Regime(
     rules=partial(_walk_rule, starter_deg=2, inner_deg=3, min_inner=5,
                   amount=Fraction(1, 2), face_rule="C1f", vertex_rule="C1v"),
     vertex_bound=Fraction(0), face_bound=Fraction(0),
-    precondition=lambda g: girth(g, cap=5) >= 6, needs="girth at least 6",
+    precondition=lambda g: girth(g) >= 6, needs="girth at least 6",
     planar_size=12,
 )
 

@@ -52,21 +52,24 @@ class _State:
         self.union_trail: list[int] = []  # merged child roots
         self.color_trail: list[int] = []  # vertices in assignment order
         self.colored_nbrs = [0] * g.n
+        self.seen = [0] * g.n  # the try_sizes call that last counted each root
+        self.stamp = 0
         # branching order, its inverse, and a rank no frontier vertex is below
         self.priority = sorted(range(g.n), key=lambda v: (-len(self.adj[v]), v))
         self.rank = sorted(range(g.n), key=self.priority.__getitem__)
         self.low = 0
 
     def try_sizes(self, v: int) -> list[int]:
-        """Cluster sizes if v were colored 0 and 1, without mutating anything."""
-        color, parent, roots, sizes = self.color, self.parent, [], [1, 1]
+        """Cluster sizes if v were colored 0 and 1; colors and clusters stay."""
+        color, parent, seen, sizes = self.color, self.parent, self.seen, [1, 1]
+        self.stamp = stamp = self.stamp + 1
         for u in self.adj[v]:
             c = color[u]
             if c != -1:
                 while parent[u] != u:
                     u = parent[u]
-                if u not in roots:
-                    roots.append(u)
+                if seen[u] != stamp:  # each root counts once per call
+                    seen[u] = stamp
                     sizes[c] += self.size[u]
         return sizes
 
@@ -181,8 +184,13 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
         if not any(v in pins for v in comp):
             if not state.assign(comp[0], 0):
                 return MCResult("no", None, 0)
-    seeds = deque(u for v in range(g.n) if state.color[v] != -1
-                  for u in state.adj[v] if state.color[u] == -1)
+    seeds = deque(
+        u
+        for v in range(g.n)
+        if state.color[v] != -1
+        for u in state.adj[v]
+        if state.color[u] == -1
+    )
     if not state.propagate(seeds):
         return MCResult("no", None, 0)
 
