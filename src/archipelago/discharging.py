@@ -12,8 +12,10 @@ insists on exhibiting one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from archipelago.graphs import Embedding, euler_characteristic
 from archipelago.islands import IslandWitness, Regime, find_island
@@ -45,7 +47,11 @@ class ChargeState:
     transfers: list[Transfer]
 
     def total(self) -> Fraction:
-        return sum(self.vertex_charge, Fraction(0)) + sum(self.face_charge, Fraction(0))
+        """The exact sum of all charges, adding numerators per denominator."""
+        by_denominator: dict[int, int] = {}
+        for x in chain(self.vertex_charge, self.face_charge):
+            by_denominator[x.denominator] = by_denominator.get(x.denominator, 0) + x.numerator
+        return sum((Fraction(num, den) for den, num in by_denominator.items()), Fraction(0))
 
 
 def initial_charges(emb: Embedding, regime: Regime) -> ChargeState:
@@ -56,6 +62,13 @@ def initial_charges(emb: Embedding, regime: Regime) -> ChargeState:
     means mistraced faces). Regime A's faces (2d - 6) hold no charge, so its
     vertex total is at most -6*chi, with equality on triangulations.
     """
+    vc, fc = _euler_charges(emb, regime)
+    return ChargeState(regime=regime, vertex_charge=[Fraction(x) for x in vc],
+                       face_charge=[Fraction(x) for x in fc], transfers=[])
+
+
+def _euler_charges(emb: Embedding, regime: Regime) -> tuple[list[int], list[int]]:
+    """initial_charges' vertex and face charges, as integers."""
     g = emb.graph
     faces = emb.faces
     chi = g.n - g.m + len(faces)
@@ -67,22 +80,33 @@ def initial_charges(emb: Embedding, regime: Regime) -> ChargeState:
         raise AssertionError(f"regime {regime.name} charges do not total {b}*chi")
     if regime.face_bound is None:
         fc = [0] * len(faces)
-    return ChargeState(regime=regime, vertex_charge=[Fraction(x) for x in vc],
-                       face_charge=[Fraction(x) for x in fc], transfers=[])
+    return vc, fc
 
 
 def discharge(emb: Embedding, regime: Regime) -> ChargeState:
-    """Run the regime's rules from the initial charges; conservation is asserted."""
-    state = initial_charges(emb, regime)
-    before = state.total()
-    book = {"v": state.vertex_charge, "f": state.face_charge}
-    for rule, source, target, amount in regime.rules(emb):
-        book[source[0]][source[1]] -= amount
-        book[target[0]][target[1]] += amount
-        state.transfers.append(Transfer(rule, source, target, amount))
-    if state.total() != before:
+    """Run the regime's rules from the initial charges; conservation is asserted.
+
+    Charges move as integers over one common denominator, the lcm of the
+    transfer amounts' denominators, so a transfer costs two integer
+    additions. Conservation is asserted on those integers, and the Fraction
+    charges are built once, at the end.
+    """
+    vc, fc = _euler_charges(emb, regime)
+    moves = list(regime.rules(emb))
+    scale = math.lcm(*{amount.denominator for *_, amount in moves})
+    book = {"v": [x * scale for x in vc], "f": [x * scale for x in fc]}
+    before = sum(book["v"]) + sum(book["f"])
+    transfers = []
+    for rule, source, target, amount in moves:
+        units = scale // amount.denominator * amount.numerator
+        book[source[0]][source[1]] -= units
+        book[target[0]][target[1]] += units
+        transfers.append(Transfer(rule, source, target, amount))
+    if sum(book["v"]) + sum(book["f"]) != before:
         raise AssertionError("discharging did not conserve total charge")
-    return state
+    exact = {x: Fraction(x, scale) for x in {*book["v"], *book["f"]}}  # few distinct
+    return ChargeState(regime, [exact[x] for x in book["v"]], [exact[x] for x in book["f"]],
+                       transfers)
 
 
 @dataclass(frozen=True)
@@ -117,7 +141,10 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     restricted to a ball around the element first, then the whole graph).
     The search depends only on its vertex set, so it runs once per distinct
     ball, and the whole-graph fallback at most once per report; elements
-    with the same ball share one witness.
+    with the same ball share one witness. When the walk from a single root
+    reaches every vertex by level e, every vertex within radius - e of that
+    root has the whole graph as its ball too (triangle inequality); they are
+    marked, and a later element on a marked vertex skips its walk.
     When the guarantee premises hold (order above threshold, and the regime's
     girth precondition), a below-bound element without any island would
     contradict the guarantee, so that case raises.
@@ -132,6 +159,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
 
     found: dict[frozenset[int], IslandWitness | None] = {}
     everything = frozenset(range(g.n))
+    whole = [False] * g.n  # vertices whose ball is the whole graph
 
     def search(pool: frozenset[int]) -> IslandWitness | None:
         if pool not in found:
@@ -139,7 +167,8 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         return found[pool]
 
     def witness_near(roots) -> IslandWitness | None:
-        w = search(_ball(g, roots, regime.size))
+        pool = everything if any(whole[r] for r in roots) else _ball(g, roots, regime.size, whole)
+        w = search(pool)
         return w if w is not None else search(everything)
 
     entries: list[BoundEntry] = []
@@ -170,17 +199,25 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     )
 
 
-def _ball(g, roots, radius: int) -> frozenset[int]:
+def _ball(g, roots, radius: int, whole: list[bool]) -> frozenset[int]:
+    """The vertices within `radius` of `roots`.
+
+    When there is one root and its walk reaches every vertex by level e,
+    marks in `whole` every vertex within radius - e of the root.
+    """
     seen = set(roots)
-    frontier = list(seen)
-    for _ in range(radius):
+    levels = [list(seen)]
+    while len(levels) <= radius and levels[-1]:
         nxt = []
-        for x in frontier:
+        for x in levels[-1]:
             for y in g.neighbors(x):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
+        levels.append(nxt)
+    if len(levels[0]) == 1 and len(seen) == g.n:
+        e = len(levels) - 1 if levels[-1] else len(levels) - 2
+        for level in levels[:radius - e + 1]:
+            for v in level:
+                whole[v] = True
     return frozenset(seen)

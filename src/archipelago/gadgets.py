@@ -259,6 +259,12 @@ def build_uncrosser(k: int) -> GadgetGraph:
     and x_C is distinct-linked to x_S. Correctness is computational: the
     construction must pass validate_uncrosser.
     """
+    u = _uncrosser(k)
+    return GadgetGraph(u.graph, u.terminals, _planar_embedding(u.graph))
+
+
+def _uncrosser(k: int) -> GadgetGraph:
+    """build_uncrosser's graph and terminals, without the embedding."""
     if k < 2:
         raise ValueError("k must be at least 2")
     asm = _Assembler()
@@ -282,8 +288,7 @@ def build_uncrosser(k: int) -> GadgetGraph:
         asm.add_edge(terminals["x_C"], y)
     asm.splice(distinct, {0: terminals["x_C"], 1: terminals["x_S"]})
 
-    g = asm.graph()
-    return GadgetGraph(g, terminals, _planar_embedding(g))
+    return GadgetGraph(asm.graph(), terminals)
 
 
 @dataclass(frozen=True)
@@ -498,7 +503,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
                 asm.add_edge(prev, ej)
             prev = ej
 
-    uncrosser = build_uncrosser(k)
+    uncrosser = _uncrosser(k)
     equal = build_equalizer(k)
     # one shared uncrosser per crossing pair, keyed with the lower index first
     shared: dict[tuple[int, int], dict] = {}

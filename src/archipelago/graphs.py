@@ -196,16 +196,23 @@ class Embedding:
 def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     """Recover the faces of a signed rotation system.
 
-    States are (u, v, d): the directed edge u->v carried with orientation flag
-    d in {+1, -1}. The successor of (u, v, d) flips the flag by the sign of uv
-    and then takes the next (flag-directionally) neighbor of v after u. Orbits
-    of this successor map come in mirror pairs swapped by reversal; each pair
-    is one face. Requires a connected graph, since the Euler characteristic of
-    a disconnected embedding is not that of a single surface.
+    A state (u, v, d) is the directed edge u->v carried with orientation flag
+    d in {+1, -1}. Its successor flips the flag by the sign of uv and then
+    takes the next (flag-directionally) neighbor of v after u; its mirror is
+    (v, u, -d * sign(uv)). Orbits of the successor map come in mirror pairs;
+    each pair is one face. Requires a connected graph, since the Euler
+    characteristic of a disconnected embedding is not that of a single surface.
 
-    Faces come out in order of their least state. One pass over the states in
-    increasing order, skipping those already traced, finds them, so the cost
-    is linear in m.
+    Darts u->v are numbered by u, then v (adjacency tuples are sorted), and
+    state 2 * dart + (d > 0) carries flag d, so the integers follow the order
+    of the (u, v, d) tuples. Every signed rotation system has
+    succ(mirror(succ(s))) == mirror(s), so the mirror of the orbit s_0, ..,
+    s_{L-1} is mirror(s_0), mirror(s_{L-1}), .., mirror(s_1): it is marked,
+    not traced, and its walk is read off the orbit's. An orbit is its own
+    mirror exactly when it holds the mirror of its first state.
+
+    Faces come out in order of their least state, found by one pass over the
+    states in increasing order, so the cost is linear in m.
     """
     g = emb.graph
     if g.n == 0:
@@ -216,46 +223,44 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         # single isolated vertex: one face, the sphere
         return (Face(walk=(0,), reverse_walk=(0,)),)
 
-    def step(u: int, v: int, d: int) -> tuple[int, int, int]:
-        d2 = d * emb.sign(u, v)
-        rot = emb.rotations[v]
-        i = emb._pos[v][u]
-        w = rot[(i + d2) % len(rot)]
-        return (v, w, d2)
+    adj, pos = g._adj, emb._pos
+    dart_at = []  # dart_at[v][i]: the dart from v to rotations[v][i]
+    darts = 0
+    for v, nbrs in enumerate(adj):
+        at, pos_v = [0] * len(nbrs), pos[v]
+        for w in nbrs:
+            at[pos_v[w]] = darts
+            darts += 1
+        dart_at.append(at)
+    succ, mirror, tail = [], [], []  # indexed by state
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            sign = emb.sign(u, v)
+            at, i = dart_at[v], pos[v][u]
+            succ += (2 * at[(i - sign) % len(at)] + (sign < 0),
+                     2 * at[(i + sign) % len(at)] + (sign > 0))
+            mirror += (2 * at[i] + (sign > 0), 2 * at[i] + (sign < 0))
+            tail += (u, u)
 
-    def reverse(state: tuple[int, int, int]) -> tuple[int, int, int]:
-        u, v, d = state
-        return (v, u, -d * emb.sign(u, v))
-
-    # every state in increasing order: adjacency tuples are sorted
-    states = [(u, v, d) for u in range(g.n) for v in g.neighbors(u) for d in (-1, 1)]
-    todo = set(states)
-
+    face_of = [-1] * len(succ)
     faces = []
     total_degree = 0
-    for start in states:
-        if start not in todo:
+    for start in range(len(succ)):
+        if face_of[start] >= 0:
             continue
+        fid = len(faces)
         orbit = []
         state = start
-        while True:
+        while face_of[state] < 0:
+            face_of[state] = fid
             orbit.append(state)
-            state = step(*state)
-            if state == start:
-                break
-        mirror = {reverse(s) for s in orbit}
-        if mirror == set(orbit):
+            state = succ[state]
+        if face_of[mirror[start]] == fid:
             raise ValueError("orbit is self-paired; rotation system is inconsistent")
-        todo.difference_update(orbit)
-        todo.difference_update(mirror)
-        walk = tuple(s[0] for s in orbit)
-        rstart = reverse(orbit[0])
-        rorbit = [rstart]
-        state = step(*rstart)
-        while state != rstart:
-            rorbit.append(state)
-            state = step(*state)
-        faces.append(Face(walk=walk, reverse_walk=tuple(s[0] for s in rorbit)))
+        for state in orbit:
+            face_of[mirror[state]] = fid
+        walk = tuple([tail[s] for s in orbit])
+        faces.append(Face(walk=walk, reverse_walk=walk[1::-1] + walk[:1:-1]))
         total_degree += len(walk)
 
     if total_degree != 2 * g.m:

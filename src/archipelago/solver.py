@@ -77,6 +77,11 @@ class _State:
         """Color v with c unless the resulting cluster would exceed k."""
         if self.try_sizes(v)[c] > self.k:
             return False
+        self.paint(v, c)
+        return True
+
+    def paint(self, v: int, c: int):
+        """Color v with c, a color known to fit."""
         color, colored_nbrs, parent, size = self.color, self.colored_nbrs, self.parent, self.size
         color[v] = c
         self.color_trail.append(v)
@@ -95,7 +100,6 @@ class _State:
                     self.union_trail.append(rv)
             elif color[u] == -1 and self.rank[u] < self.low:
                 self.low = self.rank[u]
-        return True
 
     def marks(self) -> tuple[int, int]:
         return len(self.union_trail), len(self.color_trail)
@@ -142,8 +146,7 @@ class _State:
             if not ok0 and not ok1:
                 return False
             if ok0 != ok1:
-                if not self.assign(v, 0 if ok0 else 1):
-                    return False
+                self.paint(v, 0 if ok0 else 1)
                 for u in self.adj[v]:
                     if color[u] == -1:
                         queue.append(u)

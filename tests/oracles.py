@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 
 from archipelago import peeling
-from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, _ball
+from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
 from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
@@ -44,13 +44,14 @@ def replay_ok(dec: PeelDecomposition) -> bool:
 
 
 def trace_faces(emb: Embedding) -> tuple[Face, ...]:
-    """trace_faces picking each face's start with min() over the untraced states."""
+    """trace_faces on (u, v, d) tuple states, tracing each mirror orbit again."""
     g = emb.graph
     if g.n == 0:
         raise ValueError("cannot trace faces of the empty graph")
     if g.n > 1 and len(connected_components(g)) > 1:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
+        # single isolated vertex: one face, the sphere
         return (Face(walk=(0,), reverse_walk=(0,)),)
 
     def step(u: int, v: int, d: int) -> tuple[int, int, int]:
@@ -64,16 +65,15 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         u, v, d = state
         return (v, u, -d * emb.sign(u, v))
 
-    todo = set()
-    for u, v in g.edges():
-        for d in (1, -1):
-            todo.add((u, v, d))
-            todo.add((v, u, d))
+    # every state in increasing order: adjacency tuples are sorted
+    states = [(u, v, d) for u in range(g.n) for v in g.neighbors(u) for d in (-1, 1)]
+    todo = set(states)
 
     faces = []
     total_degree = 0
-    while todo:
-        start = min(todo)
+    for start in states:
+        if start not in todo:
+            continue
         orbit = []
         state = start
         while True:
@@ -99,6 +99,42 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     if total_degree != 2 * g.m:
         raise AssertionError("face degrees do not sum to twice the edge count")
     return tuple(faces)
+
+
+def total(state: ChargeState) -> Fraction:
+    """ChargeState.total summing every charge as a Fraction."""
+    return sum(state.vertex_charge, Fraction(0)) + sum(state.face_charge, Fraction(0))
+
+
+def discharge(emb: Embedding, regime: Regime) -> ChargeState:
+    """discharge moving Fraction charges, one Fraction operation per side of a transfer."""
+    state = initial_charges(emb, regime)
+    before = total(state)
+    book = {"v": state.vertex_charge, "f": state.face_charge}
+    for rule, source, target, amount in regime.rules(emb):
+        book[source[0]][source[1]] -= amount
+        book[target[0]][target[1]] += amount
+        state.transfers.append(Transfer(rule, source, target, amount))
+    if total(state) != before:
+        raise AssertionError("discharging did not conserve total charge")
+    return state
+
+
+def _ball(g, roots, radius: int) -> frozenset[int]:
+    """_ball walking every ball in full."""
+    seen = set(roots)
+    frontier = list(seen)
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+        if not frontier:
+            break
+    return frozenset(seen)
 
 
 # the bounds as literals, so that the cross-check also pins the regime table

@@ -72,6 +72,22 @@ def test_trace_faces_matches_oracle_under_random_signs(family, data):
     assert outcome(trace_faces, signed) == outcome(oracles.trace_faces, signed)
 
 
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from([*sorted(FAMILIES), "random_graph"]), data=st.data())
+def test_trace_faces_matches_oracle_under_random_rotations(source, data):
+    # random graphs bring the empty, single-vertex, tree and disconnected cases
+    if source == "random_graph":
+        g = data.draw(solver_cases())[0] if data.draw(st.booleans()) else Graph(0, [])
+    else:
+        g = FAMILIES[source][2](data).graph
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rotations = [rng.sample(g.neighbors(v), g.degree(v)) for v in range(g.n)]
+    edges = list(g.edges())
+    negative = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges))) if edges else ()
+    emb = Embedding(g, rotations, {e: -1 for e in negative})
+    assert outcome(trace_faces, emb) == outcome(oracles.trace_faces, emb)
+
+
 def _oracle_verdict(dec):
     # the oracle raises KeyError on removed or out-of-range vertices
     try:
@@ -175,6 +191,52 @@ def assert_report_matches_oracle(emb, regime):
     state = discharge(emb, regime)
     # BoundsReport and BoundEntry compare field by field, witnesses included
     assert outcome(charge_bounds_report, state, emb) == outcome(oracles.charge_bounds_report, state, emb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_discharge_matches_oracle_under_relabelling_and_signs(family, data):
+    emb = FAMILIES[family][2](data)
+    emb = relabel(emb, data.draw(st.permutations(range(emb.graph.n))))
+    edges = list(emb.graph.edges())
+    negative = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges)))
+    emb = Embedding(emb.graph, emb.rotations, {e: -1 for e in negative})
+    for name in IN_SCOPE[family]:
+        got, want = outcome(discharge, emb, REGIMES[name]), outcome(oracles.discharge, emb, REGIMES[name])
+        # ChargeState compares charges and transfers in order
+        assert got == want
+        if got[0] == "value":
+            assert got[1].total() == oracles.total(want[1])
+
+
+# Inputs on which some radius balls, but not all, are the whole graph, so
+# that the walks' whole-graph marks cover part of the vertices: thin tori
+# under A (radius 3), quadrangulations under B (radius 10) and hex patches
+# under C (radius 16).
+PARTLY_WHOLE = {
+    "thin_torus": (REGIME_A, lambda data: triangulated_torus(3, data.draw(st.integers(3, 40)))),
+    "quadrangulation": (
+        REGIME_B,
+        lambda data: quadrangulation(data.draw(st.integers(100, 1500)), seed=data.draw(st.integers(0, 999))),
+    ),
+    "hex_patch": (
+        REGIME_C,
+        lambda data: hex_patch(
+            data.draw(st.integers(3, 9)),
+            data.draw(st.integers(3, 9)),
+            deletions=data.draw(st.integers(0, 6)),
+            seed=data.draw(st.integers(0, 999)),
+        ),
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(PARTLY_WHOLE)), data=st.data())
+def test_charge_bounds_report_matches_oracle_where_balls_are_partly_whole(family, data):
+    regime, draw = PARTLY_WHOLE[family]
+    emb = draw(data)
+    assert_report_matches_oracle(relabel(emb, data.draw(st.permutations(range(emb.graph.n)))), regime)
 
 
 @settings(max_examples=100, deadline=None)

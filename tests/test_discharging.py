@@ -280,18 +280,27 @@ class TestBoundsReport:
 
     def test_one_search_per_distinct_ball(self, monkeypatch):
         # every radius-10 ball of this quadrangulation is the whole graph,
-        # so its 46 below-bound elements share one island search
+        # so its 46 below-bound elements share one island search, and the
+        # first element's walk marks every vertex whole, so it is the only walk
         calls = []
+        walks = []
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("restrict_to"))
             return find_island(*args, **kwargs)
 
+        def counting_walks(*args):
+            walks.append(args[1])
+            return ball(*args)
+
+        ball = discharging._ball
         monkeypatch.setattr(discharging, "find_island", counting)
+        monkeypatch.setattr(discharging, "_ball", counting_walks)
         emb = quadrangulation(80, seed=9)
         report = charge_bounds_report(discharge(emb, REGIME_B), emb)
         assert len(report.entries) == 46
         assert calls == [frozenset(range(80))]
+        assert len(walks) == 1
 
     def test_faces_can_dip_with_witnesses(self):
         # the cube's faces all end slightly negative; every entry needs an
