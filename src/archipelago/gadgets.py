@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from archipelago import graphs
 from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, read_rows
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
@@ -78,50 +79,66 @@ class GadgetGraph:
                 raise ValueError("gadget embeddings must be spherical")
 
 
-def _planar_embedding(g: Graph) -> Embedding:
-    """Rotation system from a planarity test, re-verified by face tracing."""
-    import networkx as nx
-
-    ng = nx.Graph()
-    ng.add_nodes_from(range(g.n))
-    ng.add_edges_from(g.edges())
-    ok, emb = nx.check_planarity(ng)
-    if not ok:
-        raise ValueError("graph is not planar")
-    rotations = [list(emb.neighbors_cw_order(v)) for v in range(g.n)]
-    out = Embedding(g, rotations)
-    if euler_characteristic(out) != 2:
-        raise AssertionError("planar rotation system does not trace to a sphere")
-    return out
+def _check_size(n: int, what: str):
+    """Refuse a construction of n vertices before anything is allocated."""
+    if n > graphs.MAX_VERTICES:
+        raise ValueError(f"{what} would build {n} vertices; at most {graphs.MAX_VERTICES} are allowed")
 
 
 class _Assembler:
-    """Grows a graph by splicing in gadget copies with shared terminals."""
+    """Grows a graph by splicing in gadget copies with shared terminals.
+
+    A gadget spliced with an embedding, or an edge added with keys, is also
+    drawn: at every vertex it touches it records its clockwise block of
+    neighbors under a sort key, and a vertex's rotation is its blocks in key
+    order. Keys matter only where a vertex gets three blocks or more.
+    """
 
     def __init__(self, n: int = 0):
         self.n = n
         self.edges: list[tuple[int, int]] = []
+        self.blocks: list[list[tuple]] = [[] for _ in range(n)]
 
     def fresh(self) -> int:
         v = self.n
         self.n += 1
+        self.blocks.append([])
         return v
 
-    def add_edge(self, u: int, v: int):
+    def add_edge(self, u: int, v: int, keys: tuple | None = None):
+        """Add the edge uv; with keys (at u, at v), draw it at both ends too."""
         self.edges.append((u, v))
+        if keys is not None:
+            self.blocks[u].append((keys[0], (v,)))
+            self.blocks[v].append((keys[1], (u,)))
 
-    def splice(self, gadget: GadgetGraph, identify: dict) -> dict:
-        """Copy a gadget in, mapping the given local ids onto existing ones."""
+    def splice(self, gadget: GadgetGraph, identify: dict, keys: dict | None = None) -> dict:
+        """Copy a gadget in, mapping the given local ids onto existing ones.
+
+        A drawn gadget's block at local vertex v is filed under keys[v],
+        by default 0.
+        """
         mapping = dict(identify)
         for v in range(gadget.graph.n):
             if v not in mapping:
                 mapping[v] = self.fresh()
-        for u, v in gadget.graph.edges():
-            self.add_edge(mapping[u], mapping[v])
+        self.edges.extend((mapping[u], mapping[v]) for u, v in gadget.graph.edges())
+        if gadget.embedding is not None:
+            keys = keys or {}
+            for v, rot in enumerate(gadget.embedding.rotations):
+                self.blocks[mapping[v]].append((keys.get(v, 0), [mapping[w] for w in rot]))
         return mapping
 
     def graph(self) -> Graph:
         return Graph(self.n, self.edges)
+
+    def embedding(self) -> Embedding:
+        """The drawn rotation system; every edge must have been drawn."""
+        rotations = [
+            [w for _, block in sorted(blocks, key=lambda b: b[0]) for w in block]
+            for blocks in self.blocks
+        ]
+        return Embedding(self.graph(), rotations)
 
 
 # -- coupler trees ------------------------------------------------------------
@@ -237,6 +254,26 @@ def build_N(k: int) -> GadgetGraph:
     return GadgetGraph(Graph(length + 2, edges), {"y": 0, "z": 1})
 
 
+def _drawn_N(k: int) -> GadgetGraph:
+    """build_N(k) drawn with y above, z below, the path running west to east.
+
+    Clockwise, y lists the even v_i east to west and z the odd v_i west to
+    east; v_i lists y (north), v_{i+1} (east), z (south), v_{i-1} (west),
+    each where it is a neighbor.
+    """
+    link = build_N(k)
+    length = 3 * k**4
+    rotations = [
+        [1 + i for i in range(length, 0, -1) if i % 2 == 0],
+        [1 + i for i in range(1, length + 1) if i % 2],
+    ]
+    for i in range(1, length + 1):
+        east = [2 + i] if i < length else []
+        west = [i] if i > 1 else []
+        rotations.append([0, *east, *west] if i % 2 == 0 else [*east, 1, *west])
+    return GadgetGraph(link.graph, link.terminals, Embedding(link.graph, rotations))
+
+
 def build_equalizer(k: int) -> GadgetGraph:
     """Equal-color link: K_{2, 2k(k-1)-1} with terminals on the small side.
 
@@ -250,6 +287,22 @@ def build_equalizer(k: int) -> GadgetGraph:
     return GadgetGraph(Graph(2 + middles, edges), {"y": 0, "z": 1})
 
 
+def _drawn_equalizer(k: int) -> GadgetGraph:
+    """build_equalizer(k) drawn as a lens: clockwise, y lists the middles
+    [m1..mt] and z lists [mt..m1]."""
+    eq = build_equalizer(k)
+    middles = list(range(2, eq.graph.n))
+    rotations = [middles, middles[::-1]] + [[0, 1]] * len(middles)
+    return GadgetGraph(eq.graph, eq.terminals, Embedding(eq.graph, rotations))
+
+
+def _uncrosser_size(k: int) -> int:
+    """build_uncrosser(k)'s vertex count: its terminals and pendants, plus the
+    inner vertices of its 2k-1 distinct-links and 2(k-1)^2+1 equalizers."""
+    ys = 2 * (k - 1)
+    return 5 + ys + ys * (k - 1) + (ys + 1) * 3 * k**4 + (ys * (k - 1) + 1) * (2 * k * (k - 1) - 1)
+
+
 def build_uncrosser(k: int) -> GadgetGraph:
     """Crossing replacement with terminals x_N, x_S, x_W, x_E, x_C, y_1..y_{2(k-1)}.
 
@@ -258,13 +311,14 @@ def build_uncrosser(k: int) -> GadgetGraph:
     every y_i carries k-1 pendants equalized to x_N and a direct edge to x_C,
     and x_C is distinct-linked to x_S. Correctness is computational: the
     construction must pass validate_uncrosser.
+
+    The embedding is a fixed drawing: the chain runs west to east with the
+    pendants above it, x_N above them and x_C below the chain, x_S below
+    x_C. Clockwise, y_i lists its pendants west to east, then the link
+    east, x_C and the link west; x_N lists all pendants east to west, and
+    x_C lists y_1..y_{2(k-1)}, then its link to x_S. The outer face meets
+    x_W, x_N, x_E, x_S in that clockwise order.
     """
-    u = _uncrosser(k)
-    return GadgetGraph(u.graph, u.terminals, _planar_embedding(u.graph))
-
-
-def _uncrosser(k: int) -> GadgetGraph:
-    """build_uncrosser's graph and terminals, without the embedding."""
     if k < 2:
         raise ValueError("k must be at least 2")
     asm = _Assembler()
@@ -273,22 +327,27 @@ def _uncrosser(k: int) -> GadgetGraph:
     for i in range(1, 2 * (k - 1) + 1):
         ys.append(asm.fresh())
         terminals[f"y_{i}"] = ys[-1]
-    distinct = build_N(k)
-    equal = build_equalizer(k)
+    distinct = _drawn_N(k)
+    equal = _drawn_equalizer(k)
+    # keys at y_i: pendants 0..k-2, then east, south (x_C), west
+    east, south, west = k - 1, k, k + 1
 
     chain = [terminals["x_W"], *ys]
     for u, v in zip(chain, chain[1:]):
-        asm.splice(distinct, {0: u, 1: v})
-    asm.splice(equal, {0: ys[-1], 1: terminals["x_E"]})
-    for y in ys:
-        for _ in range(k - 1):
+        asm.splice(distinct, {0: u, 1: v}, {0: east, 1: west})
+    asm.splice(equal, {0: ys[-1], 1: terminals["x_E"]}, {0: east})
+    pendants = 0
+    for i, y in enumerate(ys):
+        for j in range(k - 1):
             p = asm.fresh()
-            asm.add_edge(y, p)
-            asm.splice(equal, {0: p, 1: terminals["x_N"]})
-        asm.add_edge(terminals["x_C"], y)
-    asm.splice(distinct, {0: terminals["x_C"], 1: terminals["x_S"]})
+            asm.add_edge(y, p, (j, 0))
+            asm.splice(equal, {0: p, 1: terminals["x_N"]}, {1: -pendants})
+            pendants += 1
+        asm.add_edge(terminals["x_C"], y, (i, south))
+    asm.splice(distinct, {0: terminals["x_C"], 1: terminals["x_S"]}, {0: len(ys)})
 
-    return GadgetGraph(asm.graph(), terminals)
+    emb = asm.embedding()
+    return GadgetGraph(emb.graph, terminals, emb)
 
 
 @dataclass(frozen=True)
@@ -350,9 +409,14 @@ def reduce_girth8(h: Hypergraph3, k: int) -> GadgetGraph:
     a fresh coupler whose z-root is the hyperedge's vertex u_{j mod 3}. A
     2-coloring of the hypergraph extends to components of size at most 2;
     a monochromatic hyperedge forces a monochromatic path of k+1 vertices.
+    Raises ValueError if the result would exceed graphs.MAX_VERTICES.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    b, size_y = _tree_sizes(k)
+    coupler_n = size_y + 1 + b + b * b
+    # each path vertex is a coupler's y-root; its z-root is a primitive
+    _check_size(h.n + len(h.edges) * (k + 1) * (coupler_n - 1), "reduce_girth8")
     coupler = build_J(k)
     z_local = coupler.terminals["z"]
     asm = _Assembler(h.n)
@@ -451,6 +515,28 @@ def _layout_crossings(targets: list[int], slots: dict, delta: Fraction):
     return crossings
 
 
+def _count_crossings(slots: list[int], n: int) -> int:
+    """Pairs i < j with slots[i] > slots[j], for slots in 0..n-1.
+
+    Path heights rise with the connector index, so these are exactly the
+    pairs _layout_crossings finds crossing. Counted with a Fenwick tree over
+    the slots, in O(L log n) rather than the layout's O(L^2).
+    """
+    tree = [0] * (n + 1)
+    total = 0
+    for seen, a in enumerate(slots):
+        total += seen
+        i = a + 1
+        while i:  # less the earlier slots at most a
+            total -= tree[i]
+            i &= i - 1
+        i = a + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    return total
+
+
 def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     """Hypergraph 2-colorability as bounded-component coloring in the plane.
 
@@ -461,7 +547,19 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     another in first-use order; every crossing of two straight connectors
     is replaced by an uncrosser, entered west-east by the lower-index
     connector and north-south by the other, with equalizers joining the
-    pieces. The emitted embedding is re-traced to Euler characteristic 2.
+    pieces.
+
+    The embedding is read off that drawing, with the path line on the west,
+    the path running upward and the primitive line on the east. Clockwise,
+    a primitive lists its connectors in ascending path index, and a path
+    vertex lists the next path vertex, its connector, then the previous
+    one. Two crossing connectors p < q have their primitive slots in the
+    opposite order, so around every crossing the arms run p's primitive
+    side, q's, p's path side, q's: the uncrosser's x_W, x_N, x_E, x_S, and
+    no copy is mirrored. Equalizers are lenses along their connector. The
+    rotation system is re-traced to Euler characteristic 2, which certifies
+    the drawing planar. Raises ValueError if the result would exceed
+    graphs.MAX_VERTICES, before building anything.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -469,15 +567,22 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     if {v for t in h.edges for v in t} != set(range(h.n)):
         raise ValueError("every vertex must occur in some hyperedge; "
                          "drop isolated vertices first")
+    pairs = {(a, b) for a, b, _ in h.edges} | {(b, c) for _, b, c in h.edges}
+    if len(connected_components(Graph(h.n, pairs))) > 1:
+        raise ValueError("the hypergraph must be connected through shared "
+                         "vertices; reduce its pieces separately")
     length = k * (k - 1) + 1
     targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
     slots: dict[int, int] = {}
     for u in targets:
         if u not in slots:
             slots[u] = len(slots)
-    for u in range(h.n):
-        if u not in slots:
-            slots[u] = len(slots)
+
+    n_crossings = _count_crossings([slots[u] for u in targets], h.n)
+    middles = 2 * k * (k - 1) - 1
+    # a connector with c crossings runs through c + 1 equalizers
+    _check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
+                + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")
 
     delta = Fraction(1, 128)
     crossings = None
@@ -490,6 +595,8 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     if crossings is None:
         raise RuntimeError("could not break crossing ties")
 
+    # keys at a path vertex: the next one, its connector, the previous one
+    north, east, south = 0, 1, 2
     asm = _Assembler(h.n)
     terminals = {f"v{v}": v for v in range(h.n)}
     path_ids = []
@@ -500,11 +607,11 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
             terminals[f"e{idx}_{j}"] = ej
             path_ids.append(ej)
             if prev is not None:
-                asm.add_edge(prev, ej)
+                asm.add_edge(prev, ej, (north, south))
             prev = ej
 
-    uncrosser = _uncrosser(k)
-    equal = build_equalizer(k)
+    uncrosser = build_uncrosser(k)
+    equal = _drawn_equalizer(k)
     # one shared uncrosser per crossing pair, keyed with the lower index first
     shared: dict[tuple[int, int], dict] = {}
     for p, target in enumerate(targets):
@@ -518,17 +625,16 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
                 stops.append((copy[uncrosser.terminals["x_W"]], copy[uncrosser.terminals["x_E"]]))
             else:
                 stops.append((copy[uncrosser.terminals["x_N"]], copy[uncrosser.terminals["x_S"]]))
+        # key p orders the connectors at the primitive; an uncrosser
+        # terminal has only its own block and the equalizer's
         at = target
         for enter, exit_ in stops:
-            asm.splice(equal, {0: at, 1: enter})
+            asm.splice(equal, {0: at, 1: enter}, {0: p, 1: east})
             at = exit_
-        asm.splice(equal, {0: at, 1: path_ids[p]})
+        asm.splice(equal, {0: at, 1: path_ids[p]}, {0: p, 1: east})
 
-    g = asm.graph()
-    if len(connected_components(g)) > 1:
-        raise ValueError("the hypergraph must be connected through shared "
-                         "vertices; reduce its pieces separately")
-    return GadgetGraph(g, terminals, _planar_embedding(g))
+    emb = asm.embedding()
+    return GadgetGraph(emb.graph, terminals, emb)
 
 
 # -- brute-force hypergraph oracle ----------------------------------------------

@@ -127,9 +127,10 @@ class LiveView:
 class Face:
     """One face of an embedding, as the closed walk of vertices along its boundary.
 
-    `walk` is the orbit traced with positive orientation flag; `reverse_walk` is
-    its mirror orbit. Both are kept because a face of a signed embedding has no
-    preferred side.
+    `walk` is the orbit of the face's least state, which may carry either
+    orientation flag, so two faces' walks need not run the same way round;
+    `reverse_walk` is its mirror orbit. Both are kept because a face of a
+    signed embedding has no preferred side.
     """
 
     walk: tuple[int, ...]
@@ -411,8 +412,10 @@ def has_triangle(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # file formats
 
-# Largest n a file header may declare: Graph() allocates a list per vertex before
-# any row is read. The largest graph the program makes has 21,986 (reduce_girth8).
+# Largest n a file header may declare, or a reduction may build: Graph() allocates
+# a list per vertex before any row is read, and a reduction's size grows with the
+# user's k (reduce_girth8 of one hyperedge at k = 10 would have 1,431,114), so
+# both reductions compute their size first and refuse more.
 MAX_VERTICES = 10**6
 
 

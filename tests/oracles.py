@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
+from archipelago.gadgets import GadgetGraph, Hypergraph3, _layout_crossings, build_equalizer, build_N
 from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
@@ -547,3 +548,146 @@ def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
     worst = max(len(c) for c in connected_components(g))
     return OptimizeResult(worst, coloring, False, spent)
 
+
+def planar_embedding(g: Graph) -> Embedding:
+    """Rotation system from a planarity test, re-verified by face tracing."""
+    import networkx as nx
+
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    ok, emb = nx.check_planarity(ng)
+    if not ok:
+        raise ValueError("graph is not planar")
+    rotations = [list(emb.neighbors_cw_order(v)) for v in range(g.n)]
+    out = Embedding(g, rotations)
+    if euler_characteristic(out) != 2:
+        raise AssertionError("planar rotation system does not trace to a sphere")
+    return out
+
+
+class _Assembler:
+    """Grows a graph by splicing in gadget copies with shared terminals."""
+
+    def __init__(self, n: int = 0):
+        self.n = n
+        self.edges: list[tuple[int, int]] = []
+
+    def fresh(self) -> int:
+        v = self.n
+        self.n += 1
+        return v
+
+    def add_edge(self, u: int, v: int):
+        self.edges.append((u, v))
+
+    def splice(self, gadget: GadgetGraph, identify: dict) -> dict:
+        """Copy a gadget in, mapping the given local ids onto existing ones."""
+        mapping = dict(identify)
+        for v in range(gadget.graph.n):
+            if v not in mapping:
+                mapping[v] = self.fresh()
+        for u, v in gadget.graph.edges():
+            self.add_edge(mapping[u], mapping[v])
+        return mapping
+
+    def graph(self) -> Graph:
+        return Graph(self.n, self.edges)
+
+
+def uncrosser(k: int) -> GadgetGraph:
+    """build_uncrosser's graph and terminals, without the embedding."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    asm = _Assembler()
+    terminals = {name: asm.fresh() for name in ("x_N", "x_S", "x_W", "x_E", "x_C")}
+    ys = []
+    for i in range(1, 2 * (k - 1) + 1):
+        ys.append(asm.fresh())
+        terminals[f"y_{i}"] = ys[-1]
+    distinct = build_N(k)
+    equal = build_equalizer(k)
+
+    chain = [terminals["x_W"], *ys]
+    for u, v in zip(chain, chain[1:]):
+        asm.splice(distinct, {0: u, 1: v})
+    asm.splice(equal, {0: ys[-1], 1: terminals["x_E"]})
+    for y in ys:
+        for _ in range(k - 1):
+            p = asm.fresh()
+            asm.add_edge(y, p)
+            asm.splice(equal, {0: p, 1: terminals["x_N"]})
+        asm.add_edge(terminals["x_C"], y)
+    asm.splice(distinct, {0: terminals["x_C"], 1: terminals["x_S"]})
+
+    return GadgetGraph(asm.graph(), terminals)
+
+
+def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
+    """reduce_planar embedded by networkx's planarity test, not its drawing."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    # a single spherical drawing cannot hold disconnected pieces
+    if {v for t in h.edges for v in t} != set(range(h.n)):
+        raise ValueError("every vertex must occur in some hyperedge; "
+                         "drop isolated vertices first")
+    length = k * (k - 1) + 1
+    targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
+    slots: dict[int, int] = {}
+    for u in targets:
+        if u not in slots:
+            slots[u] = len(slots)
+    for u in range(h.n):
+        if u not in slots:
+            slots[u] = len(slots)
+
+    delta = Fraction(1, 128)
+    crossings = None
+    for _ in range(32):
+        try:
+            crossings = _layout_crossings(targets, slots, delta)
+            break
+        except ValueError:
+            delta /= 8
+    if crossings is None:
+        raise RuntimeError("could not break crossing ties")
+
+    asm = _Assembler(h.n)
+    terminals = {f"v{v}": v for v in range(h.n)}
+    path_ids = []
+    for idx in range(len(h.edges)):
+        prev = None
+        for j in range(1, length + 1):
+            ej = asm.fresh()
+            terminals[f"e{idx}_{j}"] = ej
+            path_ids.append(ej)
+            if prev is not None:
+                asm.add_edge(prev, ej)
+            prev = ej
+
+    crosser = uncrosser(k)
+    equal = build_equalizer(k)
+    # one shared uncrosser per crossing pair, keyed with the lower index first
+    shared: dict[tuple[int, int], dict] = {}
+    for p, target in enumerate(targets):
+        stops = []
+        for x, q in crossings[p]:
+            key = (min(p, q), max(p, q))
+            if key not in shared:
+                shared[key] = asm.splice(crosser, {})
+            copy = shared[key]
+            if p < q:
+                stops.append((copy[crosser.terminals["x_W"]], copy[crosser.terminals["x_E"]]))
+            else:
+                stops.append((copy[crosser.terminals["x_N"]], copy[crosser.terminals["x_S"]]))
+        at = target
+        for enter, exit_ in stops:
+            asm.splice(equal, {0: at, 1: enter})
+            at = exit_
+        asm.splice(equal, {0: at, 1: path_ids[p]})
+
+    g = asm.graph()
+    if len(connected_components(g)) > 1:
+        raise ValueError("the hypergraph must be connected through shared "
+                         "vertices; reduce its pieces separately")
+    return GadgetGraph(g, terminals, planar_embedding(g))

@@ -6,14 +6,21 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from archipelago.discharging import charge_bounds_report, discharge
-from archipelago.gadgets import build_equalizer, build_N, build_uncrosser, validate_uncrosser
-from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
-from archipelago.graphs import Embedding, Graph, girth, trace_faces
+from archipelago.gadgets import build_equalizer, build_N, build_uncrosser, reduce_planar, validate_uncrosser
+from archipelago.generators import (
+    hex_patch,
+    hex_torus,
+    hypergraph3,
+    quadrangulation,
+    triangulated_torus,
+    triangulation,
+)
+from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, girth, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island
 from archipelago.peeling import TheoremViolation, color_four_plus_sink, peel
 from archipelago.solver import mc_decide, mc_optimize
@@ -471,3 +478,47 @@ def test_girth_matches_oracle_on_every_family(family, data):
 @given(case=solver_cases())
 def test_girth_matches_oracle_on_random_graphs(case):
     assert_girth_matches_oracle(case[0])
+
+
+# reduce_planar: the drawn rotation system against networkx's planarity test
+
+
+def test_planarity_helper():
+    assert euler_characteristic(
+        oracles.planar_embedding(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    ) == 2
+    k5 = Graph(5, list(combinations(range(5), 2)))
+    with pytest.raises(ValueError):
+        oracles.planar_embedding(k5)
+
+
+def covered_and_connected(h):
+    if {v for e in h.edges for v in e} != set(range(h.n)):
+        return False
+    pairs = {(a, b) for a, b, _ in h.edges} | {(b, c) for _, b, c in h.edges}
+    return len(connected_components(Graph(h.n, pairs))) == 1
+
+
+def assert_reduce_planar_matches_oracle(h, k):
+    got, want = reduce_planar(h, k), oracles.reduce_planar(h, k)
+    assert got.graph == want.graph
+    assert got.terminals == want.terminals
+    g = got.graph
+    for emb in (got.embedding, want.embedding):
+        assert euler_characteristic(emb) == 2
+        assert len(emb.faces) == g.m - g.n + 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(3, 6), m=st.integers(1, 3), seed=st.integers(0, 999))
+def test_reduce_planar_matches_oracle(n, m, seed):
+    assume(m <= n * (n - 1) * (n - 2) // 6)
+    h = hypergraph3(n, m, seed)
+    assume(covered_and_connected(h))
+    assert_reduce_planar_matches_oracle(h, 2)
+
+
+def test_reduce_planar_matches_oracle_at_k3():
+    # one hyperedge: 9,558 vertices, 7 crossings; two would take the
+    # planarity test several seconds more
+    assert_reduce_planar_matches_oracle(hypergraph3(3, 1, 0), 3)

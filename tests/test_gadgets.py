@@ -1,15 +1,17 @@
 """Gadget constructions, their terminal-forcing properties, and the reductions."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from archipelago import gadgets, graphs
 from archipelago.gadgets import (
     CountingCheck,
     GadgetGraph,
     Hypergraph3,
-    _planar_embedding,
+    _uncrosser_size,
     build_equalizer,
     build_J,
     build_N,
@@ -25,7 +27,9 @@ from archipelago.gadgets import (
     tree_leaf,
     validate_uncrosser,
 )
+from archipelago.generators import hypergraph3
 from archipelago.graphs import (
+    Embedding,
     Graph,
     bipartition,
     degeneracy_order,
@@ -165,6 +169,24 @@ class TestLinks:
         assert mc_decide(g, 2, pins={y: 0, z: 0}).verdict == "yes"
 
 
+def left_hand_faces(emb):
+    """Face walks that leave each vertex by the clockwise successor of the
+    arrival: each keeps its face on the left, so the outer face runs
+    clockwise around the drawing."""
+    walks, done = [], set()
+    for start in range(emb.graph.n):
+        for nxt in emb.rotations[start]:
+            walk, u, v = [], start, nxt
+            while (u, v) not in done:
+                done.add((u, v))
+                walk.append(u)
+                rot = emb.rotations[v]
+                u, v = v, rot[(rot.index(u) + 1) % len(rot)]
+            if walk:
+                walks.append(walk)
+    return walks
+
+
 class TestUncrosser:
     def test_structure(self):
         u = build_uncrosser(2)
@@ -199,6 +221,20 @@ class TestUncrosser:
         assert report.counterexample[u.terminals["x_N"]] == 0
         assert report.counterexample[x_s] == 1
         assert audit(cut, report.counterexample, max_size=2).ok
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_drawing_meets_the_corners_clockwise_on_one_face(self, k):
+        u = build_uncrosser(k)
+        assert u.graph.n == _uncrosser_size(k)
+        corners = [u.terminals[name] for name in ("x_W", "x_N", "x_E", "x_S")]
+        orders = []
+        for walk in left_hand_faces(u.embedding):
+            seen = [v for v in walk if v in corners]
+            if len(seen) == 4:
+                orders.append(seen)
+        assert len(orders) == 1
+        start = orders[0].index(corners[0])
+        assert orders[0][start:] + orders[0][:start] == corners
 
     def test_zero_budget_inconclusive(self):
         u = build_uncrosser(2)
@@ -296,13 +332,63 @@ class TestPlanarReduction:
         for v in range(4):
             assert g.terminals[f"v{v}"] == v
 
-    def test_planarity_helper(self):
-        assert euler_characteristic(
-            _planar_embedding(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-        ) == 2
-        k5 = Graph(5, list(combinations(range(5), 2)))
-        with pytest.raises(ValueError):
-            _planar_embedding(k5)
+    def test_reversed_primitive_is_rejected(self):
+        g = reduce_planar(Hypergraph3.from_edges(5, [(0, 1, 3), (2, 3, 4)]), 2)
+        rotations = list(g.embedding.rotations)
+        rotations[3] = rotations[3][::-1]  # primitive 3 ends two connectors
+        with pytest.raises(ValueError, match="must be spherical"):
+            GadgetGraph(g.graph, g.terminals, Embedding(g.graph, rotations))
+
+    @pytest.mark.parametrize("copy", range(5))
+    def test_one_mirrored_uncrosser_is_rejected(self, monkeypatch, copy):
+        # five crossings, each uncrosser's arms held in order by the rest
+        h = Hypergraph3.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+        u = build_uncrosser(2)
+        mirror = GadgetGraph(u.graph, u.terminals,
+                             Embedding(u.graph, [rot[::-1] for rot in u.embedding.rotations]))
+        splice = gadgets._Assembler.splice
+        copies = []
+
+        def splice_one_mirrored(asm, gadget, identify, keys=None):
+            if gadget.graph == u.graph:
+                copies.append(gadget)
+                if len(copies) == copy + 1:
+                    gadget = mirror
+            return splice(asm, gadget, identify, keys)
+
+        monkeypatch.setattr(gadgets._Assembler, "splice", splice_one_mirrored)
+        with pytest.raises(ValueError, match="must be spherical"):
+            reduce_planar(h, 2)
+        assert len(copies) == 5
+
+    def test_runs_without_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        g = reduce_planar(Hypergraph3.from_edges(4, [(0, 1, 2), (1, 2, 3)]), 2)
+        assert euler_characteristic(g.embedding) == 2
+        assert euler_characteristic(build_uncrosser(2).embedding) == 2
+
+
+class TestReductionSize:
+    def test_oversized_inputs_are_refused_unbuilt(self):
+        # 11 couplers of 130,102 vertices
+        with pytest.raises(ValueError, match="1431114 vertices"):
+            reduce_girth8(Hypergraph3.from_edges(3, [(0, 1, 2)]), 10)
+        # 26,531 and 175,245 crossings of 162-vertex uncrossers
+        for n, m in ((60, 120), (100, 300)):
+            with pytest.raises(ValueError, match="would build"):
+                reduce_planar(hypergraph3(n, m, 1), 2)
+
+    @pytest.mark.parametrize("build,h", [
+        (reduce_girth8, Hypergraph3.from_edges(3, [(0, 1, 2)])),
+        (reduce_planar, Hypergraph3.from_edges(4, [(0, 1, 2), (1, 2, 3)])),
+    ])
+    def test_limit_is_the_exact_size(self, monkeypatch, build, h):
+        n = build(h, 2).graph.n
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n)
+        assert build(h, 2).graph.n == n
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
+        with pytest.raises(ValueError, match=f"would build {n} vertices"):
+            build(h, 2)
 
 
 class TestHypergraphOracle:
