@@ -38,6 +38,8 @@ from archipelago.generators import FAMILIES, GenSpec, gen
 from archipelago.graphs import (
     Embedding,
     Graph,
+    connected_components,
+    euler_characteristic,
     parse_coloring,
     parse_embedding,
     parse_lists,
@@ -78,14 +80,26 @@ def _write(path: str, text: str, report: dict, kind: str):
     report["outputs"][kind] = path
 
 
-def _load_graph(path: str, report: dict) -> tuple[Graph, str]:
-    """Read a graph file; embedding files are accepted, checked and stripped."""
+def _load_graph(path: str, report: dict) -> tuple[Graph, Embedding | None, str]:
+    """Read a graph file; an embedding file's rotations are checked and kept."""
     text = _read(path, report)
     n, edges, rest = read_rows(text, 2, "edge")
     g = Graph(n, edges)
-    if rest:
-        read_rotations(g, rest)
-    return g, text
+    return g, read_rotations(g, rest) if rest else None, text
+
+
+def _check_chi(emb: Embedding | None, chi: int):
+    """Refuse a --chi that the file's own embedding contradicts.
+
+    Only called once peeling has failed, so a run that succeeds traces no
+    faces; a disconnected embedding has no single surface to compare.
+    """
+    if emb is None or len(connected_components(emb.graph)) > 1:
+        return
+    traced = euler_characteristic(emb)
+    if traced != chi:
+        raise ValueError(f"--chi {chi} does not match the embedding, whose Euler "
+                         f"characteristic is {traced}")
 
 
 def _jsonable(x):
@@ -140,7 +154,7 @@ def _dump_residual(g: Graph, tv: TheoremViolation, path: str, report: dict):
 # islands subcommands
 
 def _cmd_find(args, report, ctx) -> int:
-    g, _ = _load_graph(args.graph, report)
+    g, _, _ = _load_graph(args.graph, report)
     ctx["graph"] = g
     if args.regime:
         regime = REGIMES[args.regime]
@@ -178,21 +192,27 @@ def _cmd_color(args, report, ctx) -> int:
                          "it takes no other --regime and no --footnote-12")
     if not args.four_plus_sink and not (args.regime and args.lists):
         raise ValueError("--regime and --lists are required unless --four-plus-sink")
-    g, _ = _load_graph(args.graph, report)
+    g, emb, _ = _load_graph(args.graph, report)
     ctx["graph"] = g
     ctx["residual_path"] = args.graph + ".residual"
 
     t0 = time.perf_counter()
+    try:
+        if args.four_plus_sink:
+            coloring, dec = color_four_plus_sink(g, args.chi)
+        else:
+            lists = parse_lists(_read(args.lists, report))
+            regime = REGIMES[args.regime]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
+    except TheoremViolation:
+        _check_chi(emb, args.chi)
+        raise
     if args.four_plus_sink:
-        coloring, dec = color_four_plus_sink(g, args.chi)
         rep = audit(g, coloring)
         ok = sink_violation(rep, dec) is None
     else:
-        lists = parse_lists(_read(args.lists, report))
-        regime = REGIMES[args.regime]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
         # the planar guarantee only counts when the fallback stayed quiet
         size = regime.planar_size if args.footnote_12 and not caught else regime.size
         for msg in caught:
@@ -214,7 +234,7 @@ def _cmd_color(args, report, ctx) -> int:
 
 
 def _cmd_verify(args, report, ctx) -> int:
-    g, _ = _load_graph(args.graph, report)
+    g, _, _ = _load_graph(args.graph, report)
     coloring = parse_coloring(_read(args.coloring, report))
     lists = parse_lists(_read(args.lists, report)) if args.lists else None
     rep = audit(g, coloring, max_size=args.max_size, lists=lists)
@@ -298,7 +318,7 @@ def _cmd_solve(args, report, ctx) -> int:
     if args.optimize and (args.pin or args.k is not None):
         raise ValueError("--optimize searches every k without pins; "
                          "it takes no --pin and no --k")
-    g, text = _load_graph(args.graph, report)
+    g, _, text = _load_graph(args.graph, report)
     if args.optimize:
         t0 = time.perf_counter()
         res = mc_optimize(g, budget=args.budget)
@@ -464,7 +484,8 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--regime", choices=sorted(REGIMES),
                        help="required unless --four-plus-sink, which uses A")
         p.add_argument("--chi", type=int, default=2,
-                       help="Euler characteristic of the surface; trusted as given")
+                       help="Euler characteristic of the surface; trusted, and "
+                            "checked against an embedding file only if peeling fails")
         p.add_argument("--four-plus-sink", action="store_true")
         p.add_argument("--footnote-12", action="store_true",
                        help="assert 2-edge-connected planar input; "

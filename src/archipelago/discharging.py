@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from archipelago.graphs import Embedding, euler_characteristic
-from archipelago.islands import IslandWitness, Regime, find_island
+from archipelago.islands import IslandWitness, Regime, find_island, forbidden_configuration
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,15 @@ class BoundsReport:
 def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     """Check final charges against the regime's bounds and witness the misses.
 
-    Every below-bound element is paired with an island found near it (search
-    restricted to a ball around the element first, then the whole graph).
-    The search depends only on its vertex set, so it runs once per distinct
-    ball, and the whole-graph fallback at most once per report; elements
-    with the same ball share one witness. When the walk from a single root
-    reaches every vertex by level e, every vertex within radius - e of that
-    root has the whole graph as its ball too (triangle inequality); they are
-    marked, and a later element on a marked vertex skips its walk.
+    Every below-bound element is paired with an island found near it, in
+    this order: the regime's pattern scan anchored at the element (a vertex
+    and its neighbours, or a face's vertices), then the general search
+    restricted to the radius-`size` ball around those anchors, then the
+    whole graph. The anchored scan is the discharging lemma's local witness
+    and finds one for nearly every element of an input that meets the
+    regime's precondition; the searches keep the report complete where it
+    does not. A search depends only on its vertex set, so it runs once per
+    distinct ball, and the whole-graph search at most once per report.
     When the guarantee premises hold (order above threshold, and the regime's
     girth precondition), a below-bound element without any island would
     contradict the guarantee, so that case raises.
@@ -158,23 +159,21 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     theorem_applies = g.n > threshold and regime.precondition(g)
 
     found: dict[frozenset[int], IslandWitness | None] = {}
-    everything = frozenset(range(g.n))
-    whole = [False] * g.n  # vertices whose ball is the whole graph
 
     def search(pool: frozenset[int]) -> IslandWitness | None:
         if pool not in found:
             found[pool] = find_island(g, regime.k, regime.size, restrict_to=pool)
         return found[pool]
 
-    def witness_near(roots) -> IslandWitness | None:
-        pool = everything if any(whole[r] for r in roots) else _ball(g, roots, regime.size, whole)
-        w = search(pool)
-        return w if w is not None else search(everything)
+    def witness_near(anchors) -> IslandWitness | None:
+        w = forbidden_configuration(g, regime, anchors) or search(_ball(g, anchors, regime.size))
+        return w if w is not None else search(frozenset(range(g.n)))
 
     entries: list[BoundEntry] = []
     for v in range(g.n):
         if state.vertex_charge[v] < vb:
-            entries.append(BoundEntry("v", v, state.vertex_charge[v], witness_near([v])))
+            witness = witness_near([v, *g.neighbors(v)])
+            entries.append(BoundEntry("v", v, state.vertex_charge[v], witness))
     if fb is not None:
         for fi, face in enumerate(emb.faces):
             if state.face_charge[fi] < fb:
@@ -199,25 +198,16 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     )
 
 
-def _ball(g, roots, radius: int, whole: list[bool]) -> frozenset[int]:
-    """The vertices within `radius` of `roots`.
-
-    When there is one root and its walk reaches every vertex by level e,
-    marks in `whole` every vertex within radius - e of the root.
-    """
+def _ball(g, roots, radius: int) -> frozenset[int]:
+    """The vertices within `radius` of `roots`."""
     seen = set(roots)
-    levels = [list(seen)]
-    while len(levels) <= radius and levels[-1]:
+    frontier = list(seen)
+    for _ in range(radius):
         nxt = []
-        for x in levels[-1]:
+        for x in frontier:
             for y in g.neighbors(x):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        levels.append(nxt)
-    if len(levels[0]) == 1 and len(seen) == g.n:
-        e = len(levels) - 1 if levels[-1] else len(levels) - 2
-        for level in levels[:radius - e + 1]:
-            for v in level:
-                whole[v] = True
+        frontier = nxt
     return frozenset(seen)

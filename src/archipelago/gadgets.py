@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 
 from archipelago import graphs
 from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, read_rows
@@ -159,6 +160,7 @@ def build_tree(t: int) -> GadgetGraph:
     if t < 2:
         raise ValueError("t must be at least 2")
     b, n = _tree_sizes(t)
+    _check_size(n, "build_tree")
     edges = []
     for i in range(b):
         edges.append((0, 1 + i))
@@ -191,9 +193,10 @@ def build_J(t: int) -> GadgetGraph:
     if t < 2:
         raise ValueError("t must be at least 2")
     b, size_y = _tree_sizes(t)
-    tree = build_tree(t)
     z = size_y
     n = size_y + 1 + b + b * b
+    _check_size(n, "build_J")
+    tree = build_tree(t)
     edges = list(tree.graph.edges())
     for m1 in range(b):
         edges.append((z, z + 1 + m1))
@@ -245,6 +248,7 @@ def build_N(k: int) -> GadgetGraph:
     if k < 2:
         raise ValueError("k must be at least 2")
     length = 3 * k**4
+    _check_size(length + 2, "build_N")
     edges = []
     for i in range(1, length + 1):
         v = 1 + i  # v_i; y is 0, z is 1
@@ -283,6 +287,7 @@ def build_equalizer(k: int) -> GadgetGraph:
     if k < 2:
         raise ValueError("k must be at least 2")
     middles = 2 * k * (k - 1) - 1
+    _check_size(2 + middles, "build_equalizer")
     edges = [(side, 2 + i) for side in (0, 1) for i in range(middles)]
     return GadgetGraph(Graph(2 + middles, edges), {"y": 0, "z": 1})
 
@@ -321,6 +326,7 @@ def build_uncrosser(k: int) -> GadgetGraph:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    _check_size(_uncrosser_size(k), "build_uncrosser")
     asm = _Assembler()
     terminals = {name: asm.fresh() for name in ("x_N", "x_S", "x_W", "x_E", "x_C")}
     ys = []
@@ -486,33 +492,36 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
     return coloring
 
 
-def _layout_crossings(targets: list[int], slots: dict, delta: Fraction):
+def _layout_crossings(targets: list[int], slots: dict, scale: int) -> list[list[int]]:
     """Pairwise crossings of straight connectors between two vertical lines.
 
-    Connector p runs from path vertex p at height p + delta (p+1)^2 on one
-    line to its primitive's slot height on the other. Returns, per connector,
-    the crossing list sorted from the primitive side inward, each entry
-    (abscissa, other connector). Raises on tied abscissas.
+    Connector p runs from path vertex p at height p + (p+1)^2 / scale on one
+    line to its primitive's slot height on the other. Path heights rise with
+    p, so connectors p < q cross exactly when q's slot is below p's: the
+    pairs _count_crossings counts, and the only pairs visited here. Returns,
+    per connector, the connectors it crosses, from the primitive side
+    inward, ordered by cross-multiplying the crossing abscissas. Raises on
+    tied abscissas.
     """
-    heights = [p + delta * (p + 1) ** 2 for p in range(len(targets))]
-    crossings: list[list[tuple[Fraction, int]]] = [[] for _ in targets]
-    for i in range(len(targets)):
-        a_i, b_i = Fraction(slots[targets[i]]), heights[i]
-        for j in range(i + 1, len(targets)):
-            if targets[i] == targets[j]:
-                continue
-            a_j, b_j = Fraction(slots[targets[j]]), heights[j]
-            if (a_i - a_j) * (b_i - b_j) >= 0:
-                continue
-            # heights at x: b + (a - b) x; equal at the crossing abscissa
-            x = (b_j - b_i) / ((a_i - b_i) - (a_j - b_j))
-            crossings[i].append((x, j))
-            crossings[j].append((x, i))
-    for row in crossings:
-        row.sort(key=lambda entry: -entry[0])
-        if len({x for x, _ in row}) != len(row):
+    # every height times scale, as integers
+    a = [slots[u] * scale for u in targets]
+    b = [p * scale + (p + 1) ** 2 for p in range(len(targets))]
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in targets]
+    by_slot: list[list[int]] = [[] for _ in range(len(slots))]  # connectors so far
+    for q, u in enumerate(targets):
+        for above in by_slot[slots[u] + 1:]:
+            for p in above:
+                # heights b + (a - b) x meet at x = num / den, both positive
+                num = b[q] - b[p]
+                den = a[p] - a[q] + num
+                rows[p].append((num, den, q))
+                rows[q].append((num, den, p))
+        by_slot[slots[u]].append(q)
+    for row in rows:
+        row.sort(key=cmp_to_key(lambda e, f: f[0] * e[1] - e[0] * f[1]))  # x falling
+        if any(e[0] * f[1] == f[0] * e[1] for e, f in zip(row, row[1:])):
             raise ValueError("tied crossing abscissas")
-    return crossings
+    return [[q for _, _, q in row] for row in rows]
 
 
 def _count_crossings(slots: list[int], n: int) -> int:
@@ -584,14 +593,14 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     _check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
                 + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")
 
-    delta = Fraction(1, 128)
+    scale = 128
     crossings = None
     for _ in range(32):
         try:
-            crossings = _layout_crossings(targets, slots, delta)
+            crossings = _layout_crossings(targets, slots, scale)
             break
         except ValueError:
-            delta /= 8
+            scale *= 8
     if crossings is None:
         raise RuntimeError("could not break crossing ties")
 
@@ -616,7 +625,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     shared: dict[tuple[int, int], dict] = {}
     for p, target in enumerate(targets):
         stops = []
-        for x, q in crossings[p]:
+        for q in crossings[p]:
             key = (min(p, q), max(p, q))
             if key not in shared:
                 shared[key] = asm.splice(uncrosser, {})

@@ -8,7 +8,6 @@ Euler characteristic follows from the face count.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -295,23 +294,6 @@ def connected_components(g: Graph | LiveView) -> list[list[int]]:
     return comps
 
 
-def distance(g: Graph, s: int, t: int) -> float:
-    """BFS distance between s and t; math.inf if disconnected."""
-    if s == t:
-        return 0
-    level = {s: 0}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in level:
-                level[y] = level[x] + 1
-                if y == t:
-                    return level[y]
-                queue.append(y)
-    return math.inf
-
-
 def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
     """Two color classes if g is bipartite, else None."""
     color = [-1] * g.n
@@ -369,35 +351,6 @@ def girth(g: Graph) -> float:
     return best
 
 
-def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
-    """Degeneracy of g plus an elimination order witnessing it.
-
-    Repeatedly removes a minimum-degree vertex; the largest degree seen at
-    removal time is the degeneracy. Every suffix of the returned order induces
-    a subgraph whose first vertex has at most that many later neighbors.
-    """
-    if g.n == 0:
-        return 0, []
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order = []
-    degeneracy = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        degeneracy = max(degeneracy, d)
-        order.append(v)
-        for u in g.neighbors(v):
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return degeneracy, order
-
-
 def has_triangle(g: Graph) -> bool:
     """True if some edge closes a triangle. Cheaper than girth() == 3."""
     adj = [set(g.neighbors(v)) for v in range(g.n)]
@@ -412,10 +365,11 @@ def has_triangle(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # file formats
 
-# Largest n a file header may declare, or a reduction may build: Graph() allocates
-# a list per vertex before any row is read, and a reduction's size grows with the
-# user's k (reduce_girth8 of one hyperedge at k = 10 would have 1,431,114), so
-# both reductions compute their size first and refuse more.
+# Largest n a file header may declare, or a gadget or reduction may build: Graph()
+# allocates a list per vertex before any row is read, and a construction's size
+# grows with the user's k or t (build_N(30) would have 2,430,002 vertices,
+# reduce_girth8 of one hyperedge at k = 10 1,431,114), so every builder computes
+# its size first and refuses more.
 MAX_VERTICES = 10**6
 
 

@@ -2,11 +2,13 @@
 
 Each function is the earlier, slower form of a routine in the package,
 kept verbatim apart from being lifted out of its class. They are not part of
-the package and are imported only by tests.
+the package and are imported only by tests. The graph helpers at the end have
+no caller in the package; only tests use them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from collections import deque
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
-from archipelago.gadgets import GadgetGraph, Hypergraph3, _layout_crossings, build_equalizer, build_N
+from archipelago.gadgets import GadgetGraph, Hypergraph3, build_equalizer, build_N
 from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
@@ -623,6 +625,35 @@ def uncrosser(k: int) -> GadgetGraph:
     return GadgetGraph(asm.graph(), terminals)
 
 
+def layout_crossings(targets: list[int], slots: dict, delta: Fraction):
+    """gadgets._layout_crossings over every connector pair, in Fractions.
+
+    Connector p runs from path vertex p at height p + delta (p+1)^2 on one
+    line to its primitive's slot height on the other. Returns, per connector,
+    the crossing list sorted from the primitive side inward, each entry
+    (abscissa, other connector). Raises on tied abscissas.
+    """
+    heights = [p + delta * (p + 1) ** 2 for p in range(len(targets))]
+    crossings: list[list[tuple[Fraction, int]]] = [[] for _ in targets]
+    for i in range(len(targets)):
+        a_i, b_i = Fraction(slots[targets[i]]), heights[i]
+        for j in range(i + 1, len(targets)):
+            if targets[i] == targets[j]:
+                continue
+            a_j, b_j = Fraction(slots[targets[j]]), heights[j]
+            if (a_i - a_j) * (b_i - b_j) >= 0:
+                continue
+            # heights at x: b + (a - b) x; equal at the crossing abscissa
+            x = (b_j - b_i) / ((a_i - b_i) - (a_j - b_j))
+            crossings[i].append((x, j))
+            crossings[j].append((x, i))
+    for row in crossings:
+        row.sort(key=lambda entry: -entry[0])
+        if len({x for x, _ in row}) != len(row):
+            raise ValueError("tied crossing abscissas")
+    return crossings
+
+
 def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     """reduce_planar embedded by networkx's planarity test, not its drawing."""
     if k < 2:
@@ -645,7 +676,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     crossings = None
     for _ in range(32):
         try:
-            crossings = _layout_crossings(targets, slots, delta)
+            crossings = layout_crossings(targets, slots, delta)
             break
         except ValueError:
             delta /= 8
@@ -691,3 +722,53 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
         raise ValueError("the hypergraph must be connected through shared "
                          "vertices; reduce its pieces separately")
     return GadgetGraph(g, terminals, planar_embedding(g))
+
+
+# ---------------------------------------------------------------------------
+# graph helpers used only by tests
+
+
+def distance(g: Graph, s: int, t: int) -> float:
+    """BFS distance between s and t; math.inf if disconnected."""
+    if s == t:
+        return 0
+    level = {s: 0}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y not in level:
+                level[y] = level[x] + 1
+                if y == t:
+                    return level[y]
+                queue.append(y)
+    return math.inf
+
+
+def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
+    """Degeneracy of g plus an elimination order witnessing it.
+
+    Repeatedly removes a minimum-degree vertex; the largest degree seen at
+    removal time is the degeneracy. Every suffix of the returned order induces
+    a subgraph whose first vertex has at most that many later neighbors.
+    """
+    if g.n == 0:
+        return 0, []
+    deg = [g.degree(v) for v in range(g.n)]
+    heap = [(deg[v], v) for v in range(g.n)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    order = []
+    degeneracy = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        degeneracy = max(degeneracy, d)
+        order.append(v)
+        for u in g.neighbors(v):
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return degeneracy, order

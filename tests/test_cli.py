@@ -1,21 +1,25 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from archipelago import cli, suites
+from archipelago import cli, graphs, suites
 from archipelago.cli import dispatch
 from archipelago.generators import GenSpec, gen
 from archipelago.graphs import (
+    Embedding,
+    Graph,
     parse_coloring,
     parse_embedding,
     parse_graph,
     parse_lists,
     parse_terminals,
     serialize_coloring,
+    serialize_embedding,
     serialize_lists,
 )
 from archipelago.peeling import TheoremViolation, peel
@@ -266,6 +270,64 @@ class TestColor:
         assert "original-ids: 0 1 2 3 4 5 6 7 8" in residual.read_text()
 
 
+    @staticmethod
+    def write_sorted_k9(path):
+        # K9 with each rotation in sorted order: Euler characteristic -22
+        g = Graph(9, list(combinations(range(9), 2)))
+        path.write_text(serialize_embedding(Embedding(g, [list(g.neighbors(v)) for v in range(9)])))
+
+    @pytest.mark.parametrize("extra", [["--regime", "A", "--lists", "l.txt"], ["--four-plus-sink"]])
+    def test_violation_under_a_contradicted_chi_is_a_usage_error(self, tmp_path, capsys, extra):
+        # --chi 2 puts the threshold at 0, so peeling K9 fails; the file's
+        # own embedding then shows that the given chi is wrong
+        k9 = tmp_path / "k9.emb"
+        self.write_sorted_k9(k9)
+        write_lists(tmp_path / "l.txt", 9, [1, 2, 3, 4, 5])
+        extra = [str(tmp_path / a) if a == "l.txt" else a for a in extra]
+        code, _ = dispatch(["islands", "color", "--graph", str(k9), *extra])
+        assert code == 2
+        assert ("--chi 2 does not match the embedding, whose Euler characteristic is -22"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "k9.emb.residual").exists()
+
+    def test_violation_on_a_disconnected_embedding_stands(self, tmp_path):
+        # two disjoint K9s trace to no single surface, so --chi is not checked
+        g = Graph(18, [(u + o, v + o) for o in (0, 9) for u, v in combinations(range(9), 2)])
+        path = tmp_path / "k9k9.emb"
+        path.write_text(serialize_embedding(Embedding(g, [list(g.neighbors(v)) for v in range(18)])))
+        write_lists(tmp_path / "l.txt", 18, [1, 2, 3, 4, 5])
+        code, _ = dispatch(["islands", "color", "--graph", str(path),
+                            "--lists", str(tmp_path / "l.txt"), "--regime", "A"])
+        assert code == 3
+
+    def test_violation_under_the_true_chi_stands(self, tmp_path, monkeypatch):
+        # an honest chi leaves the guarantee in force, so a failing peel is
+        # simulated: the chi check passes and the violation exits 3 as before
+        k9 = tmp_path / "k9.emb"
+        self.write_sorted_k9(k9)
+        write_lists(tmp_path / "l.txt", 9, [1, 2, 3, 4, 5])
+
+        def failing_peel(g, regime, chi, footnote_12=False):
+            raise TheoremViolation(regime, chi, tuple(range(9)))
+
+        monkeypatch.setattr(cli, "peel", failing_peel)
+        code, rep = dispatch(["islands", "color", "--graph", str(k9), "--chi", "-22",
+                              "--lists", str(tmp_path / "l.txt"), "--regime", "A"])
+        assert code == 3
+        assert parse_graph((tmp_path / "k9.emb.residual").read_text()).m == 36
+
+    def test_successful_run_traces_no_faces(self, tmp_path, monkeypatch):
+        emb = tmp_path / "t.emb"
+        dispatch(["islands", "gen", "--family", "triangulation", "--n", "30",
+                  "--seed", "1", "--out", str(emb)])
+        write_lists(tmp_path / "l.txt", 30, [1, 2, 3, 4, 5])
+        traced = []
+        monkeypatch.setattr(graphs, "trace_faces", lambda e: traced.append(e))
+        code, _ = dispatch(["islands", "color", "--graph", str(emb),
+                            "--lists", str(tmp_path / "l.txt"), "--regime", "A"])
+        assert code == 0 and traced == []
+
+
 class TestVerify:
     def test_oversized_fails(self, tmp_path):
         g = tmp_path / "g.g"
@@ -471,6 +533,21 @@ class TestGadget:
         assert code == 2
         code, _ = dispatch(["mc", "gadget", "--type", "N", "--t", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, n", [
+        (["--type", "N", "--k", "30"], 2430002),
+        (["--type", "J", "--t", "20"], 1020202),
+    ])
+    def test_oversized_gadget_is_refused_before_allocating(self, capsys, argv, n):
+        tracemalloc.start()
+        try:
+            code, _ = dispatch(["mc", "gadget", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"would build {n} vertices; at most 1000000 are allowed" in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_validate_uncrosser(self):
         code, rep = dispatch(["mc", "gadget", "--type", "uncrosser",

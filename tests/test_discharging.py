@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -278,10 +279,9 @@ class TestBoundsReport:
         assert report.theorem_applies
         assert all(e.witness is not None for e in report.entries)
 
-    def test_one_search_per_distinct_ball(self, monkeypatch):
-        # every radius-10 ball of this quadrangulation is the whole graph,
-        # so its 46 below-bound elements share one island search, and the
-        # first element's walk marks every vertex whole, so it is the only walk
+    @staticmethod
+    def count_searches(monkeypatch, emb, regime):
+        """The report, its find_island pools and its ball walks' roots."""
         calls = []
         walks = []
 
@@ -290,17 +290,53 @@ class TestBoundsReport:
             return find_island(*args, **kwargs)
 
         def counting_walks(*args):
-            walks.append(args[1])
+            walks.append(list(args[1]))
             return ball(*args)
 
         ball = discharging._ball
         monkeypatch.setattr(discharging, "find_island", counting)
         monkeypatch.setattr(discharging, "_ball", counting_walks)
+        return charge_bounds_report(discharge(emb, regime), emb), calls, walks
+
+    def test_one_search_per_distinct_ball(self, monkeypatch):
+        # the pattern scan anchored at each element witnesses 45 of the 46
+        # below-bound elements. Vertex 21 (degree 5) pays B1v to its two
+        # degree-3 neighbours, and no degree-3 end lies next to either in the
+        # low-degree subgraph, so it alone walks a ball, which is the whole
+        # graph, and searches it once
         emb = quadrangulation(80, seed=9)
-        report = charge_bounds_report(discharge(emb, REGIME_B), emb)
+        report, calls, walks = self.count_searches(monkeypatch, emb, REGIME_B)
         assert len(report.entries) == 46
+        assert all(e.witness is not None for e in report.entries)
+        assert walks == [[21, *emb.graph.neighbors(21)]]
         assert calls == [frozenset(range(80))]
-        assert len(walks) == 1
+
+    def test_no_search_where_every_element_has_a_pattern(self, monkeypatch):
+        emb = quadrangulation(400, seed=1)
+        report, calls, walks = self.count_searches(monkeypatch, emb, REGIME_B)
+        assert len(report.entries) == 223
+        assert all(e.witness is not None for e in report.entries)
+        assert calls == [] and walks == []
+
+    def test_fallback_searches_once_per_distinct_ball(self, monkeypatch):
+        # a triangulation fails B's precondition and has no 2-island of at
+        # most 10 vertices: no element's scan hits, every element walks its
+        # ball (all the whole graph), and that ball is searched once
+        emb = triangulation(16, seed=3)
+        report, calls, walks = self.count_searches(monkeypatch, emb, REGIME_B)
+        assert not report.theorem_applies
+        assert len(report.entries) == len(walks) == 28
+        assert all(e.witness is None for e in report.entries)
+        assert calls == [frozenset(range(16))]
+
+    def test_report_scales_on_a_large_quadrangulation(self):
+        emb = quadrangulation(2000, seed=1)
+        state = discharge(emb, REGIME_B)
+        start = time.perf_counter()
+        report = charge_bounds_report(state, emb)
+        assert time.perf_counter() - start < 0.2
+        assert len(report.entries) == 1179
+        assert all(e.witness is not None for e in report.entries)
 
     def test_faces_can_dip_with_witnesses(self):
         # the cube's faces all end slightly negative; every entry needs an

@@ -1,6 +1,7 @@
 """Gadget constructions, their terminal-forcing properties, and the reductions."""
 
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,14 +33,13 @@ from archipelago.graphs import (
     Embedding,
     Graph,
     bipartition,
-    degeneracy_order,
-    distance,
     euler_characteristic,
     girth,
     has_triangle,
 )
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
+from oracles import degeneracy_order, distance
 
 FANO = Hypergraph3.from_edges(
     7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -368,6 +368,24 @@ class TestPlanarReduction:
         assert euler_characteristic(build_uncrosser(2).embedding) == 2
 
 
+    def test_long_chain_reduces_quickly(self):
+        # 300 hyperedges (2i, 2i+1, 2i+2): 900 connectors, 599 crossings
+        # and 104,833 vertices. Laying out every connector pair in Fractions
+        # took about 4 s; the inverted pairs alone take a few milliseconds,
+        # and the rest of the reduction, mostly the Euler re-trace of its
+        # output, about 3 s on two cores
+        h = Hypergraph3.from_edges(601, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(300)])
+        targets = [triple[j % 3] for triple in h.edges for j in range(1, 4)]
+        slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
+        start = time.perf_counter()
+        crossings = gadgets._layout_crossings(targets, slots, 128)
+        assert time.perf_counter() - start < 0.5
+        assert sum(map(len, crossings)) == 2 * gadgets._count_crossings([slots[u] for u in targets], h.n)
+        start = time.perf_counter()
+        assert reduce_planar(h, 2).graph.n == 104833
+        assert time.perf_counter() - start < 10
+
+
 class TestReductionSize:
     def test_oversized_inputs_are_refused_unbuilt(self):
         # 11 couplers of 130,102 vertices
@@ -389,6 +407,18 @@ class TestReductionSize:
         monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
         with pytest.raises(ValueError, match=f"would build {n} vertices"):
             build(h, 2)
+
+
+    @pytest.mark.parametrize("build,arg", [
+        (build_tree, 2), (build_J, 2), (build_N, 2), (build_equalizer, 3), (build_uncrosser, 2),
+    ])
+    def test_gadget_limit_is_the_exact_size(self, monkeypatch, build, arg):
+        n = build(arg).graph.n
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n)
+        assert build(arg).graph.n == n
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
+        with pytest.raises(ValueError, match=f"would build {n} vertices"):
+            build(arg)
 
 
 class TestHypergraphOracle:

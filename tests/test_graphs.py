@@ -11,8 +11,6 @@ from archipelago.graphs import (
     Graph,
     bipartition,
     connected_components,
-    degeneracy_order,
-    distance,
     euler_characteristic,
     girth,
     has_triangle,
@@ -23,6 +21,7 @@ from archipelago.graphs import (
     serialize_graph,
     trace_faces,
 )
+from oracles import degeneracy_order, distance
 
 
 def k4_embedding():
