@@ -52,9 +52,10 @@ class Hypergraph3:
 def parse_hypergraph(text: str) -> Hypergraph3:
     """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
     n, edges, rest = read_rows(text, 3, "hyperedge")
+    h = Hypergraph3.from_edges(n, edges)
     if rest:
-        raise ValueError(f"trailing content after {len(edges)} hyperedges: {rest[0]!r}")
-    return Hypergraph3.from_edges(n, edges)
+        raise ValueError(f"trailing content after {len(h.edges)} hyperedges: {rest[0]!r}")
+    return h
 
 
 def serialize_hypergraph(h: Hypergraph3) -> str:

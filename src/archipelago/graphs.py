@@ -9,7 +9,9 @@ Euler characteristic follows from the face count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -21,22 +23,25 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        # a duplicate edge shows as a repeated neighbor; checking the sorted
+        # lists keeps no per-edge key alive while the edges are read
+        for u, nbrs in enumerate(adj):
+            nbrs.sort()
+            if len(set(nbrs)) < len(nbrs):
+                v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            adj[u] = tuple(nbrs)
         self.n = n
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._m = len(seen)
+        self._adj = tuple(adj)
+        self._m = sum(map(len, adj)) // 2
 
     @classmethod
     def from_edges(cls, edges) -> "Graph":
@@ -128,12 +133,18 @@ class Face:
 
     `walk` is the orbit of the face's least state, which may carry either
     orientation flag, so two faces' walks need not run the same way round;
-    `reverse_walk` is its mirror orbit. Both are kept because a face of a
-    signed embedding has no preferred side.
+    `reverse_walk` is its mirror orbit, read off the walk when asked for.
+    Both sides are offered because a face of a signed embedding has no
+    preferred one.
     """
 
     walk: tuple[int, ...]
-    reverse_walk: tuple[int, ...]
+
+    @property
+    def reverse_walk(self) -> tuple[int, ...]:
+        """The walk's mirror: from walk[1] back round to walk[2]."""
+        w = self.walk
+        return w[1::-1] + w[:1:-1]
 
     @property
     def degree(self) -> int:
@@ -152,7 +163,7 @@ class Embedding:
     an orientable surface.
     """
 
-    __slots__ = ("graph", "rotations", "_sign", "_pos", "_faces")
+    __slots__ = ("graph", "rotations", "_sign", "_faces")
 
     def __init__(self, graph: Graph, rotations, signs=None):
         self.graph = graph
@@ -173,10 +184,6 @@ class Embedding:
                 if s == -1:
                     sign[(u, v) if u < v else (v, u)] = -1
         self._sign = sign
-        # position of u within rotations[v], for O(1) face-tracing steps
-        self._pos = tuple(
-            {u: i for i, u in enumerate(rot)} for rot in self.rotations
-        )
         self._faces: tuple[Face, ...] | None = None
 
     def sign(self, u: int, v: int) -> int:
@@ -221,26 +228,26 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
         # single isolated vertex: one face, the sphere
-        return (Face(walk=(0,), reverse_walk=(0,)),)
+        return (Face(walk=(0,)),)
 
-    adj, pos = g._adj, emb._pos
-    dart_at = []  # dart_at[v][i]: the dart from v to rotations[v][i]
-    darts = 0
-    for v, nbrs in enumerate(adj):
-        at, pos_v = [0] * len(nbrs), pos[v]
-        for w in nbrs:
-            at[pos_v[w]] = darts
-            darts += 1
-        dart_at.append(at)
-    succ, mirror, tail = [], [], []  # indexed by state
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
+    # the dart from v to adj[v][j] is first[v] + j; the states are filled
+    # rotation by rotation, so no per-vertex table outlives its vertex
+    adj = g._adj
+    first = [0]
+    for nbrs in adj:
+        first.append(first[-1] + len(nbrs))
+    succ, mirror, tail = [0] * (2 * first[-1]), [0] * (2 * first[-1]), [0] * (2 * first[-1])
+    for v, rot in enumerate(emb.rotations):
+        base, nbrs, d = first[v], adj[v], len(rot)
+        at = [base + bisect_left(nbrs, w) for w in rot]  # at[i]: the dart v -> rot[i]
+        for i, u in enumerate(rot):
             sign = emb.sign(u, v)
-            at, i = dart_at[v], pos[v][u]
-            succ += (2 * at[(i - sign) % len(at)] + (sign < 0),
-                     2 * at[(i + sign) % len(at)] + (sign > 0))
-            mirror += (2 * at[i] + (sign > 0), 2 * at[i] + (sign < 0))
-            tail += (u, u)
+            s = 2 * (first[u] + bisect_left(adj[u], v))  # dart u -> v, flag -1
+            succ[s] = 2 * at[(i - sign) % d] + (sign < 0)
+            succ[s + 1] = 2 * at[(i + sign) % d] + (sign > 0)
+            mirror[s] = 2 * at[i] + (sign > 0)
+            mirror[s + 1] = 2 * at[i] + (sign < 0)
+            tail[s] = tail[s + 1] = u
 
     face_of = [-1] * len(succ)
     faces = []
@@ -260,7 +267,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         for state in orbit:
             face_of[mirror[state]] = fid
         walk = tuple([tail[s] for s in orbit])
-        faces.append(Face(walk=walk, reverse_walk=walk[1::-1] + walk[:1:-1]))
+        faces.append(Face(walk=walk))
         total_degree += len(walk)
 
     if total_degree != 2 * g.m:
@@ -383,10 +390,13 @@ def significant_lines(text: str) -> list[str]:
     return out
 
 
-def read_rows(text: str, width: int, what: str) -> tuple[int, list[tuple[int, ...]], list[str]]:
+def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int, ...]], list[str]]:
     """Read the header "n m" and m rows of `width` integers, naming rows `what`.
 
     Returns n, the rows, and the significant lines after them for the caller.
+    The rows are an iterator that parses each row as it is reached, so no row
+    outlives its use (a malformed row raises there); the row count is
+    checked at once.
     """
     lines = significant_lines(text)
     if not lines:
@@ -397,23 +407,27 @@ def read_rows(text: str, width: int, what: str) -> tuple[int, list[tuple[int, ..
     n, m = int(header[0]), int(header[1])
     if n > MAX_VERTICES:
         raise ValueError(f"header declares {n} vertices; at most {MAX_VERTICES} are read")
-    rows = []
-    for line in lines[1 : 1 + m]:
+    body = lines[1 : 1 + m]
+    if len(body) != m:
+        raise ValueError(f"expected {m} {what}s, found {len(body)}")
+    return n, _rows(body, width, what), lines[1 + m :]
+
+
+def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, ...]]:
+    for line in lines:
         parts = line.split()
         if len(parts) != width:
             raise ValueError(f"bad {what} line {line!r}")
-        rows.append(tuple(map(int, parts)))
-    if len(rows) != m:
-        raise ValueError(f"expected {m} {what}s, found {len(rows)}")
-    return n, rows, lines[1 + m :]
+        yield tuple(map(int, parts))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format: a header "n m", then m lines "u v"."""
     n, edges, rest = read_rows(text, 2, "edge")
+    g = Graph(n, edges)
     if rest:
-        raise ValueError(f"trailing content after {len(edges)} edges: {rest[0]!r}")
-    return Graph(n, edges)
+        raise ValueError(f"trailing content after {g.m} edges: {rest[0]!r}")
+    return g
 
 
 def serialize_graph(g: Graph, comments: list[str] | None = None) -> str:
@@ -434,7 +448,7 @@ def read_rotations(g: Graph, lines: list[str]) -> Embedding:
     then an optional section "signs:" of lines "u v -1". A vertex or an edge
     named twice is an error.
     """
-    rotations: dict[int, list[int]] = {}
+    rotations: dict[int, tuple[int, ...]] = {}
     signs: dict[tuple[int, int], int] = {}
     in_signs = False
     for line in lines:
@@ -459,11 +473,11 @@ def read_rotations(g: Graph, lines: list[str]) -> Embedding:
                 raise ValueError(f"rotation line for out-of-range vertex {v}")
             if v in rotations:
                 raise ValueError(f"two rotation lines for vertex {v}")
-            rotations[v] = [int(x) for x in rest.split()]
+            rotations[v] = tuple([int(x) for x in rest.split()])  # Embedding keeps it as is
     for v in range(g.n):
         if v not in rotations:
             if g.degree(v) == 0:
-                rotations[v] = []
+                rotations[v] = ()
             else:
                 raise ValueError(f"missing rotation for vertex {v}")
     return Embedding(g, [rotations[v] for v in range(g.n)], signs)

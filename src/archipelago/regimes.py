@@ -197,19 +197,20 @@ def _vertex_rules_a(emb: Embedding) -> Iterator[Move]:
     # R1/R2: rich vertices support poor neighbors; R3: degree 6 tops up
     # degree 5. All flows are along edges.
     g = emb.graph
+    r1, r2, r3 = Fraction(1, 4), Fraction(1, 12), Fraction(1, 6)
     for v in range(g.n):
         dv = g.degree(v)
         if dv >= 7:
             for u in g.neighbors(v):
                 du = g.degree(u)
                 if du == 5:
-                    yield "R1", ("v", v), ("v", u), Fraction(1, 4)
+                    yield "R1", ("v", v), ("v", u), r1
                 elif du == 6:
-                    yield "R2", ("v", v), ("v", u), Fraction(1, 12)
+                    yield "R2", ("v", v), ("v", u), r2
         elif dv == 6:
             for u in g.neighbors(v):
                 if g.degree(u) == 5:
-                    yield "R3", ("v", v), ("v", u), Fraction(1, 6)
+                    yield "R3", ("v", v), ("v", u), r3
 
 
 def _walk_rule(emb: Embedding, starter_deg: int, inner_deg: int, min_inner: int,
@@ -248,13 +249,14 @@ def _rules_b(emb: Embedding) -> Iterator[Move]:
     # corner = one occurrence on a positive boundary walk; heavy vertices
     # feed their faces, faces sprinkle their light corners
     g = emb.graph
+    heavy, light = Fraction(1, 18), Fraction(1, 54)
     for fi, face in enumerate(emb.faces):
         for v in face.walk:
             dv = g.degree(v)
             if dv >= 5:
-                yield "B2v", ("v", v), ("f", fi), Fraction(1, 18)
+                yield "B2v", ("v", v), ("f", fi), heavy
             elif dv in (3, 4):
-                yield "B2f", ("f", fi), ("v", v), Fraction(1, 54)
+                yield "B2f", ("f", fi), ("v", v), light
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,12 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
         # single isolated vertex: one face, the sphere
-        return (Face(walk=(0,), reverse_walk=(0,)),)
+        return (Face(walk=(0,)),)
 
     def step(u: int, v: int, d: int) -> tuple[int, int, int]:
         d2 = d * emb.sign(u, v)
         rot = emb.rotations[v]
-        i = emb._pos[v][u]
+        i = rot.index(u)
         w = rot[(i + d2) % len(rot)]
         return (v, w, d2)
 
@@ -96,7 +96,10 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         while state != rstart:
             rorbit.append(state)
             state = step(*state)
-        faces.append(Face(walk=walk, reverse_walk=tuple(s[0] for s in rorbit)))
+        face = Face(walk=walk)
+        if face.reverse_walk != tuple(s[0] for s in rorbit):
+            raise AssertionError(f"reverse_walk of {walk} is not its traced mirror orbit")
+        faces.append(face)
         total_degree += len(walk)
 
     if total_degree != 2 * g.m:

@@ -161,6 +161,11 @@ class TestRegimeBRules:
             assert any(t.rule == "B2v" for t in state.transfers)
             assert any(t.rule == "B2f" for t in state.transfers)
 
+    def test_transfers_share_one_tuple_per_element(self):
+        state = discharge(quadrangulation(120, seed=3), REGIME_B)
+        ends = [e for t in state.transfers for e in (t.source, t.target)]
+        assert len({id(e) for e in ends}) == len(set(ends)) < len(ends)
+
 
 class TestRegimeCRules:
     def test_hex_torus_untouched(self):

@@ -17,6 +17,7 @@ from archipelago.graphs import (
     parse_embedding,
     parse_graph,
     parse_terminals,
+    read_rows,
     serialize_embedding,
     serialize_graph,
     trace_faces,
@@ -58,7 +59,7 @@ class TestGraph:
     def test_rejects_loops_duplicates_range(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
             Graph(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
@@ -285,6 +286,15 @@ class TestFormats:
             parse_graph("2 2\n0 1\n")
         with pytest.raises(ValueError):
             parse_graph("2 1\n0 1\n0 1\n")
+
+    def test_rows_are_counted_at_once_and_parsed_when_reached(self):
+        with pytest.raises(ValueError, match="expected 2 edges, found 1"):
+            read_rows("3 2\n0 1\n", 2, "edge")
+        n, rows, rest = read_rows("3 2\n0 1\n1 2 0\n", 2, "edge")
+        assert (n, rest) == (3, [])
+        assert next(rows) == (0, 1)
+        with pytest.raises(ValueError, match="bad edge line '1 2 0'"):
+            next(rows)
 
     def test_embedding_round_trip(self):
         emb = icosahedron_embedding()
