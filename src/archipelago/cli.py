@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-import warnings
 from fractions import Fraction
 
 from archipelago.discharging import charge_bounds_report, discharge
@@ -52,14 +51,7 @@ from archipelago.graphs import (
     terminal_comments,
 )
 from archipelago.islands import REGIMES, find_island, is_island
-from archipelago.peeling import (
-    TheoremViolation,
-    audit,
-    color_four_plus_sink,
-    extend_coloring,
-    peel,
-    sink_violation,
-)
+from archipelago.peeling import TheoremViolation, audit, color, peel
 from archipelago.solver import mc_decide, mc_optimize
 from archipelago.suites import SUITE_NAMES, run_suite
 
@@ -88,18 +80,13 @@ def _load_graph(path: str, report: dict) -> tuple[Graph, Embedding | None, str]:
     return g, read_rotations(g, rest) if rest else None, text
 
 
-def _check_chi(emb: Embedding | None, chi: int):
-    """Refuse a --chi that the file's own embedding contradicts.
-
-    Only called once peeling has failed, so a run that succeeds traces no
-    faces; a disconnected embedding has no single surface to compare.
-    """
-    if emb is None or len(connected_components(emb.graph)) > 1:
-        return
-    traced = euler_characteristic(emb)
-    if traced != chi:
-        raise ValueError(f"--chi {chi} does not match the embedding, whose Euler "
-                         f"characteristic is {traced}")
+def _read_per_vertex(path: str, parse, g: Graph, report: dict) -> dict:
+    """A coloring or list file, refused if it names a vertex g lacks."""
+    per_vertex = parse(_read(path, report))
+    for v in per_vertex:
+        if not 0 <= v < g.n:
+            raise ValueError(f"{path} names vertex {v}, which a graph of {g.n} vertices lacks")
+    return per_vertex
 
 
 def _jsonable(x):
@@ -153,9 +140,8 @@ def _dump_residual(g: Graph, tv: TheoremViolation, path: str, report: dict):
 # ---------------------------------------------------------------------------
 # islands subcommands
 
-def _cmd_find(args, report, ctx) -> int:
+def _cmd_find(args, report) -> int:
     g, _, _ = _load_graph(args.graph, report)
-    ctx["graph"] = g
     if args.regime:
         regime = REGIMES[args.regime]
         k = regime.k if args.k is None else args.k
@@ -184,7 +170,7 @@ def _cmd_find(args, report, ctx) -> int:
     return 0
 
 
-def _cmd_color(args, report, ctx) -> int:
+def _cmd_color(args, report) -> int:
     if args.four_plus_sink and args.lists:
         raise ValueError("--four-plus-sink ignores lists; give one or the other")
     if args.four_plus_sink and (args.footnote_12 or args.regime not in (None, "A")):
@@ -193,50 +179,47 @@ def _cmd_color(args, report, ctx) -> int:
     if not args.four_plus_sink and not (args.regime and args.lists):
         raise ValueError("--regime and --lists are required unless --four-plus-sink")
     g, emb, _ = _load_graph(args.graph, report)
-    ctx["graph"] = g
-    ctx["residual_path"] = args.graph + ".residual"
 
     t0 = time.perf_counter()
+    regime = REGIMES[args.regime or "A"]
+    lists = _read_per_vertex(args.lists, parse_lists, g, report) if args.lists else None
     try:
-        if args.four_plus_sink:
-            coloring, dec = color_four_plus_sink(g, args.chi)
-        else:
-            lists = parse_lists(_read(args.lists, report))
-            regime = REGIMES[args.regime]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
-    except TheoremViolation:
-        _check_chi(emb, args.chi)
-        raise
-    if args.four_plus_sink:
-        rep = audit(g, coloring)
-        ok = sink_violation(rep, dec) is None
-    else:
-        # the planar guarantee only counts when the fallback stayed quiet
-        size = regime.planar_size if args.footnote_12 and not caught else regime.size
-        for msg in caught:
-            print(f"warning: {msg.message}", file=sys.stderr)
-        coloring = extend_coloring(dec, lists)
-        bound = max(size, dec.threshold)
-        rep = audit(g, coloring, max_size=bound, lists=lists)
-        ok = rep.ok
+        dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
+    except TheoremViolation as tv:
+        # --chi is checked against the file's embedding only now, so a run that
+        # succeeds traces no faces; a disconnected one has no single surface
+        if emb is not None and len(connected_components(g)) == 1:
+            traced = euler_characteristic(emb)
+            if traced != args.chi:
+                raise ValueError(f"--chi {args.chi} does not match the embedding, "
+                                 f"whose Euler characteristic is {traced}")
+        path = args.graph + ".residual"
+        _dump_residual(g, tv, path, report)
+        report["verdicts"]["violation"] = str(tv)
+        print(f"{tv}\nresidual dumped to {path}", file=sys.stderr)
+        _emit(args, report, [])
+        return 3
+    if args.footnote_12 and not dec.planar:
+        print(f"warning: no {regime.planar_size}-island in a residual component; "
+              f"using up to {regime.size} "
+              "(is the input really 2-edge-connected and planar?)", file=sys.stderr)
+    coloring, rep, fault = color(dec, lists)
     report["timings"]["color"] = round(time.perf_counter() - t0, 6)
 
     report["verdicts"]["report"] = _audit_report(rep, len(dec.base))
-    report["verdicts"]["ok"] = ok
+    report["verdicts"]["ok"] = fault is None
     lines = _coloring_lines(args, coloring, report)
     if not args.out:
         report["verdicts"]["coloring"] = {str(v): coloring[v] for v in sorted(coloring)}
     lines.append(f"max component {rep.max_component}; base {len(dec.base)}")
     _emit(args, report, lines)
-    return 0 if ok else 1
+    return 0 if fault is None else 1
 
 
-def _cmd_verify(args, report, ctx) -> int:
+def _cmd_verify(args, report) -> int:
     g, _, _ = _load_graph(args.graph, report)
-    coloring = parse_coloring(_read(args.coloring, report))
-    lists = parse_lists(_read(args.lists, report)) if args.lists else None
+    coloring = _read_per_vertex(args.coloring, parse_coloring, g, report)
+    lists = _read_per_vertex(args.lists, parse_lists, g, report) if args.lists else None
     rep = audit(g, coloring, max_size=args.max_size, lists=lists)
     report["verdicts"]["report"] = _audit_report(rep, 0)
     report["verdicts"]["ok"] = rep.ok
@@ -248,7 +231,7 @@ def _cmd_verify(args, report, ctx) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_discharge(args, report, ctx) -> int:
+def _cmd_discharge(args, report) -> int:
     emb = parse_embedding(_read(args.embedding, report))
     regime = REGIMES[args.regime]
     t0 = time.perf_counter()
@@ -278,7 +261,7 @@ def _cmd_discharge(args, report, ctx) -> int:
     return 0
 
 
-def _cmd_gen(args, report, ctx) -> int:
+def _cmd_gen(args, report) -> int:
     spec = GenSpec(family=args.family, seed=args.seed, n=args.n,
                    rows=args.rows, cols=args.cols, m=args.m,
                    deletions=args.deletions)
@@ -314,7 +297,7 @@ def _parse_pins(pin_args, terminals: dict[str, int]) -> dict[int, int]:
     return pins
 
 
-def _cmd_solve(args, report, ctx) -> int:
+def _cmd_solve(args, report) -> int:
     if args.optimize and (args.pin or args.k is not None):
         raise ValueError("--optimize searches every k without pins; "
                          "it takes no --pin and no --k")
@@ -360,7 +343,9 @@ def _write_gadget(gg: GadgetGraph, path: str, report: dict):
     _write(path, text, report, "gadget")
 
 
-def _cmd_gadget(args, report, ctx) -> int:
+def _cmd_gadget(args, report) -> int:
+    if args.validate and args.type != "uncrosser":
+        raise ValueError("--validate applies to --type uncrosser")
     if args.type in _GADGETS_BY_T:
         if args.t is None:
             raise ValueError(f"--t is required for --type {args.type}")
@@ -378,8 +363,6 @@ def _cmd_gadget(args, report, ctx) -> int:
         _write_gadget(gg, args.out, report)
     code = 0
     if args.validate:
-        if args.type != "uncrosser":
-            raise ValueError("--validate applies to --type uncrosser")
         t0 = time.perf_counter()
         rep = validate_uncrosser(gg, args.k, budget=args.budget)
         report["timings"]["validate"] = round(time.perf_counter() - t0, 6)
@@ -394,7 +377,7 @@ def _cmd_gadget(args, report, ctx) -> int:
     return code
 
 
-def _cmd_reduce(args, report, ctx) -> int:
+def _cmd_reduce(args, report) -> int:
     h = parse_hypergraph(_read(args.hypergraph, report))
     build = reduce_girth8 if args.variant == "girth8" else reduce_planar
     t0 = time.perf_counter()
@@ -410,7 +393,7 @@ def _cmd_reduce(args, report, ctx) -> int:
     return 0
 
 
-def _cmd_hyper2color(args, report, ctx) -> int:
+def _cmd_hyper2color(args, report) -> int:
     h = parse_hypergraph(_read(args.hypergraph, report))
     t0 = time.perf_counter()
     hcol = hyper2color(h)
@@ -428,7 +411,7 @@ def _cmd_hyper2color(args, report, ctx) -> int:
 # ---------------------------------------------------------------------------
 # suites
 
-def _cmd_suite(args, report, ctx) -> int:
+def _cmd_suite(args, report) -> int:
     t0 = time.perf_counter()
     records = run_suite(args.name, args.seed, args.count, args.workers)
     report["timings"]["suite"] = round(time.perf_counter() - t0, 6)
@@ -587,20 +570,8 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:
         return (int(e.code) if e.code else 0), report
-    ctx: dict = {}
     try:
-        code = args.handler(args, report, ctx)
-    except TheoremViolation as tv:
-        path = ctx.get("residual_path", "residual.g")
-        g = ctx.get("graph")
-        if g is not None:
-            _dump_residual(g, tv, path, report)
-        report["verdicts"]["violation"] = str(tv)
-        print(f"{tv}", file=sys.stderr)
-        if g is not None:
-            print(f"residual dumped to {path}", file=sys.stderr)
-        _emit(args, report, [])
-        return 3, report
+        code = args.handler(args, report)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2, report

@@ -16,6 +16,7 @@ inside the plane.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -443,50 +444,30 @@ def reduce_girth8(h: Hypergraph3, k: int) -> GadgetGraph:
 def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dict:
     """Extend a valid hypergraph 2-coloring over the girth-8 reduction.
 
-    Every coupler copy is properly 2-colored from its z-root, which makes
-    the only monochromatic edges path edges; a run of three would be a
+    Without its path edges the reduction falls into one bipartite piece per
+    primitive: the primitive and the couplers whose z-root it is. Each piece
+    is properly 2-colored by breadth-first parity from its primitive, which
+    makes the only monochromatic edges path edges; a run of three would be a
     monochromatic hyperedge. The result is audited to components of size 2.
     """
     for e in h.edges:
         if hcol[e[0]] == hcol[e[1]] == hcol[e[2]]:
             raise ValueError(f"hyperedge {e} is monochromatic")
-    b, size_y = _tree_sizes(k)
-    z_local = size_y
-    n_local = size_y + 1 + b * b + b
-    # parity of the distance from the y-root, by local id block
-    blocks = [
-        (1, 0),  # y-root
-        (1 + b, 1),
-        (1 + b + b * b, 0),
-        (size_y, 1),  # leaves
-        (z_local + 1, 0),  # z-root, distance 6
-        (z_local + 1 + b, 1),
-        (n_local, 0),
-    ]
-
-    def parity(local: int) -> int:
-        for hi, par in blocks:
-            if local < hi:
-                return par
-        raise AssertionError(f"local id {local} outside coupler")
-
-    coloring = {v: hcol[v] for v in range(h.n)}
-    cursor = h.n
-    for triple in h.edges:
-        for j in range(1, k + 2):
-            ej = cursor
-            cursor += 1
-            base = hcol[triple[j % 3]]
-            coloring[ej] = base
-            # fresh ids follow local order with y (local 0) and z skipped
-            for local in range(1, n_local):
-                if local == z_local:
-                    continue
-                rank = local - 1 if local < z_local else local - 2
-                coloring[cursor + rank] = base ^ parity(local)
-            cursor += n_local - 2
-    if cursor != g.graph.n:
+    path = [f"e{i}_{j}" for i in range(len(h.edges)) for j in range(1, k + 2)]
+    if set(g.terminals) != {f"v{v}" for v in range(h.n)}.union(path):
         raise ValueError("graph does not match this hypergraph and k")
+    ends = {g.terminals[name] for name in path}
+    coloring = {}
+    for v in range(h.n):
+        p = g.terminals[f"v{v}"]
+        coloring[p] = hcol[v]
+        queue = deque([p])
+        while queue:
+            x = queue.popleft()
+            for y in g.graph.neighbors(x):
+                if y not in coloring and not (x in ends and y in ends):
+                    coloring[y] = coloring[x] ^ 1
+                    queue.append(y)
     report = audit(g.graph, coloring, max_size=2)
     if report.oversized_components:
         raise AssertionError("forward coloring produced an oversized component")

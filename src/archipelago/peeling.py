@@ -5,7 +5,8 @@ until none is left; the remaining vertices form the base, whose components
 must be at or below the regime's guarantee threshold. Coloring the base
 first and the layers in reverse removal order, with each island member
 avoiding only its already-colored neighbors outside the island, keeps every
-monochromatic component inside a single layer or a single base component.
+monochromatic component inside one layer or one base component, so within
+`dec.bound` of the decomposition dec; color() colors and audits by that rule.
 
 peel() never copies the graph. It looks for each island in the order
 cascade, local scan, full scan, find_island, and reads a LiveView of the
@@ -16,7 +17,6 @@ two find nothing.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,8 +48,9 @@ class TheoremViolation(RuntimeError):
 class PeelDecomposition:
     """Removal layers plus the base left at the end.
 
-    Each layer was an island of the graph still present when it was removed;
-    base components all have at most `threshold` vertices.
+    Each layer was an island of at most `size` vertices of the graph still
+    present when it was removed; base components all have at most
+    `threshold` vertices. `planar`: footnote 12's size capped every layer.
     """
 
     graph: Graph
@@ -57,26 +58,37 @@ class PeelDecomposition:
     chi: int
     layers: tuple[tuple[int, ...], ...]
     base: tuple[int, ...]
+    planar: bool = False
 
     @property
     def threshold(self) -> int:
         """The regime's threshold at chi, so that the two cannot disagree."""
         return self.regime.threshold(self.chi)
 
+    @property
+    def size(self) -> int:
+        """The island size every layer honours."""
+        return self.regime.planar_size if self.planar else self.regime.size
+
+    @property
+    def bound(self) -> int:
+        """Largest monochromatic component a coloring of this decomposition may have."""
+        return max(self.size, self.threshold)
+
     def replay_ok(self) -> bool:
         """Re-verify every layer against the graph it was removed from.
 
         Layers are replayed against one live mask on the original graph: each
-        must be a non-empty set of at most `regime.size` live vertices, each
+        must be a non-empty set of at most `size` live vertices, each
         with at most k live neighbors outside it. The base must then be
         exactly the live vertices, in components of at most `threshold`.
         Malformed layers (out-of-range or already removed vertices) make the
         replay fail rather than raise. The cost is linear in n + m.
         """
-        g, k = self.graph, self.regime.k
+        g, k, size = self.graph, self.regime.k, self.size
         alive = [True] * g.n
         for layer in self.layers:
-            if not layer or len(layer) > self.regime.size:
+            if not layer or len(layer) > size:
                 return False
             members = set(layer)
             for v in members:
@@ -137,8 +149,8 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
     footnote_12 asserts, on the caller's authority, that the input is a
     2-edge-connected planar graph; regime C then caps islands at its planar
     size (12). When no such island is left but a larger one is, that one
-    island may have up to 16 vertices; the first time, it warns rather than
-    failing. The cap of 12 holds again for the next island.
+    island may have up to 16 vertices, and the decomposition is not `planar`;
+    the cap of 12 holds again for the next island.
     """
     if chi > 2:
         raise ValueError(f"chi {chi} is above 2; no connected surface has a larger one")
@@ -148,7 +160,7 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
         raise ValueError("the 12-island refinement applies to regime C only")
     k = regime.k
     cap = regime.planar_size if footnote_12 else regime.size
-    warned = False
+    planar = footnote_12
     alive = [True] * g.n
     live_deg = [g.degree(v) for v in range(g.n)]
     live = LiveView(g, alive, live_deg)
@@ -187,15 +199,7 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
             witness = forbidden_configuration(live, regime, None, cap) or find_island(live, k, cap)
         if witness is None and cap < regime.size:
             witness = forbidden_configuration(live, regime) or find_island(live, k, regime.size)
-            if witness is not None and not warned:
-                warnings.warn(
-                    f"no {cap}-island in a residual component; "
-                    f"using up to {regime.size} "
-                    "(is the input really 2-edge-connected and planar?)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                warned = True
+            planar = planar and witness is None
         if witness is None:
             break
         remove(witness.members)
@@ -205,7 +209,7 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
         if len(comp) > threshold:
             raise TheoremViolation(regime, chi, tuple(comp))
     base = tuple(live.vertices())
-    return PeelDecomposition(graph=g, regime=regime, chi=chi, layers=tuple(layers), base=base)
+    return PeelDecomposition(g, regime, chi, tuple(layers), base, planar)
 
 
 def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
@@ -214,7 +218,7 @@ def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
     Base vertices take the first color of their list. Layers are colored in
     reverse removal order; each island member takes the first list color not
     used by an already-colored neighbor outside its own island. Monochromatic
-    components then have at most max(island size, threshold) vertices.
+    components then have at most `dec.bound` vertices.
     """
     g = dec.graph
     k = dec.regime.k
@@ -241,34 +245,6 @@ def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
             else:
                 raise AssertionError(f"vertex {v} ran out of colors; broken layer")
     return coloring
-
-
-def color_four_plus_sink(g: Graph, chi: int):
-    """Five colors: 1..4 form tiny components, 5 is the sink for the base.
-
-    Peels with regime A and extends from lists that put 5 first for base
-    vertices and last for island members. A member only takes 5 when its (at
-    most four) outside neighbors use exactly 1..4, so color 5 never crosses
-    a layer boundary: components of colors 1..4 have at most 3 vertices,
-    color-5 ones at most max(3, threshold). Returns (coloring, decomposition).
-    """
-    dec = peel(g, REGIME_A, chi)
-    base = set(dec.base)
-    lists = {v: (5, 1, 2, 3, 4) if v in base else (1, 2, 3, 4, 5) for v in range(g.n)}
-    return extend_coloring(dec, lists), dec
-
-
-def sink_violation(rep: ColoringReport, dec: PeelDecomposition) -> str | None:
-    """Why an audited four-plus-sink coloring breaks its bounds, or None."""
-    sizes = rep.component_sizes
-    small = dec.regime.size
-    bad = [c for c in (1, 2, 3, 4) if sizes.get(c, 0) > small]
-    if bad:
-        return f"colors {bad} exceed {small}"
-    bound = max(small, dec.threshold)
-    if sizes.get(5, 0) > bound:
-        return f"sink color exceeds {bound}"
-    return None
 
 
 @dataclass(frozen=True)
@@ -331,3 +307,33 @@ def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> Colori
         list_violations=violations,
         oversized_components=oversized,
     )
+
+
+def color(dec: PeelDecomposition, lists=None):
+    """Color a decomposition and audit it: (coloring, report, fault or None).
+
+    With lists, extend_coloring colors from them and components must stay
+    within `dec.bound`. Without, a regime A decomposition takes four colors
+    and a sink: lists (5, 1, 2, 3, 4) on the base and (1, 2, 3, 4, 5) on
+    island members. A member only takes 5 when its (at most four) outside
+    neighbors use 1..4, so 5 never crosses a layer boundary: colors 1..4
+    stay within `dec.size` and 5 within `dec.bound`.
+    """
+    g = dec.graph
+    if lists is not None:
+        coloring = extend_coloring(dec, lists)
+        rep = audit(g, coloring, max_size=dec.bound, lists=lists)
+        return coloring, rep, None if rep.ok else (
+            f"audit failed: max component {rep.max_component}, "
+            f"{len(rep.list_violations)} list violations")
+    if dec.regime != REGIME_A:
+        raise ValueError("four colors plus a sink need a regime A decomposition")
+    base = set(dec.base)
+    coloring = extend_coloring(
+        dec, {v: (5, 1, 2, 3, 4) if v in base else (1, 2, 3, 4, 5) for v in range(g.n)})
+    rep = audit(g, coloring)
+    sizes = rep.component_sizes
+    bad = [c for c in (1, 2, 3, 4) if sizes.get(c, 0) > dec.size]
+    fault = (f"colors {bad} exceed {dec.size}" if bad else
+             f"sink color exceeds {dec.bound}" if sizes.get(5, 0) > dec.bound else None)
+    return coloring, rep, fault

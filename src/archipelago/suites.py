@@ -1,8 +1,8 @@
 """Seeded acceptance suites: generated instances through the peel-and-color pipeline.
 
 A suite draws generation specs from its name and seed, runs each instance
-through peel, replay_ok, extend_coloring and audit (or the four-plus-sink
-coloring), and returns one record per instance. Records depend only on the
+through peel, replay_ok and color (from drawn lists, or four colors plus a
+sink), and returns one record per instance. Records depend only on the
 name, seed and count, never on the number of worker processes.
 """
 
@@ -12,15 +12,8 @@ from dataclasses import asdict
 
 from archipelago.generators import GenSpec, gen
 from archipelago.graphs import Graph, euler_characteristic
-from archipelago.islands import REGIMES, Regime
-from archipelago.peeling import (
-    TheoremViolation,
-    audit,
-    color_four_plus_sink,
-    extend_coloring,
-    peel,
-    sink_violation,
-)
+from archipelago.islands import REGIMES
+from archipelago.peeling import TheoremViolation, color, peel
 
 
 def _sphere(family: str):
@@ -37,7 +30,7 @@ def _hex_patch(rng, s):
                    cols=rng.randrange(3, 9), deletions=rng.randrange(0, 6))
 
 
-# suite name -> (spec drawer, regime name; None colors four-plus-sink)
+# suite name -> (spec drawer, regime name; None peels with A and colors four-plus-sink)
 SUITES = {
     "planar-A": (_sphere("triangulation"), "A"),
     "quad-B": (_sphere("quadrangulation"), "B"),
@@ -60,20 +53,6 @@ def _draw_lists(g: Graph, width: int, seed: int) -> dict[int, list[int]]:
     return {v: sorted(rng.sample(range(1, 10), width)) for v in range(g.n)}
 
 
-def _list_coloring_fault(g: Graph, regime: Regime, chi: int, seed: int) -> str | None:
-    """Why peel, replay or the audit of a drawn list coloring fails, or None."""
-    dec = peel(g, regime, chi)
-    if not dec.replay_ok():
-        return "peel replay failed: a layer is not an island"
-    lists = _draw_lists(g, regime.k + 1, seed)
-    bound = max(regime.size, dec.threshold)
-    rep = audit(g, extend_coloring(dec, lists), max_size=bound, lists=lists)
-    if not rep.ok:
-        return (f"audit failed: max component {rep.max_component}, "
-                f"{len(rep.list_violations)} list violations")
-    return None
-
-
 def run_suite_instance(name: str, spec: GenSpec) -> dict:
     """One generated instance through its suite's pipeline.
 
@@ -85,18 +64,19 @@ def run_suite_instance(name: str, spec: GenSpec) -> dict:
     chi = euler_characteristic(emb)
     regime_name = SUITES[name][1]
     record = {"spec": asdict(spec), "n": g.n, "pass": False, "detail": ""}
+    regime = REGIMES[regime_name or "A"]
     try:
-        if regime_name is None:
-            coloring, dec = color_four_plus_sink(g, chi)
-            detail = sink_violation(audit(g, coloring), dec)
-        else:
-            detail = _list_coloring_fault(g, REGIMES[regime_name], chi, spec.seed)
+        dec = peel(g, regime, chi)
     except TheoremViolation as tv:
         record.update(detail=str(tv), kind="violation", residual=sorted(tv.residual),
                       regime=tv.regime.name, chi=tv.chi)
         return record
-    record["pass"] = detail is None
-    record["detail"] = detail or ""
+    if not dec.replay_ok():
+        detail = "peel replay failed: a layer is not an island"
+    else:
+        detail = color(dec, None if regime_name is None else
+                       _draw_lists(g, regime.k + 1, spec.seed))[2]
+    record.update({"pass": detail is None, "detail": detail or ""})
     return record
 
 

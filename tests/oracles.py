@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
-from archipelago.gadgets import GadgetGraph, Hypergraph3, build_equalizer, build_N
+from archipelago.gadgets import GadgetGraph, Hypergraph3, _tree_sizes, build_equalizer, build_N
 from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
@@ -203,7 +203,8 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
 
 
 def color_four_plus_sink(g, chi: int):
-    """color_four_plus_sink with its own colouring loop in place of extend_coloring."""
+    """peeling.color without lists (four colors plus a sink) with its own
+    colouring loop in place of extend_coloring; returns (coloring, decomposition)."""
     dec = peeling.peel(g, REGIME_A, chi)
     coloring = {v: 5 for v in dec.base}
     for layer in reversed(dec.layers):
@@ -725,6 +726,63 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
         raise ValueError("the hypergraph must be connected through shared "
                          "vertices; reduce its pieces separately")
     return GadgetGraph(g, terminals, planar_embedding(g))
+
+
+def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dict:
+    """forward_coloring_girth8 that re-derives build_J's and splice's id layout.
+
+    The docstring of the original follows.
+
+    Extend a valid hypergraph 2-coloring over the girth-8 reduction.
+
+    Every coupler copy is properly 2-colored from its z-root, which makes
+    the only monochromatic edges path edges; a run of three would be a
+    monochromatic hyperedge. The result is audited to components of size 2.
+    """
+    for e in h.edges:
+        if hcol[e[0]] == hcol[e[1]] == hcol[e[2]]:
+            raise ValueError(f"hyperedge {e} is monochromatic")
+    b, size_y = _tree_sizes(k)
+    z_local = size_y
+    n_local = size_y + 1 + b * b + b
+    # parity of the distance from the y-root, by local id block
+    blocks = [
+        (1, 0),  # y-root
+        (1 + b, 1),
+        (1 + b + b * b, 0),
+        (size_y, 1),  # leaves
+        (z_local + 1, 0),  # z-root, distance 6
+        (z_local + 1 + b, 1),
+        (n_local, 0),
+    ]
+
+    def parity(local: int) -> int:
+        for hi, par in blocks:
+            if local < hi:
+                return par
+        raise AssertionError(f"local id {local} outside coupler")
+
+    coloring = {v: hcol[v] for v in range(h.n)}
+    cursor = h.n
+    for triple in h.edges:
+        for j in range(1, k + 2):
+            ej = cursor
+            cursor += 1
+            base = hcol[triple[j % 3]]
+            coloring[ej] = base
+            # fresh ids follow local order with y (local 0) and z skipped
+            for local in range(1, n_local):
+                if local == z_local:
+                    continue
+                rank = local - 1 if local < z_local else local - 2
+                coloring[cursor + rank] = base ^ parity(local)
+            cursor += n_local - 2
+    if cursor != g.graph.n:
+        raise ValueError("graph does not match this hypergraph and k")
+    report = audit(g.graph, coloring, max_size=2)
+    if report.oversized_components:
+        raise AssertionError("forward coloring produced an oversized component")
+    return coloring
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from archipelago.graphs import (
     girth,
 )
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island, is_island
-from archipelago.peeling import audit, color_four_plus_sink, extend_coloring, peel
+from archipelago.peeling import audit, color, extend_coloring, peel
 from archipelago.solver import mc_decide, mc_optimize
 from oracles import degeneracy_order, distance
 
@@ -169,7 +169,8 @@ def test_criterion_05_four_plus_sink(capsys):
     for emb in embs:
         g = emb.graph
         chi = euler_characteristic(emb)
-        coloring, dec = color_four_plus_sink(g, chi)
+        dec = peel(g, REGIME_A, chi)
+        coloring, _, _ = color(dec)
         sizes = audit(g, coloring).component_sizes
         if any(sizes.get(c, 0) > 3 for c in (1, 2, 3, 4)):
             ok = False

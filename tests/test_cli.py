@@ -20,10 +20,13 @@ from archipelago.graphs import (
     parse_terminals,
     serialize_coloring,
     serialize_embedding,
+    serialize_graph,
     serialize_lists,
 )
-from archipelago.peeling import TheoremViolation, peel
+from archipelago.islands import REGIME_C
+from archipelago.peeling import TheoremViolation, color, peel
 from archipelago.suites import SUITE_NAMES
+from test_peeling import fallback_graph
 
 
 def write_k9(path):
@@ -255,6 +258,42 @@ class TestColor:
                             "--footnote-12"])
         assert code == 2
 
+    def test_footnote_12_fallback_warns_and_audits_at_16(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "f.g"
+        g = fallback_graph()
+        path.write_text(serialize_graph(g))
+        write_lists(tmp_path / "l.txt", g.n, [1, 2])
+        bounds = []
+
+        def spy(dec, lists=None):
+            bounds.append(dec.bound)
+            return color(dec, lists)
+
+        monkeypatch.setattr(cli, "color", spy)
+        argv = ["islands", "color", "--graph", str(path), "--lists", str(tmp_path / "l.txt"),
+                "--regime", "C", "--chi", "0", "--footnote-12"]
+        capsys.readouterr()
+        assert dispatch(argv)[0] == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setitem(cli.REGIMES, "C", replace(REGIME_C, planar_size=5))
+        assert dispatch(argv)[0] == 0
+        assert capsys.readouterr().err == (
+            "warning: no 5-island in a residual component; using up to 16 "
+            "(is the input really 2-edge-connected and planar?)\n")
+        assert bounds == [12, 16]
+
+    def test_files_naming_absent_vertices_are_usage_errors(self, tmp_path, capsys):
+        emb = tmp_path / "t.emb"
+        dispatch(["islands", "gen", "--family", "triangulation", "--n", "20",
+                  "--seed", "0", "--out", str(emb)])
+        lists = tmp_path / "l.txt"
+        lists.write_text(serialize_lists({v: [1, 2, 3, 4, 5] for v in [*range(20), 99]}))
+        capsys.readouterr()
+        code, _ = dispatch(["islands", "color", "--graph", str(emb),
+                            "--lists", str(lists), "--regime", "A"])
+        assert code == 2
+        assert "names vertex 99," in capsys.readouterr().err
+
     def test_violation_exits_three_with_residual(self, tmp_path):
         k9 = tmp_path / "k9.g"
         write_k9(k9)
@@ -353,6 +392,32 @@ class TestVerify:
                               "--coloring", str(col), "--lists", str(lists)])
         assert code == 1
         assert rep["verdicts"]["report"]["list_violations"] == [[1, 9]]
+
+
+    @pytest.mark.parametrize("lines, absent", [("0 1\n1 1\n2 2\n7 1\n", 7),
+                                                ("-3 1\n0 1\n1 1\n2 2\n", -3)])
+    def test_coloring_naming_an_absent_vertex_is_refused(self, tmp_path, capsys, lines, absent):
+        g = tmp_path / "g.g"
+        g.write_text("3 2\n0 1\n1 2\n")
+        col = tmp_path / "c.txt"
+        col.write_text(lines)
+        capsys.readouterr()
+        code, _ = dispatch(["islands", "verify", "--graph", str(g), "--coloring", str(col)])
+        assert code == 2
+        assert f"names vertex {absent}," in capsys.readouterr().err
+
+    def test_lists_naming_an_absent_vertex_are_refused(self, tmp_path, capsys):
+        g = tmp_path / "g.g"
+        g.write_text("3 2\n0 1\n1 2\n")
+        col = tmp_path / "c.txt"
+        col.write_text("0 1\n1 2\n2 1\n")
+        lists = tmp_path / "l.txt"
+        lists.write_text("0: 1 2\n1: 1 2\n2: 1 2\n99: 1 2\n")
+        capsys.readouterr()
+        code, _ = dispatch(["islands", "verify", "--graph", str(g), "--coloring", str(col),
+                            "--lists", str(lists)])
+        assert code == 2
+        assert "names vertex 99," in capsys.readouterr().err
 
 
 class TestDischarge:
@@ -562,6 +627,14 @@ class TestGadget:
         code, _ = dispatch(["mc", "gadget", "--type", "N", "--k", "2",
                             "--validate"])
         assert code == 2
+
+    def test_validate_wrong_type_builds_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._GADGETS_BY_K, "N", lambda k: pytest.fail("built"))
+        out = tmp_path / "x.g"
+        code, _ = dispatch(["mc", "gadget", "--type", "N", "--k", "2",
+                            "--out", str(out), "--validate"])
+        assert code == 2
+        assert not out.exists()
 
     def test_uncrosser_file_is_embedding(self, tmp_path):
         out = tmp_path / "u.emb"

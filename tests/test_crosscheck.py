@@ -17,6 +17,9 @@ from archipelago.gadgets import (
     build_equalizer,
     build_N,
     build_uncrosser,
+    forward_coloring_girth8,
+    hyper2color,
+    reduce_girth8,
     reduce_planar,
     validate_uncrosser,
 )
@@ -30,7 +33,7 @@ from archipelago.generators import (
 )
 from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, girth, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
-from archipelago.peeling import TheoremViolation, color_four_plus_sink, peel
+from archipelago.peeling import TheoremViolation, color, peel
 from archipelago.solver import mc_decide, mc_optimize
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
@@ -165,7 +168,7 @@ def test_color_four_plus_sink_matches_oracle(family, data):
     _, chi, draw = FAMILIES[family]
     g = draw(data).graph
     # the same colouring, colour by colour, from the same decomposition
-    assert color_four_plus_sink(g, chi)[0] == oracles.color_four_plus_sink(g, chi)[0]
+    assert color(peel(g, REGIME_A, chi))[0] == oracles.color_four_plus_sink(g, chi)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,8 +179,8 @@ def test_color_four_plus_sink_matches_oracle_with_a_base(n, chi, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     removed = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
     g = Graph(n, [p for p in pairs if p not in removed])
-    coloring, dec = color_four_plus_sink(g, chi)
-    assert (coloring, dec) == oracles.color_four_plus_sink(g, chi)
+    dec = peel(g, REGIME_A, chi)
+    assert (color(dec)[0], dec) == oracles.color_four_plus_sink(g, chi)
 
 
 def relabel(emb, perm):
@@ -555,6 +558,19 @@ def test_reduce_planar_matches_oracle_at_k3():
     # one hyperedge: 9,558 vertices, 7 crossings; two would take the
     # planarity test several seconds more
     assert_reduce_planar_matches_oracle(hypergraph3(3, 1, 0), 3)
+
+
+# forward_coloring_girth8: parity from each primitive against J's id layout
+
+
+@pytest.mark.parametrize("k, count, most_edges", [(2, 12, 4), (3, 4, 2)])
+def test_forward_coloring_girth8_matches_oracle(k, count, most_edges):
+    rng = random.Random(f"forward-girth8:{k}")
+    for _ in range(count):
+        h = hypergraph3(rng.randrange(4, 9), rng.randrange(1, most_edges + 1), rng.randrange(2**31))
+        hcol = hyper2color(h)
+        gg = reduce_girth8(h, k)
+        assert forward_coloring_girth8(h, hcol, gg, k) == oracles.forward_coloring_girth8(h, hcol, gg, k)
 
 
 @settings(max_examples=200, deadline=None)

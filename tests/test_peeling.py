@@ -1,6 +1,5 @@
 import random
 import time
-import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -10,9 +9,10 @@ from archipelago.generators import hex_patch, hex_torus, quadrangulation, triang
 from archipelago.graphs import Graph, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
 from archipelago.peeling import (
+    PeelDecomposition,
     TheoremViolation,
     audit,
-    color_four_plus_sink,
+    color,
     extend_coloring,
     peel,
 )
@@ -219,6 +219,23 @@ class TestColorFromLists:
             extend_coloring(dec, lists)
 
 
+def fallback_graph() -> Graph:
+    """A girth-6 graph on which a planar size of 5 falls back once, at once.
+
+    A hexagon 0..5 with one spoke each into a 6x6 hex torus (ids 6..) with
+    three edges cut: minimum degree 3 and girth 6, so a planar size of 5
+    fails at once and the hexagon goes first. Then the spoke ends 7 and 17
+    bound the 3-vertex island 7, 6, 17, while the end of vertex 5's spoke,
+    scanned first, is 5 steps from any other end.
+    """
+    torus = hex_torus(6, 6).graph
+    cut = {(1, 2), (10, 11), (17, 28)}
+    edges = [(u + 6, v + 6) for u, v in torus.edges() if (u, v) not in cut]
+    edges += [(i, (i + 1) % 6) for i in range(6)]
+    edges += zip(range(6), (7, 16, 17, 8, 23, 34))
+    return Graph(6 + torus.n, edges)
+
+
 class TestFootnoteTwelve:
     def test_tighter_bound_on_bridgeless_patches(self):
         # hexagonal patches without deletions have no bridges, so the
@@ -226,9 +243,8 @@ class TestFootnoteTwelve:
         for seed in range(3):
             emb = hex_patch(5, 5, deletions=0, seed=seed)
             g = emb.graph
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                dec = peel(g, REGIME_C, chi=2, footnote_12=True)
+            dec = peel(g, REGIME_C, chi=2, footnote_12=True)
+            assert dec.planar and dec.bound == 12
             assert all(len(layer) <= 12 for layer in dec.layers)
             assert not dec.base
             assert dec.replay_ok()
@@ -237,21 +253,10 @@ class TestFootnoteTwelve:
             assert audit(g, coloring, max_size=12, lists=lists).ok
 
     def test_falls_back_per_island_with_one_warning(self):
-        # a hexagon 0..5 with one spoke each into a 6x6 hex torus (ids 6..)
-        # with three edges cut: minimum degree 3 and girth 6, so a planar
-        # size of 5 fails at once and the hexagon goes first. Then the spoke
-        # ends 7 and 17 bound the 3-vertex island 7, 6, 17, while the end of
-        # vertex 5's spoke, scanned first, is 5 steps from any other end
-        torus = hex_torus(6, 6).graph
-        cut = {(1, 2), (10, 11), (17, 28)}
-        edges = [(u + 6, v + 6) for u, v in torus.edges() if (u, v) not in cut]
-        edges += [(i, (i + 1) % 6) for i in range(6)]
-        edges += zip(range(6), (7, 16, 17, 8, 23, 34))
-        g = Graph(6 + torus.n, edges)
+        g = fallback_graph()
         row = replace(REGIME_C, planar_size=5)
-        with pytest.warns(RuntimeWarning, match="no 5-island") as caught:
-            dec = peel(g, row, chi=0, footnote_12=True)
-        assert len(caught) == 1
+        dec = peel(g, row, chi=0, footnote_12=True)
+        assert not dec.planar and dec.size == 16
         assert dec.layers[0] == tuple(range(6))
         assert dec.base == () and dec.replay_ok()
         # the cap holds again wherever a 5-island is left
@@ -263,6 +268,13 @@ class TestFootnoteTwelve:
             for v in layer:
                 alive[v] = False
 
+    def test_replay_holds_a_planar_decomposition_to_12(self):
+        # a 13-vertex path is one island with no outside neighbors
+        g = Graph(13, [(i, i + 1) for i in range(12)])
+        dec = PeelDecomposition(graph=g, regime=REGIME_C, chi=2, layers=(tuple(range(13)),), base=())
+        assert dec.replay_ok()
+        assert not replace(dec, planar=True).replay_ok()
+
     def test_only_regime_c(self):
         emb = triangulation(20, seed=4)
         with pytest.raises(ValueError):
@@ -272,27 +284,34 @@ class TestFootnoteTwelve:
 class TestColorFourPlusSink:
     def test_sphere(self):
         emb = triangulation(90, seed=3)
-        coloring, dec = color_four_plus_sink(emb.graph, chi=2)
+        dec = peel(emb.graph, REGIME_A, chi=2)
+        coloring, _, fault = color(dec)
+        assert fault is None
         assert set(coloring.values()) <= {1, 2, 3, 4, 5}
         report = audit(emb.graph, coloring)
-        for color, members in report.components:
-            if color in (1, 2, 3, 4):
+        for c, members in report.components:
+            if c in (1, 2, 3, 4):
                 assert len(members) <= 3
             else:
                 assert len(members) <= max(3, dec.threshold)
 
     def test_torus(self):
         emb = triangulated_torus(5, 5)
-        coloring, dec = color_four_plus_sink(emb.graph, chi=0)
+        coloring, _, fault = color(peel(emb.graph, REGIME_A, chi=0))
         report = audit(emb.graph, coloring, max_size=3)
-        assert report.ok  # threshold 0: every component small
+        assert fault is None and report.ok  # threshold 0: every component small
 
     def test_icosahedron(self):
         from tests.test_graphs import icosahedron_embedding
 
         g = icosahedron_embedding().graph
-        coloring, _ = color_four_plus_sink(g, chi=2)
+        coloring, _, _ = color(peel(g, REGIME_A, chi=2))
         assert audit(g, coloring, max_size=3).ok
+
+    def test_needs_regime_a(self):
+        dec = peel(quadrangulation(20, seed=1).graph, REGIME_B, chi=2)
+        with pytest.raises(ValueError, match="regime A"):
+            color(dec)
 
 
 class TestAudit:

@@ -4,9 +4,9 @@ import pytest
 
 from archipelago.discharging import initial_charges
 from archipelago.generators import hex_torus, quadrangulation, triangulation
-from archipelago.graphs import euler_characteristic
+from archipelago.graphs import Graph, euler_characteristic
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES
-from archipelago.peeling import ColoringReport, color_four_plus_sink, peel, sink_violation
+from archipelago.peeling import PeelDecomposition, color, peel
 
 
 def test_rows_by_name():
@@ -53,15 +53,17 @@ def test_chi_above_two_is_rejected():
         peel(triangulation(10, 1).graph, REGIME_A, 3)
 
 
-def report(sizes):
-    return ColoringReport(max_component=max(sizes.values()), components=(),
-                          component_sizes=sizes, list_violations=(), oversized_components=())
-
-
 def test_sink_violation():
-    _, dec = color_four_plus_sink(triangulation(40, 2).graph, 2)
+    dec = peel(triangulation(40, 2).graph, REGIME_A, 2)
     assert dec.threshold == 0
-    assert sink_violation(report({1: 3, 5: 3}), dec) is None
-    assert sink_violation(report({1: 3, 2: 4, 4: 5, 5: 1}), dec) == "colors [2, 4] exceed 3"
-    assert sink_violation(report({1: 1, 5: 4}), dec) == "sink color exceeds 3"
-
+    assert color(dec)[2] is None
+    # colored last to first: x = 0 takes 1; the path 1-4, all next to x, takes
+    # 2; y = 5 next to 0 and 1 takes 3; the path 6-9, next to 0, 1 and 5, takes 4
+    edges = [(0, a) for a in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (5, 0), (5, 1)]
+    edges += [(b, b + 1) for b in range(6, 9)] + [(b, u) for b in range(6, 10) for u in (0, 1, 5)]
+    layers = (tuple(range(6, 10)), (5,), (1, 2, 3, 4), (0,))
+    broken = PeelDecomposition(Graph(10, edges), REGIME_A, 2, layers, base=())
+    assert color(broken)[2] == "colors [2, 4] exceed 3"
+    # a four-vertex base above the threshold of 0 is one sink component
+    path = PeelDecomposition(Graph(4, [(0, 1), (1, 2), (2, 3)]), REGIME_A, 2, (), base=(0, 1, 2, 3))
+    assert color(path)[2] == "sink color exceeds 3"
