@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 
 from archipelago import graphs
 from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, read_rows
@@ -474,44 +473,39 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
     return coloring
 
 
-def _layout_crossings(targets: list[int], slots: dict, scale: int) -> list[list[int]]:
-    """Pairwise crossings of straight connectors between two vertical lines.
+def _layout_crossings(targets: list[int], slots: dict) -> list[list[int]]:
+    """Pairwise crossings of the connectors, as a wiring diagram.
 
-    Connector p runs from path vertex p at height p + (p+1)^2 / scale on one
-    line to its primitive's slot height on the other. Path heights rise with
-    p, so connectors p < q cross exactly when q's slot is below p's: the
-    pairs _count_crossings counts, and the only pairs visited here. Returns,
-    per connector, the connectors it crosses, from the primitive side
-    inward, ordered by cross-multiplying the crossing abscissas. Raises on
-    tied abscissas.
+    Connector p joins path vertex p to its primitive, slots[targets[p]].
+    Ordered bottom to top, the connectors leave the primitive line by slot,
+    ties by path index, and reach the path line by path index. Insertion
+    sort takes the one order to the other by adjacent swaps, each of one
+    pair p < q with q's slot below p's, and each swap is a crossing. Taken
+    in swap order the swaps draw every connector as a curve crossing the
+    others one at a time: planar, with no ties to break. Returns, per
+    connector, the connectors it crosses, from the primitive side inward.
     """
-    # every height times scale, as integers
-    a = [slots[u] * scale for u in targets]
-    b = [p * scale + (p + 1) ** 2 for p in range(len(targets))]
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in targets]
-    by_slot: list[list[int]] = [[] for _ in range(len(slots))]  # connectors so far
-    for q, u in enumerate(targets):
-        for above in by_slot[slots[u] + 1:]:
-            for p in above:
-                # heights b + (a - b) x meet at x = num / den, both positive
-                num = b[q] - b[p]
-                den = a[p] - a[q] + num
-                rows[p].append((num, den, q))
-                rows[q].append((num, den, p))
-        by_slot[slots[u]].append(q)
-    for row in rows:
-        row.sort(key=cmp_to_key(lambda e, f: f[0] * e[1] - e[0] * f[1]))  # x falling
-        if any(e[0] * f[1] == f[0] * e[1] for e, f in zip(row, row[1:])):
-            raise ValueError("tied crossing abscissas")
-    return [[q for _, _, q in row] for row in rows]
+    rows: list[list[int]] = [[] for _ in targets]
+    order: list[int] = []
+    for p in sorted(range(len(targets)), key=lambda c: slots[targets[c]]):
+        order.append(p)
+        i = len(order) - 1
+        while i and order[i - 1] > p:  # p sinks below q, crossing it
+            q = order[i - 1]
+            rows[p].append(q)
+            rows[q].append(p)
+            order[i] = q
+            i -= 1
+        order[i] = p
+    return rows
 
 
 def _count_crossings(slots: list[int], n: int) -> int:
     """Pairs i < j with slots[i] > slots[j], for slots in 0..n-1.
 
-    Path heights rise with the connector index, so these are exactly the
-    pairs _layout_crossings finds crossing. Counted with a Fenwick tree over
-    the slots, in O(L log n) rather than the layout's O(L^2).
+    These are exactly the pairs _layout_crossings swaps, so the count sizes
+    reduce_planar's output before the layout is made. Counted with a Fenwick
+    tree over the slots, in O(L log n) whatever the number of crossings.
     """
     tree = [0] * (n + 1)
     total = 0
@@ -535,10 +529,10 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     is equalized to the hyperedge's vertex u_{j mod 3}; a monochromatic
     hyperedge would force the whole path monochromatic. The drawing puts
     path vertices on one vertical line in path order and primitives on
-    another in first-use order; every crossing of two straight connectors
-    is replaced by an uncrosser, entered west-east by the lower-index
-    connector and north-south by the other, with equalizers joining the
-    pieces.
+    another in first-use order; connectors cross as _layout_crossings' wiring
+    diagram lays them out, and every crossing is replaced by an uncrosser,
+    entered west-east by the lower-index connector and north-south by the
+    other, with equalizers joining the pieces.
 
     The embedding is read off that drawing, with the path line on the west,
     the path running upward and the primitive line on the east. Clockwise,
@@ -575,16 +569,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     _check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
                 + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")
 
-    scale = 128
-    crossings = None
-    for _ in range(32):
-        try:
-            crossings = _layout_crossings(targets, slots, scale)
-            break
-        except ValueError:
-            scale *= 8
-    if crossings is None:
-        raise RuntimeError("could not break crossing ties")
+    crossings = _layout_crossings(targets, slots)
 
     # keys at a path vertex: the next one, its connector, the previous one
     north, east, south = 0, 1, 2

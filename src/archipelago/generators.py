@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from archipelago.graphs import Embedding, Graph, bipartition, girth
+from archipelago.graphs import Embedding, Graph, bipartition, connected_components, girth
 
 
 @dataclass(frozen=True)
@@ -207,18 +207,7 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
                 nbrs.append(A(r + 1, c))
             rot[B(r, c)] = nbrs
 
-    def is_connected(live: set[int]) -> bool:
-        start = next(iter(live))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in rot[x]:
-                if y in live and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(live)
-
+    grid = Graph(n, {(min(u, v), max(u, v)) for u in rot for v in rot[u]})
     live = set(range(n))
     for _ in range(deletions):
         if len(live) <= 1:
@@ -226,13 +215,10 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
         pool = sorted(live)
         v = pool[rng.randrange(len(pool))]
         live.discard(v)
-        if not is_connected(live):
+        if len(connected_components(grid.induced(live)[0])) > 1:
             live.add(v)
-    order = sorted(live)
-    relabel = {v: i for i, v in enumerate(order)}
-    rotations = [[relabel[u] for u in rot[v] if u in live] for v in order]
-    edges = [(relabel[v], relabel[u]) for v in order for u in rot[v] if u in live and v < u]
-    g = Graph(len(order), edges)
+    g, relabel = grid.induced(live)
+    rotations = [[relabel[u] for u in rot[v] if u in live] for v in sorted(live)]
     emb = Embedding(g, rotations)
     _check(g.n - g.m + len(emb.faces) == 2, "hex_patch characteristic")
     _check(bipartition(g) is not None, "hex_patch bipartiteness")

@@ -105,22 +105,7 @@ class PeelDecomposition:
                 alive[v] = False
         if sorted(self.base) != [v for v in range(g.n) if alive[v]]:
             return False
-        seen = [not a for a in alive]
-        for s in self.base:
-            if seen[s]:
-                continue
-            seen[s] = True
-            size = 1
-            queue = deque([s])
-            while queue:
-                for y in g.neighbors(queue.popleft()):
-                    if not seen[y]:
-                        seen[y] = True
-                        size += 1
-                        queue.append(y)
-            if size > self.threshold:
-                return False
-        return True
+        return all(len(c) <= self.threshold for c in connected_components(g.induced(self.base)[0]))
 
 
 def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelDecomposition:
@@ -265,13 +250,16 @@ class ColoringReport:
 def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> ColoringReport:
     """Connected components of each color class, checked against bounds.
 
-    Raises if any vertex is uncolored. When max_size is given, components
-    larger than it are reported as oversized; when lists is given, vertices
-    colored outside their list are reported.
+    Raises if any vertex is uncolored, or has no list when lists is given.
+    When max_size is given, components larger than it are reported as
+    oversized; when lists is given, vertices colored outside their list are
+    reported.
     """
     for v in range(g.n):
         if v not in coloring:
             raise ValueError(f"vertex {v} is uncolored")
+        if lists is not None and v not in lists:
+            raise ValueError(f"no color list for vertex {v}")
     seen = [False] * g.n
     comps: list[tuple[int, tuple[int, ...]]] = []
     for s in range(g.n):

@@ -103,90 +103,58 @@ def _config_path(g: Graph | LiveView, max_vertices: int, anchors: Iterable[int] 
     listed once). Isolated low-degree vertices are found first. Only anchors
     are tried as the first end, so every pattern with an end at an anchor is
     found; the far end may be any vertex. None tries every vertex.
+
+    One BFS per end s, inside the low-degree subgraph and at most
+    max_vertices - 1 steps deep, labels each vertex with the neighbor of s
+    its branch starts from. It returns the path as soon as it reaches
+    another end; failing that, the shortest cycle closed by an edge joining
+    two branches, the first found among equals.
     """
     if anchors is None:
         anchors = g.vertices()
     for v in anchors:
         if g.degree(v) <= end_deg - 1:
             return [v]
-    # BFS inside the low-degree subgraph from each endpoint, looking for
-    # another endpoint within max_vertices - 1 steps
     depth_cap = max_vertices - 1
     for s in anchors:
         if g.degree(s) != end_deg:
             continue
         prev = {s: -1}
         level = {s: 0}
+        branch = {s: s}
+        best, closing = max_vertices + 1, None  # shortest cycle so far, its closing edge
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            if level[x] >= depth_cap:
-                continue
+            ly = level[x] + 1
+            if ly > depth_cap:
+                break
+            bx = branch[x]
             for y in g.neighbors(x):
                 dy = g.degree(y)
-                if dy <= low_deg and y not in level:
-                    level[y] = level[x] + 1
+                if y == s or dy > low_deg:
+                    continue
+                if y not in level:
+                    level[y] = ly
                     prev[y] = x
+                    branch[y] = y if x == s else bx
                     if dy == end_deg:
-                        path = [y]
-                        while path[-1] != s:
-                            path.append(prev[path[-1]])
-                        return path
+                        return _walk_back(prev, y)
                     queue.append(y)
-        # coincident ends: shortest low-degree cycle through s, at most
-        # max_vertices - 1 further vertices
-        cyc = _short_cycle_through(g, s, low_deg, max_len=max_vertices)
-        if cyc is not None:
-            return cyc
+                elif branch[y] != bx and ly + level[y] < best:
+                    best, closing = ly + level[y], (x, y)
+        if closing is not None:
+            x, y = closing
+            return _walk_back(prev, x) + _walk_back(prev, y)[:-1]
     return None
 
 
-def _short_cycle_through(g: Graph | LiveView, s: int, low_deg: int, max_len: int) -> list[int] | None:
-    """A cycle through s of at most max_len vertices, others of degree <= low_deg.
-
-    BFS from s labeling each vertex with the first neighbor of s on its branch;
-    an edge joining two branches (or a branch back to s at distance >= 2 along
-    a different branch) closes a cycle through s.
-    """
-    branch = {s: s}
-    prev = {s: -1}
-    level = {s: 0}
-    queue = deque()
-    for u in g.neighbors(s):
-        if g.degree(u) <= low_deg:
-            branch[u] = u
-            prev[u] = s
-            level[u] = 1
-            queue.append(u)
-    best: list[int] | None = None
-    while queue:
-        x = queue.popleft()
-        if 2 * level[x] + 1 > max_len:
-            break
-        for y in g.neighbors(x):
-            if y == s or g.degree(y) > low_deg:
-                continue
-            if y not in branch:
-                branch[y] = branch[x]
-                prev[y] = x
-                level[y] = level[x] + 1
-                queue.append(y)
-            elif branch[y] != branch[x] and prev[x] != y:
-                length = level[x] + level[y] + 1
-                if length <= max_len:
-                    left = [x]
-                    while left[-1] != s:
-                        left.append(prev[left[-1]])
-                    right = [y]
-                    while right[-1] != s:
-                        right.append(prev[right[-1]])
-                    cycle = list(dict.fromkeys(left + right))
-                    if len(cycle) <= max_len:
-                        if best is None or len(cycle) < len(best):
-                            best = cycle
-        if best is not None and len(best) <= 2 * level[x]:
-            break
-    return best
+def _walk_back(prev: dict[int, int], v: int) -> list[int]:
+    """v, its BFS parent, and so on back to the root."""
+    path = [v]
+    while prev[path[-1]] != -1:
+        path.append(prev[path[-1]])
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -630,12 +630,13 @@ def uncrosser(k: int) -> GadgetGraph:
 
 
 def layout_crossings(targets: list[int], slots: dict, delta: Fraction):
-    """gadgets._layout_crossings over every connector pair, in Fractions.
+    """Crossings of straight connectors, over every connector pair, in Fractions.
 
-    Connector p runs from path vertex p at height p + delta (p+1)^2 on one
-    line to its primitive's slot height on the other. Returns, per connector,
-    the crossing list sorted from the primitive side inward, each entry
-    (abscissa, other connector). Raises on tied abscissas.
+    gadgets._layout_crossings lays the same pairs out as a wiring diagram
+    instead. Connector p runs from path vertex p at height p + delta (p+1)^2
+    on one line to its primitive's slot height on the other. Returns, per
+    connector, the crossing list sorted from the primitive side inward, each
+    entry (abscissa, other connector). Raises on tied abscissas.
     """
     heights = [p + delta * (p + 1) ** 2 for p in range(len(targets))]
     crossings: list[list[tuple[Fraction, int]]] = [[] for _ in targets]
@@ -659,7 +660,9 @@ def layout_crossings(targets: list[int], slots: dict, delta: Fraction):
 
 
 def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
-    """reduce_planar embedded by networkx's planarity test, not its drawing."""
+    """reduce_planar with straight connectors, embedded by networkx's
+    planarity test, not its drawing. The crossings are the same pairs, met
+    in another order, so the graph differs from reduce_planar's."""
     if k < 2:
         raise ValueError("k must be at least 2")
     # a single spherical drawing cannot hold disconnected pieces
@@ -783,6 +786,104 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
     if report.oversized_components:
         raise AssertionError("forward coloring produced an oversized component")
     return coloring
+
+
+def config_path(g, max_vertices: int, anchors, low_deg: int, end_deg: int) -> list[int] | None:
+    """regimes._config_path as a path BFS, then a second BFS for the cycle.
+
+    The docstring of the original follows.
+
+    Path of at most max_vertices low-degree vertices with exact-degree ends.
+
+    Ends may coincide: a short cycle through a single end-degree vertex whose
+    other vertices all have low degree also qualifies (the repeated endpoint is
+    listed once). Isolated low-degree vertices are found first. Only anchors
+    are tried as the first end, so every pattern with an end at an anchor is
+    found; the far end may be any vertex. None tries every vertex.
+    """
+    if anchors is None:
+        anchors = g.vertices()
+    for v in anchors:
+        if g.degree(v) <= end_deg - 1:
+            return [v]
+    # BFS inside the low-degree subgraph from each endpoint, looking for
+    # another endpoint within max_vertices - 1 steps
+    depth_cap = max_vertices - 1
+    for s in anchors:
+        if g.degree(s) != end_deg:
+            continue
+        prev = {s: -1}
+        level = {s: 0}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            if level[x] >= depth_cap:
+                continue
+            for y in g.neighbors(x):
+                dy = g.degree(y)
+                if dy <= low_deg and y not in level:
+                    level[y] = level[x] + 1
+                    prev[y] = x
+                    if dy == end_deg:
+                        path = [y]
+                        while path[-1] != s:
+                            path.append(prev[path[-1]])
+                        return path
+                    queue.append(y)
+        # coincident ends: shortest low-degree cycle through s, at most
+        # max_vertices - 1 further vertices
+        cyc = short_cycle_through(g, s, low_deg, max_len=max_vertices)
+        if cyc is not None:
+            return cyc
+    return None
+
+
+def short_cycle_through(g, s: int, low_deg: int, max_len: int) -> list[int] | None:
+    """A cycle through s of at most max_len vertices, others of degree <= low_deg.
+
+    BFS from s labeling each vertex with the first neighbor of s on its branch;
+    an edge joining two branches (or a branch back to s at distance >= 2 along
+    a different branch) closes a cycle through s.
+    """
+    branch = {s: s}
+    prev = {s: -1}
+    level = {s: 0}
+    queue = deque()
+    for u in g.neighbors(s):
+        if g.degree(u) <= low_deg:
+            branch[u] = u
+            prev[u] = s
+            level[u] = 1
+            queue.append(u)
+    best: list[int] | None = None
+    while queue:
+        x = queue.popleft()
+        if 2 * level[x] + 1 > max_len:
+            break
+        for y in g.neighbors(x):
+            if y == s or g.degree(y) > low_deg:
+                continue
+            if y not in branch:
+                branch[y] = branch[x]
+                prev[y] = x
+                level[y] = level[x] + 1
+                queue.append(y)
+            elif branch[y] != branch[x] and prev[x] != y:
+                length = level[x] + level[y] + 1
+                if length <= max_len:
+                    left = [x]
+                    while left[-1] != s:
+                        left.append(prev[left[-1]])
+                    right = [y]
+                    while right[-1] != s:
+                        right.append(prev[right[-1]])
+                    cycle = list(dict.fromkeys(left + right))
+                    if len(cycle) <= max_len:
+                        if best is None or len(cycle) < len(best):
+                            best = cycle
+        if best is not None and len(best) <= 2 * level[x]:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,19 @@ class TestVerify:
         assert code == 2
         assert "names vertex 99," in capsys.readouterr().err
 
+    def test_lists_missing_a_colored_vertex_are_refused(self, tmp_path, capsys):
+        g = tmp_path / "g.g"
+        g.write_text("3 2\n0 1\n1 2\n")
+        col = tmp_path / "c.txt"
+        col.write_text("0 1\n1 2\n2 1\n")
+        lists = tmp_path / "l.txt"
+        lists.write_text("0: 1 2\n1: 1 2\n")
+        capsys.readouterr()
+        code, _ = dispatch(["islands", "verify", "--graph", str(g), "--coloring", str(col),
+                            "--lists", str(lists)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no color list for vertex 2\n"
+
 
 class TestDischarge:
     def test_log_line_format(self, tmp_path, capsys):

@@ -31,9 +31,19 @@ from archipelago.generators import (
     triangulated_torus,
     triangulation,
 )
-from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, girth, trace_faces
+from archipelago.graphs import (
+    Embedding,
+    Graph,
+    LiveView,
+    connected_components,
+    euler_characteristic,
+    girth,
+    has_triangle,
+    trace_faces,
+)
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
 from archipelago.peeling import TheoremViolation, color, peel
+from archipelago.regimes import _config_path
 from archipelago.solver import mc_decide, mc_optimize
 
 # family -> (regime, chi, draw) where draw(data) builds an embedding
@@ -516,6 +526,55 @@ def test_girth_matches_oracle_on_random_graphs(case):
     assert_girth_matches_oracle(case[0])
 
 
+# _config_path: one BFS per end against a path BFS followed by a cycle BFS
+
+
+def bounded_edges(rng, n, cap, tries):
+    """Random edges on n vertices, none of degree above cap."""
+    deg, edges = [0] * n, set()
+    for _ in range(tries):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < cap and deg[v] < cap and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return edges
+
+
+def planted_end(rng, n, low_deg, end_deg):
+    """A near low_deg-regular graph plus one vertex of degree end_deg on a
+    split edge, so that its only short witnesses are often cycles."""
+    edges = bounded_edges(rng, n, low_deg, 6 * n * low_deg)
+    if edges:
+        u, v = rng.choice(sorted(edges))
+        edges -= {(u, v)}
+        edges |= {(u, n), (v, n)} | {(w, n) for w in rng.sample(range(n), end_deg - 2) if w not in (u, v)}
+    return Graph(n + 1, edges)
+
+
+def test_config_path_matches_oracle():
+    rng = random.Random("config-path")
+    cycles = 0
+    for _ in range(2000):
+        low_deg, end_deg = rng.choice([(4, 3), (3, 2)])  # regimes B and C
+        n = rng.randrange(3, 40)
+        if rng.random() < 0.5:
+            g = planted_end(rng, n, low_deg, end_deg)
+        else:
+            g = Graph(n, bounded_edges(rng, n, rng.randrange(low_deg, low_deg + 3), n * low_deg))
+        if rng.random() < 0.3:
+            alive = [rng.random() > 0.1 for _ in range(g.n)]
+            g = LiveView(g, alive, [sum(alive[u] for u in g.neighbors(v)) for v in range(g.n)])
+        max_vertices = rng.randrange(1, 17)
+        live = list(g.vertices())
+        anchors = None if rng.random() < 0.5 else rng.sample(live, rng.randrange(len(live) + 1))
+        got = _config_path(g, max_vertices, anchors, low_deg, end_deg)
+        assert got == oracles.config_path(g, max_vertices, anchors, low_deg, end_deg)
+        # a cycle witness holds one end, a path two and a lone vertex none
+        cycles += got is not None and sum(g.degree(v) == end_deg for v in got) == 1 and len(got) > 1
+    assert cycles >= 50
+
+
 # reduce_planar: the drawn rotation system against networkx's planarity test
 
 
@@ -535,14 +594,58 @@ def covered_and_connected(h):
     return len(connected_components(Graph(h.n, pairs))) == 1
 
 
+def crossing_pairs(rows):
+    return {(min(p, q), max(p, q)) for p, row in enumerate(rows) for q in row}
+
+
+def oracle_crossing_pairs(targets, slots):
+    """The pairs of straight connectors that cross, at the first untied delta."""
+    delta = Fraction(1, 128)
+    while True:
+        try:
+            return crossing_pairs([[q for _, q in row] for row in oracles.layout_crossings(targets, slots, delta)])
+        except ValueError:
+            delta /= 8
+
+
+def assert_rows_draw_a_wiring_diagram(targets, slots, rows):
+    """Each row's crossings can be made in order by adjacent swaps that take
+    the connectors from slot order to path order: the rows draw planarly."""
+    order = sorted(range(len(targets)), key=lambda p: slots[targets[p]])
+    done = [0] * len(targets)
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(len(order) - 1):
+            p, q = order[i], order[i + 1]
+            if rows[p][done[p]:done[p] + 1] == [q] and rows[q][done[q]:done[q] + 1] == [p]:
+                order[i], order[i + 1] = q, p
+                done[p] += 1
+                done[q] += 1
+                swapped = True
+    assert done == list(map(len, rows)), "a row crosses out of order"
+    assert order == list(range(len(targets)))
+
+
 def assert_reduce_planar_matches_oracle(h, k):
+    """Same size, terminals and crossings as the oracle; planar and spherical.
+
+    The two lay their crossings out differently, so the graphs differ.
+    """
+    import networkx as nx
+
     got, want = reduce_planar(h, k), oracles.reduce_planar(h, k)
-    assert got.graph == want.graph
+    assert (got.graph.n, got.graph.m) == (want.graph.n, want.graph.m)
     assert got.terminals == want.terminals
+    length = k * (k - 1) + 1
+    targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
+    slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
+    assert crossing_pairs(_layout_crossings(targets, slots)) == oracle_crossing_pairs(targets, slots)
     g = got.graph
-    for emb in (got.embedding, want.embedding):
-        assert euler_characteristic(emb) == 2
-        assert len(emb.faces) == g.m - g.n + 2
+    assert euler_characteristic(got.embedding) == 2
+    assert len(got.embedding.faces) == g.m - g.n + 2
+    assert nx.check_planarity(nx.Graph(list(g.edges())))[0]
+    assert not has_triangle(g)
 
 
 @settings(max_examples=10, deadline=None)
@@ -574,12 +677,10 @@ def test_forward_coloring_girth8_matches_oracle(k, count, most_edges):
 
 
 @settings(max_examples=200, deadline=None)
-@given(targets=st.lists(st.integers(0, 7), max_size=40), scale=st.sampled_from([1, 2, 8, 128, 1024]))
-def test_layout_crossings_matches_oracle(targets, scale):
-    # small scales make tied abscissas likely, and both sides must refuse them
+@given(targets=st.lists(st.integers(0, 7), max_size=40))
+def test_layout_crossings_matches_oracle(targets):
     slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
-    got = outcome(_layout_crossings, targets, slots, scale)
-    want = outcome(oracles.layout_crossings, targets, slots, Fraction(1, scale))
-    if want[0] == "value":
-        want = ("value", [[q for _, q in row] for row in want[1]])
-    assert got == want
+    rows = _layout_crossings(targets, slots)
+    assert crossing_pairs(rows) == oracle_crossing_pairs(targets, slots)
+    assert sum(map(len, rows)) == 2 * len(crossing_pairs(rows))
+    assert_rows_draw_a_wiring_diagram(targets, slots, rows)

@@ -370,15 +370,14 @@ class TestPlanarReduction:
 
     def test_long_chain_reduces_quickly(self):
         # 300 hyperedges (2i, 2i+1, 2i+2): 900 connectors, 599 crossings
-        # and 104,833 vertices. Laying out every connector pair in Fractions
-        # took about 4 s; the inverted pairs alone take a few milliseconds,
-        # and the rest of the reduction, mostly the Euler re-trace of its
-        # output, about 3 s on two cores
+        # and 104,833 vertices. The layout's insertion sort takes about a
+        # millisecond, and the rest of the reduction, mostly the Euler
+        # re-trace of its output, about 3 s on two cores
         h = Hypergraph3.from_edges(601, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(300)])
         targets = [triple[j % 3] for triple in h.edges for j in range(1, 4)]
         slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
         start = time.perf_counter()
-        crossings = gadgets._layout_crossings(targets, slots, 128)
+        crossings = gadgets._layout_crossings(targets, slots)
         assert time.perf_counter() - start < 0.5
         assert sum(map(len, crossings)) == 2 * gadgets._count_crossings([slots[u] for u in targets], h.n)
         start = time.perf_counter()
