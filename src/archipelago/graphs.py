@@ -326,14 +326,17 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
 def girth(g: Graph) -> float:
     """Length of a shortest cycle; math.inf for forests.
 
-    BFS from every vertex; a non-tree edge (x, y) seen from root r witnesses a
-    cycle of length level[x] + level[y] + 1 through r when y is not x's BFS
-    parent. The shortest cycle is found from any root lying on it, so the
-    minimum over roots is exact. Roots after the first are pruned against the
-    best bound found so far.
+    Each cycle is looked for only from its least vertex: the BFS from root r
+    stays among the vertices above r. A non-tree edge (x, y) seen from r, y not
+    x's BFS parent, closes a walk of length level[x] + level[y] + 1 through r
+    that contains a cycle no longer. A shortest cycle lies among the vertices at
+    or above its least vertex, where it is still shortest, so the BFS from that
+    vertex finds it and the minimum over roots is exact. A BFS stops at the
+    level from which no cycle shorter than the best found can close, and on the
+    level before it only looks for an edge inside that level.
     """
     best = math.inf
-    level = [-1] * g.n  # -1 off the current root's search
+    level = [-1] * g.n  # -1 off the current root's search, -2 at earlier roots
     parent = [-1] * g.n
     for r in range(g.n):
         level[r], parent[r] = 0, -1
@@ -342,31 +345,26 @@ def girth(g: Graph) -> float:
             lx = level[x]
             if 2 * lx + 1 >= best:
                 break
+            if 2 * lx + 2 >= best:  # only an edge inside level lx is short enough
+                for y in g.neighbors(x):
+                    if level[y] == lx:
+                        best = 2 * lx + 1
+                        break
+                continue
             for y in g.neighbors(x):
-                if level[y] < 0:
+                ly = level[y]
+                if ly == -1:
                     level[y] = lx + 1
                     parent[y] = x
                     order.append(y)
-                elif y != parent[x] and level[y] >= lx:
-                    cand = lx + level[y] + 1
-                    if cand < best:
-                        best = cand
+                elif ly >= lx and y != parent[x] and lx + ly + 1 < best:
+                    best = lx + ly + 1
         for x in order:
             level[x] = -1
+        level[r] = -2  # later roots skip r, so each cycle is met from its least vertex
         if best == 3:
             break
     return best
-
-
-def has_triangle(g: Graph) -> bool:
-    """True if some edge closes a triangle. Cheaper than girth() == 3."""
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    for u, v in g.edges():
-        small, large = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-        for w in adj[small]:
-            if w != large and w in adj[large]:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

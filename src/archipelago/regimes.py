@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from archipelago.graphs import Embedding, Graph, LiveView, girth, has_triangle
+from archipelago.graphs import Embedding, Graph, LiveView, girth
 
 # one application of a discharging rule: (rule, source, target, amount),
 # with each element named ("v", vertex id) or ("f", face index)
@@ -241,7 +241,7 @@ REGIME_B = Regime(
     "B", k=2, size=10, factor=72, scan=partial(_config_path, low_deg=4, end_deg=3),
     vertex_charge=(1, -4), face_charge=(1, -4), rules=_rules_b,
     vertex_bound=Fraction(1, 18), face_bound=Fraction(0),
-    precondition=lambda g: not has_triangle(g), needs="a triangle-free graph",
+    precondition=lambda g: girth(g) >= 4, needs="a triangle-free graph",
 )
 REGIME_C = Regime(
     "C", k=1, size=16, factor=357, scan=partial(_config_path, low_deg=3, end_deg=2),

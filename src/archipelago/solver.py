@@ -4,7 +4,9 @@ mc_decide answers whether the graph has a red/blue coloring in which every
 monochromatic connected component has at most k vertices, optionally under
 pinned colors. The search is depth-first over colors with unit propagation;
 cluster sizes are tracked by a union-find that supports exact rollback (union
-by size, no path compression, merges logged on a trail).
+by size, no path compression, merges logged on a trail). Propagation is sound
+but not complete: a forced color is the only one that fits, but a vertex left
+with one option may go unforced until assign re-checks it; _yes audits results.
 
 A node costs time in the degrees of the vertices it colors and uncolors, plus
 a forward scan for the next branching vertex, not a pass over all n vertices.
@@ -131,10 +133,10 @@ class _State:
     def propagate(self, queue: deque) -> bool:
         """Force single-choice vertices; False when one has no choice.
 
-        A vertex's options only change when a neighbor takes a color
-        (cluster merges elsewhere never alter the size its coloring would
-        create), so enqueueing the uncolored neighbors of each newly colored
-        vertex sees every change.
+        Only the uncolored neighbors of each newly colored vertex are queued,
+        which misses a vertex whose option a cluster growing elsewhere removes
+        (on the path 0-1-2 at k = 2, coloring 1 then 2 alike leaves 0 one
+        color, unforced). The search stays exact: assign re-checks sizes.
         """
         color = self.color
         while queue:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
 from archipelago.gadgets import GadgetGraph, Hypergraph3, _tree_sizes, build_equalizer, build_N
-from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic, has_triangle
+from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
 from archipelago.solver import MCResult, OptimizeResult
@@ -162,7 +162,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     fb = FACE_BOUND[regime.name]
     precondition = True
     if regime.name == "B":
-        precondition = not has_triangle(g)
+        precondition = girth(g) >= 4
     elif regime.name == "C":
         precondition = girth(g) >= 6
     theorem_applies = g.n > threshold and precondition

@@ -29,3 +29,18 @@ def test_peel_certify_quick_run():
     assert metrics["correct"] is True
     assert metrics["failed"] == 0
     assert metrics["attempted"] > 0
+
+
+def test_mc_solve_quick_run():
+    # the benchmark re-checks each colouring and the enumeration's optimum
+    metrics = quick_run("mc-solve")
+    assert metrics["correct"] is True
+    assert metrics["failed"] == 0
+    assert metrics["attempted"] > 0
+
+
+def test_color_small_quick_run():
+    metrics = quick_run("color-small")
+    assert metrics["correct"] is True
+    assert metrics["failed"] == 0
+    assert metrics["attempted"] > 0

@@ -38,7 +38,6 @@ from archipelago.graphs import (
     connected_components,
     euler_characteristic,
     girth,
-    has_triangle,
     trace_faces,
 )
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
@@ -511,6 +510,7 @@ def test_validate_uncrosser_runs_match_oracle():
 def assert_girth_matches_oracle(g):
     want = oracles.girth(g)
     assert girth(g) == want
+    assert REGIME_B.precondition(g) == (want >= 4)
     assert REGIME_C.precondition(g) == (want >= 6)
 
 
@@ -524,6 +524,31 @@ def test_girth_matches_oracle_on_every_family(family, data):
 @given(case=solver_cases())
 def test_girth_matches_oracle_on_random_graphs(case):
     assert_girth_matches_oracle(case[0])
+
+
+@st.composite
+def planted_cycle_graphs(draw):
+    """A random forest plus up to three random edges and a planted 3- to 8-cycle."""
+    n = draw(st.integers(8, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n) if rng.random() < 0.9}
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    ring = rng.sample(range(n), draw(st.integers(3, 8)))
+    edges |= {tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])}
+    return Graph(n, sorted(edges))
+
+
+# girth searches each cycle from its least vertex, so the answer must not
+# depend on which ids the cycle's vertices carry
+@settings(max_examples=200, deadline=None)
+@given(source=st.sampled_from([*sorted(FAMILIES), "planted_cycle"]), data=st.data())
+def test_girth_matches_oracle_under_relabelling(source, data):
+    if source == "planted_cycle":
+        g = data.draw(planted_cycle_graphs())
+    else:
+        g = FAMILIES[source][2](data).graph
+    assert_girth_matches_oracle(relabel_graph(g, data.draw(st.permutations(range(g.n)))))
 
 
 # _config_path: one BFS per end against a path BFS followed by a cycle BFS
@@ -645,7 +670,7 @@ def assert_reduce_planar_matches_oracle(h, k):
     assert euler_characteristic(got.embedding) == 2
     assert len(got.embedding.faces) == g.m - g.n + 2
     assert nx.check_planarity(nx.Graph(list(g.edges())))[0]
-    assert not has_triangle(g)
+    assert girth(g) >= 4
 
 
 @settings(max_examples=10, deadline=None)

@@ -13,7 +13,6 @@ from archipelago.graphs import (
     connected_components,
     euler_characteristic,
     girth,
-    has_triangle,
     parse_embedding,
     parse_graph,
     parse_terminals,
@@ -205,15 +204,29 @@ class TestGirth:
         k33 = Graph(6, [(a, b + 3) for a in range(3) for b in range(3)])
         assert girth(k33) == 4
 
+    def test_each_root_searches_above_itself_up_to_the_cut_off(self):
+        class CountingGraph(Graph):
+            __slots__ = ("reads",)
 
-class TestHasTriangle:
-    def test_matches_girth(self):
-        rng = random.Random(77)
-        for _ in range(40):
-            n = rng.randrange(3, 9)
-            pairs = list(combinations(range(n), 2))
-            g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
-            assert has_triangle(g) == (girth(g) == 3)
+            def neighbors(self, v):
+                self.reads += 1
+                return super().neighbors(v)
+
+        n = 60
+        # a star centred at 0: every leaf's search stops at the leaf, since
+        # 0 lies below it, so the neighbour lists are read 2n - 1 times
+        star = CountingGraph(n, [(0, v) for v in range(1, n)])
+        star.reads = 0
+        assert girth(star) == math.inf
+        assert star.reads == 2 * n - 1
+        # the 5-cycle 0..4 with leaves 5..n-1 on vertex 1. Root 0 reads 0, 1,
+        # 4 and 2, where the cycle closes, and no leaf; root 1 reads itself,
+        # 2 and the leaves; roots 2, 3 and 4 read 2, 2 and 1 lists; each leaf
+        # reads its own
+        ring = CountingGraph(n, [(i, (i + 1) % 5) for i in range(5)] + [(1, v) for v in range(5, n)])
+        ring.reads = 0
+        assert girth(ring) == 5
+        assert ring.reads == 4 + (n - 3) + 2 + 2 + 1 + (n - 5)
 
 
 class TestTraversals:
