@@ -232,7 +232,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
 
     # the dart from v to adj[v][j] is first[v] + j; the states are filled
     # rotation by rotation, so no per-vertex table outlives its vertex
-    adj = g._adj
+    adj, signs = g._adj, emb._sign
     first = [0]
     for nbrs in adj:
         first.append(first[-1] + len(nbrs))
@@ -241,7 +241,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         base, nbrs, d = first[v], adj[v], len(rot)
         at = [base + bisect_left(nbrs, w) for w in rot]  # at[i]: the dart v -> rot[i]
         for i, u in enumerate(rot):
-            sign = emb.sign(u, v)
+            sign = signs.get((u, v) if u < v else (v, u), 1) if signs else 1
             s = 2 * (first[u] + bisect_left(adj[u], v))  # dart u -> v, flag -1
             succ[s] = 2 * at[(i - sign) % d] + (sign < 0)
             succ[s + 1] = 2 * at[(i + sign) % d] + (sign > 0)

@@ -6,15 +6,24 @@ pinned colors. The search is depth-first over colors with unit propagation;
 cluster sizes are tracked by a union-find that supports exact rollback (union
 by size, no path compression, merges logged on a trail). Propagation is sound
 but not complete: a forced color is the only one that fits, but a vertex left
-with one option may go unforced until assign re-checks it; _yes audits results.
+with one option may go unforced until the search branches on it, where each
+branch checks the size its color would make; _yes audits results.
+
+Each branching vertex tries first the color whose cluster it would join is
+larger (color 0 on a tie); both sizes come from one try_sizes call when its
+frame is pushed. The vertex picked and the pruning depend only on the state,
+not on the order its colors are tried, so a refutation visits the same nodes
+in any color order. A search that finds a coloring can end sooner or later
+than a color-0-first one, so under a node budget it can turn to or from
+"inconclusive"; a search that ends within its budget gives the same verdict
+in any order.
 
 A node costs time in the degrees of the vertices it colors and uncolors, plus
 a forward scan for the next branching vertex, not a pass over all n vertices.
 Each vertex keeps a count of its colored neighbors, and a pointer holds a rank
 in the branching order below which no frontier vertex lies; the scan starts
 there. It skips only vertices that are off the frontier, so the search picks
-the same vertex, tries colors in the same order and explores the same tree as
-a scan from the first rank.
+the same vertex and explores the same tree as a scan from the first rank.
 """
 
 from __future__ import annotations
@@ -136,7 +145,8 @@ class _State:
         Only the uncolored neighbors of each newly colored vertex are queued,
         which misses a vertex whose option a cluster growing elsewhere removes
         (on the path 0-1-2 at k = 2, coloring 1 then 2 alike leaves 0 one
-        color, unforced). The search stays exact: assign re-checks sizes.
+        color, unforced). The search stays exact: a branch checks the size
+        its color would make, and _yes audits the result.
         """
         color = self.color
         while queue:
@@ -154,9 +164,11 @@ class _State:
                         queue.append(u)
         return True
 
-    def attempt(self, v: int, c: int) -> bool:
-        if not self.assign(v, c):
+    def attempt(self, v: int, c: int, size: int) -> bool:
+        """Color v with c, whose cluster would have size vertices, and propagate."""
+        if size > self.k:
             return False
+        self.paint(v, c)
         queue = deque(u for u in self.adj[v] if self.color[u] == -1)
         return self.propagate(queue)
 
@@ -199,27 +211,33 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
     if not state.propagate(seeds):
         return MCResult("no", None, 0)
 
+    def frame(v: int) -> list:
+        """v, its first color, colors tried, cluster sizes per color, marks."""
+        sizes = state.try_sizes(v)
+        return [v, 1 if sizes[1] > sizes[0] else 0, 0, sizes, state.marks()]
+
     nodes = 0
     first = state.pick()
     if first is None:
         return _yes(g, state, nodes)
-    stack: list[list] = [[first, 0, state.marks()]]  # vertex, next color, marks
+    stack = [frame(first)]
     while stack:
-        frame = stack[-1]
-        v, c, marks = frame
+        top = stack[-1]
+        v, c0, tried, sizes, marks = top
         state.undo_to(marks)
-        if c == 2:
+        if tried == 2:
             stack.pop()
             continue
-        frame[1] = c + 1
+        top[2] = tried + 1
         nodes += 1
         if nodes > budget:
             return MCResult("inconclusive", None, nodes - 1)
-        if state.attempt(v, c):
+        c = c0 ^ tried
+        if state.attempt(v, c, sizes[c]):
             nxt = state.pick()
             if nxt is None:
                 return _yes(g, state, nodes)
-            stack.append([nxt, 0, state.marks()])
+            stack.append(frame(nxt))
     return MCResult("no", None, nodes)
 
 

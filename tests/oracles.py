@@ -360,7 +360,9 @@ def girth(g: Graph) -> float:
     return best
 
 
-# mc_decide and mc_optimize with pick() scanning every vertex at every node
+# mc_decide and mc_optimize with pick() scanning every vertex at every node.
+# larger_first=False tries color 0 first at every branching vertex, as the
+# package did before it ordered the colors by the cluster each would join.
 
 class _State:
     """Colors plus rollback-able cluster bookkeeping."""
@@ -420,10 +422,10 @@ class _State:
     def propagate(self, queue: deque) -> bool:
         """Force single-choice vertices; False when one has no choice.
 
-        A vertex's options only change when a neighbor takes a color
-        (cluster merges elsewhere never alter the size its coloring would
-        create), so enqueueing the uncolored neighbors of each newly colored
-        vertex sees every change.
+        Only the uncolored neighbors of each newly colored vertex are queued,
+        which misses a vertex whose option a cluster growing elsewhere removes
+        (on the path 0-1-2 at k = 2, coloring 1 then 2 alike leaves 0 one
+        color, unforced). The search stays exact: assign re-checks sizes.
         """
         color = self.color
         while queue:
@@ -449,7 +451,7 @@ class _State:
         return self.propagate(queue)
 
 
-def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
+def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7, larger_first: bool = True) -> MCResult:
     """Decide whether a 2-coloring with monochromatic pieces of at most k exists.
 
     pins maps vertices to required colors (0 or 1). Contradictory pins raise;
@@ -495,11 +497,17 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
                 return v
         return None
 
+    def order(v: int) -> list[int]:
+        """Colors in the order v tries them: the larger cluster first, ties to 0."""
+        if larger_first and state.try_size(v, 1) > state.try_size(v, 0):
+            return [1, 0]
+        return [0, 1]
+
     nodes = 0
     first = pick()
     if first is None:
         return _yes(g, state, nodes)
-    stack: list[list] = [[first, [0, 1], state.marks()]]
+    stack: list[list] = [[first, order(first), state.marks()]]
     while stack:
         frame = stack[-1]
         v, colors, marks = frame
@@ -515,7 +523,7 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
             nxt = pick()
             if nxt is None:
                 return _yes(g, state, nodes)
-            stack.append([nxt, [0, 1], state.marks()])
+            stack.append([nxt, order(nxt), state.marks()])
     return MCResult("no", None, nodes)
 
 

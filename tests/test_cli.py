@@ -537,13 +537,18 @@ class TestSolve:
         assert rep["verdicts"]["k"] == 2 and rep["verdicts"]["exact"]
 
     def test_budget_runs_out(self, tmp_path):
-        g = tmp_path / "c6.g"
-        g.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+        # K5 at k = 2 is refuted in 4 nodes, whichever color a branch tries first
+        g = tmp_path / "k5.g"
+        g.write_text("5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
         code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "2",
                               "--budget", "2"])
         assert code == 1
         assert rep["verdicts"]["verdict"] == "inconclusive"
         assert rep["verdicts"]["nodes_explored"] == 2
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "2"])
+        assert code == 1
+        assert rep["verdicts"]["verdict"] == "no"
+        assert rep["verdicts"]["nodes_explored"] == 4
 
     @pytest.mark.parametrize("extra", [
         ["--pin", "0=1"], ["--pin", "0=1", "--pin", "1=1"], ["--k", "1"],

@@ -4,6 +4,7 @@ import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -487,6 +488,31 @@ def test_mc_decide_matches_oracle_on_links(make, k, y, z, budget):
     gg = make(2)
     pins = {gg.terminals["y"]: y, gg.terminals["z"]: z}
     assert mc_decide(gg.graph, k, pins, budget) == oracles.mc_decide(gg.graph, k, pins, budget)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=solver_cases())
+def test_mc_decide_keeps_color_zero_first_refutations(case):
+    # the branch order changes which coloring is found, never a refutation
+    g, pins, k, budget = case
+    new = outcome(mc_decide, g, k, pins, budget)
+    old = outcome(partial(oracles.mc_decide, larger_first=False), g, k, pins, budget)
+    if "raised" in (new[0], old[0]):
+        assert new == old
+        return
+    new, old = new[1], old[1]
+    if old.verdict == "no":
+        assert new == old
+    assert new.verdict != "no" or old.verdict == "no"
+    if budget == 10**7:
+        assert new.verdict == old.verdict
+    if new.verdict == "yes":
+        coloring = new.coloring
+        assert sorted(coloring) == list(range(g.n)) and set(coloring.values()) <= {0, 1}
+        assert all(coloring[v] == c for v, c in pins.items())
+        mono = Graph(g.n, [(u, v) for u, v in g.edges() if coloring[u] == coloring[v]])
+        largest = max(len(comp) for comp in connected_components(mono))
+        assert largest <= k and new.best_max_component == largest
 
 
 def test_validate_uncrosser_runs_match_oracle():

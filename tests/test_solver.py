@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from archipelago.gadgets import reduce_girth8
-from archipelago.generators import hypergraph3
+from archipelago.generators import hypergraph3, triangulation
 from archipelago.graphs import Graph
 from archipelago.peeling import audit
-from archipelago.solver import mc_decide, mc_optimize
+from archipelago.solver import MCResult, mc_decide, mc_optimize
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -150,11 +150,13 @@ class TestDecide:
                 assert free == pinned
 
     def test_budget_exhaustion(self):
-        res = mc_decide(cycle(6), 2, budget=2)
+        # a refutation visits the same nodes in any color order, so K5's 4
+        # nodes at k = 2 do not depend on which color a branch tries first
+        res = mc_decide(complete(5), 2, budget=2)
         assert res.verdict == "inconclusive"
         assert res.coloring is None
         assert res.nodes_explored == 2
-        assert mc_decide(cycle(6), 2).verdict == "yes"
+        assert mc_decide(complete(5), 2) == MCResult("no", None, 4)
 
     def test_node_cost_does_not_grow_with_the_graph(self):
         # 5,000 nodes on a 21,986-vertex reduction: about 4 s when every node
@@ -203,3 +205,10 @@ class TestOptimize:
         assert res.k == 5
         assert largest_mono_component(complete(5), res.coloring) <= res.k
 
+    def test_node_total_on_small_triangulations(self):
+        # each branch tries the larger cluster first; with color 0 first the
+        # same searches take 5,725 nodes, the difference all in "yes" searches
+        graphs = [triangulation(n, seed=s).graph for n in range(12, 21) for s in range(4)]
+        results = [mc_optimize(g) for g in graphs]
+        assert all(res.exact for res in results)
+        assert sum(res.nodes_explored for res in results) == 5462
