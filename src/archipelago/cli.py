@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.gadgets import (
@@ -50,7 +49,7 @@ from archipelago.graphs import (
     serialize_graph,
     terminal_comments,
 )
-from archipelago.islands import REGIMES, find_island, is_island
+from archipelago.islands import REGIMES, find_island
 from archipelago.peeling import TheoremViolation, audit, color, peel
 from archipelago.solver import mc_decide, mc_optimize
 from archipelago.suites import SUITE_NAMES, run_suite
@@ -89,20 +88,10 @@ def _read_per_vertex(path: str, parse, g: Graph, report: dict) -> dict:
     return per_vertex
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _emit(args, report: dict, lines: list[str]):
     """Human lines to stdout, unless --json claims stdout for the report."""
     if args.json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report, indent=2))
     else:
         for line in lines:
             print(line)
@@ -157,8 +146,6 @@ def _cmd_find(args, report) -> int:
         report["verdicts"]["island"] = None
         _emit(args, report, [f"no {k}-island of at most {size} vertices"])
         return 1
-    if not is_island(g, w.members, k):
-        raise AssertionError("witness failed re-verification")
     members = sorted(w.members)
     degs = [w.outside_degrees[v] for v in members]
     report["verdicts"]["island"] = members

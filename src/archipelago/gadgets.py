@@ -20,8 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from archipelago import graphs
-from archipelago.graphs import Embedding, Graph, connected_components, euler_characteristic, read_rows
+from archipelago.graphs import Embedding, Graph, check_size, connected_components, euler_characteristic, read_rows
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
 
@@ -79,12 +78,6 @@ class GadgetGraph:
                 raise ValueError("embedding belongs to a different graph")
             if euler_characteristic(self.embedding) != 2:
                 raise ValueError("gadget embeddings must be spherical")
-
-
-def _check_size(n: int, what: str):
-    """Refuse a construction of n vertices before anything is allocated."""
-    if n > graphs.MAX_VERTICES:
-        raise ValueError(f"{what} would build {n} vertices; at most {graphs.MAX_VERTICES} are allowed")
 
 
 class _Assembler:
@@ -161,7 +154,7 @@ def build_tree(t: int) -> GadgetGraph:
     if t < 2:
         raise ValueError("t must be at least 2")
     b, n = _tree_sizes(t)
-    _check_size(n, "build_tree")
+    check_size(n, "build_tree")
     edges = []
     for i in range(b):
         edges.append((0, 1 + i))
@@ -196,7 +189,7 @@ def build_J(t: int) -> GadgetGraph:
     b, size_y = _tree_sizes(t)
     z = size_y
     n = size_y + 1 + b + b * b
-    _check_size(n, "build_J")
+    check_size(n, "build_J")
     tree = build_tree(t)
     edges = list(tree.graph.edges())
     for m1 in range(b):
@@ -249,7 +242,7 @@ def build_N(k: int) -> GadgetGraph:
     if k < 2:
         raise ValueError("k must be at least 2")
     length = 3 * k**4
-    _check_size(length + 2, "build_N")
+    check_size(length + 2, "build_N")
     edges = []
     for i in range(1, length + 1):
         v = 1 + i  # v_i; y is 0, z is 1
@@ -288,7 +281,7 @@ def build_equalizer(k: int) -> GadgetGraph:
     if k < 2:
         raise ValueError("k must be at least 2")
     middles = 2 * k * (k - 1) - 1
-    _check_size(2 + middles, "build_equalizer")
+    check_size(2 + middles, "build_equalizer")
     edges = [(side, 2 + i) for side in (0, 1) for i in range(middles)]
     return GadgetGraph(Graph(2 + middles, edges), {"y": 0, "z": 1})
 
@@ -327,7 +320,7 @@ def build_uncrosser(k: int) -> GadgetGraph:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    _check_size(_uncrosser_size(k), "build_uncrosser")
+    check_size(_uncrosser_size(k), "build_uncrosser")
     asm = _Assembler()
     terminals = {name: asm.fresh() for name in ("x_N", "x_S", "x_W", "x_E", "x_C")}
     ys = []
@@ -423,7 +416,7 @@ def reduce_girth8(h: Hypergraph3, k: int) -> GadgetGraph:
     b, size_y = _tree_sizes(k)
     coupler_n = size_y + 1 + b + b * b
     # each path vertex is a coupler's y-root; its z-root is a primitive
-    _check_size(h.n + len(h.edges) * (k + 1) * (coupler_n - 1), "reduce_girth8")
+    check_size(h.n + len(h.edges) * (k + 1) * (coupler_n - 1), "reduce_girth8")
     coupler = build_J(k)
     z_local = coupler.terminals["z"]
     asm = _Assembler(h.n)
@@ -566,7 +559,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     n_crossings = _count_crossings([slots[u] for u in targets], h.n)
     middles = 2 * k * (k - 1) - 1
     # a connector with c crossings runs through c + 1 equalizers
-    _check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
+    check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
                 + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")
 
     crossings = _layout_crossings(targets, slots)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from archipelago.graphs import Embedding, Graph, bipartition, connected_components, girth
+from archipelago.graphs import Embedding, Graph, bipartition, check_size, connected_components, girth
 
 
 @dataclass(frozen=True)
@@ -28,31 +28,23 @@ class GenSpec:
     deletions: int = 0  # vertices to delete (hex_patch)
 
 
-FAMILIES = (
-    "triangulation",
-    "quadrangulation",
-    "hex_torus",
-    "triangulated_torus",
-    "hex_patch",
-    "hypergraph3",
-)
+# family name -> builder of that family's instance from a GenSpec
+_BUILDERS = {
+    "triangulation": lambda s: triangulation(s.n, s.seed),
+    "quadrangulation": lambda s: quadrangulation(s.n, s.seed),
+    "hex_torus": lambda s: hex_torus(s.rows, s.cols),
+    "triangulated_torus": lambda s: triangulated_torus(s.rows, s.cols),
+    "hex_patch": lambda s: hex_patch(s.rows, s.cols, s.deletions, s.seed),
+    "hypergraph3": lambda s: hypergraph3(s.n, s.m, s.seed),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def gen(spec: GenSpec):
     """Build the instance a GenSpec describes."""
-    if spec.family == "triangulation":
-        return triangulation(spec.n, spec.seed)
-    if spec.family == "quadrangulation":
-        return quadrangulation(spec.n, spec.seed)
-    if spec.family == "hex_torus":
-        return hex_torus(spec.rows, spec.cols)
-    if spec.family == "triangulated_torus":
-        return triangulated_torus(spec.rows, spec.cols)
-    if spec.family == "hex_patch":
-        return hex_patch(spec.rows, spec.cols, spec.deletions, spec.seed)
-    if spec.family == "hypergraph3":
-        return hypergraph3(spec.n, spec.m, spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    if spec.family not in _BUILDERS:
+        raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    return _BUILDERS[spec.family](spec)
 
 
 def _check(cond: bool, what: str):
@@ -69,6 +61,7 @@ def triangulation(n: int, seed: int) -> Embedding:
     """
     if n < 4:
         raise ValueError("triangulation needs n >= 4")
+    check_size(n, "triangulation")
     rng = random.Random(seed)
     rot = {0: [1, 2, 3], 1: [2, 0, 3], 2: [3, 0, 1], 3: [1, 0, 2]}
     faces = [(0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 1)]
@@ -98,6 +91,7 @@ def quadrangulation(n: int, seed: int) -> Embedding:
     """
     if n < 4:
         raise ValueError("quadrangulation needs n >= 4")
+    check_size(n, "quadrangulation")
     rng = random.Random(seed)
     rot = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
     faces = [(0, 1, 2, 3), (3, 2, 1, 0)]
@@ -132,8 +126,9 @@ def hex_torus(rows: int, cols: int) -> Embedding:
     """Hexagonal grid on the torus: 3-regular, girth 6, characteristic 0."""
     if rows < 3 or cols < 3:
         raise ValueError("hex_torus needs rows, cols >= 3")
-    A, B = _hex_ids(rows, cols)
     n = 2 * rows * cols
+    check_size(n, "hex_torus")
+    A, B = _hex_ids(rows, cols)
     rot: list[list[int]] = [[] for _ in range(n)]
     for r in range(rows):
         for c in range(cols):
@@ -153,11 +148,12 @@ def triangulated_torus(rows: int, cols: int) -> Embedding:
     """Triangular grid on the torus: 6-regular, all faces triangles."""
     if rows < 3 or cols < 3:
         raise ValueError("triangulated_torus needs rows, cols >= 3")
+    n = rows * cols
+    check_size(n, "triangulated_torus")
 
     def vid(r, c):
         return (r % rows) * cols + (c % cols)
 
-    n = rows * cols
     rot: list[list[int]] = [[] for _ in range(n)]
     for r in range(rows):
         for c in range(cols):
@@ -188,9 +184,10 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     """
     if rows < 3 or cols < 3:
         raise ValueError("hex_patch needs rows, cols >= 3")
+    n = 2 * rows * cols
+    check_size(n, "hex_patch")
     rng = random.Random(seed)
     A, B = _hex_ids(rows, cols)
-    n = 2 * rows * cols
     rot: dict[int, list[int]] = {v: [] for v in range(n)}
     for r in range(rows):
         for c in range(cols):
@@ -227,11 +224,17 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
 
 
 def hypergraph3(n: int, m: int, seed: int):
-    """Random 3-uniform hypergraph: m distinct sorted triples on n vertices."""
+    """Random 3-uniform hypergraph: m distinct sorted triples on n vertices.
+
+    Its size is that of its incidence graph, n + m vertices.
+    """
     from archipelago.gadgets import Hypergraph3
 
     if n < 3:
         raise ValueError("hypergraph3 needs n >= 3")
+    if m < 0:
+        raise ValueError("hypergraph3 needs m >= 0")
+    check_size(n + m, "hypergraph3")
     limit = n * (n - 1) * (n - 2) // 6
     if m > limit:
         raise ValueError(f"only {limit} distinct triples exist on {n} vertices")

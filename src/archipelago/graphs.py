@@ -43,12 +43,6 @@ class Graph:
         self._adj = tuple(adj)
         self._m = sum(map(len, adj)) // 2
 
-    @classmethod
-    def from_edges(cls, edges) -> "Graph":
-        edges = list(edges)
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
-        return cls(n, edges)
-
     @property
     def m(self) -> int:
         return self._m
@@ -179,7 +173,7 @@ class Embedding:
             for (u, v), s in signs.items():
                 if s not in (1, -1):
                     raise ValueError(f"sign of ({u}, {v}) must be +1 or -1")
-                if not graph.has_edge(u, v):
+                if not (u in graph and v in graph and graph.has_edge(u, v)):
                     raise ValueError(f"signed edge ({u}, {v}) not in graph")
                 if s == -1:
                     sign[(u, v) if u < v else (v, u)] = -1
@@ -370,12 +364,19 @@ def girth(g: Graph) -> float:
 # ---------------------------------------------------------------------------
 # file formats
 
-# Largest n a file header may declare, or a gadget or reduction may build: Graph()
-# allocates a list per vertex before any row is read, and a construction's size
-# grows with the user's k or t (build_N(30) would have 2,430,002 vertices,
-# reduce_girth8 of one hyperedge at k = 10 1,431,114), so every builder computes
-# its size first and refuses more.
+# Largest n a file header may declare, or a generator, gadget or reduction may
+# build: Graph() allocates a list per vertex before any row is read, and a
+# construction's size grows with the user's n, rows x cols, k or t (build_N(30)
+# would have 2,430,002 vertices, reduce_girth8 of one hyperedge at k = 10
+# 1,431,114), so every builder computes its size first and refuses more, through
+# check_size.
 MAX_VERTICES = 10**6
+
+
+def check_size(n: int, what: str):
+    """Refuse a construction of n vertices before anything is allocated."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{what} would build {n} vertices; at most {MAX_VERTICES} are allowed")
 
 
 def significant_lines(text: str) -> list[str]:
@@ -482,17 +483,12 @@ def read_rotations(g: Graph, lines: list[str]) -> Embedding:
 
 
 def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> str:
-    g = emb.graph
-    out = [f"# {c}" for c in comments or []]
-    out.append(f"{g.n} {g.m}")
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    for v in range(g.n):
-        out.append(f"{v}: " + " ".join(str(u) for u in emb.rotations[v]))
+    out = [f"{v}: " + " ".join(str(u) for u in rot) for v, rot in enumerate(emb.rotations)]
     neg = sorted(k for k, s in emb._sign.items() if s == -1)
     if neg:
         out.append("signs:")
         out.extend(f"{u} {v} -1" for u, v in neg)
-    return "\n".join(out) + "\n"
+    return serialize_graph(emb.graph, comments) + "".join(line + "\n" for line in out)
 
 
 def parse_terminals(text: str) -> dict[str, int]:

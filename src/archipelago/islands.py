@@ -17,50 +17,27 @@ from archipelago.regimes import REGIME_A, REGIME_B, REGIME_C, REGIMES, Regime  #
 
 @dataclass(frozen=True)
 class IslandWitness:
-    """A verified k-island. Truthy; lists each member's outside-neighbor count."""
+    """A verified k-island; lists each member's outside-neighbor count."""
 
     members: tuple[int, ...]
     k: int
     outside_degrees: dict[int, int]
 
-    def __bool__(self) -> bool:
-        return True
 
+def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | None:
+    """The witness that an explicit vertex set is a k-island, or None.
 
-@dataclass(frozen=True)
-class IslandRefusal:
-    """Why a set is not a k-island. Falsy; names the first offending vertex."""
-
-    k: int
-    vertex: int | None
-    outside_count: int | None
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | IslandRefusal:
-    """Check the island condition for an explicit vertex set.
-
-    On a LiveView, a removed vertex is refused like an out-of-range one.
+    None for an empty set, a vertex outside the graph (on a LiveView, a
+    removed one) or a member with more than k neighbors outside the set.
     """
     mset = set(members)
-    if not mset:
-        return IslandRefusal(k=k, vertex=None, outside_count=None, reason="empty set")
-    for v in mset:
-        if v not in g:
-            return IslandRefusal(k=k, vertex=v, outside_count=None, reason="vertex not in the graph")
+    if not mset or any(v not in g for v in mset):
+        return None
     outside = {}
     for v in sorted(mset):
         cnt = sum(1 for u in g.neighbors(v) if u not in mset)
         if cnt > k:
-            return IslandRefusal(
-                k=k,
-                vertex=v,
-                outside_count=cnt,
-                reason=f"vertex {v} has {cnt} neighbors outside (allowed {k})",
-            )
+            return None
         outside[v] = cnt
     return IslandWitness(members=tuple(sorted(mset)), k=k, outside_degrees=outside)
 
@@ -85,7 +62,7 @@ def forbidden_configuration(
     if found is None:
         return None
     witness = is_island(g, found, regime.k)
-    if not witness:
+    if witness is None:
         raise AssertionError(f"configuration scan produced a non-island: {found}")
     return witness
 
@@ -120,7 +97,7 @@ def find_island(g: Graph | LiveView, k: int, size: int, restrict_to=None) -> Isl
         hit = _grow_island(g, k, size, seed, cand_set)
         if hit is not None:
             witness = is_island(g, hit, k)
-            if not witness:
+            if witness is None:
                 raise AssertionError(f"island search produced a non-island: {hit}")
             return witness
     return None

@@ -237,7 +237,6 @@ class ColoringReport:
     """Audit of a coloring's monochromatic components."""
 
     max_component: int
-    components: tuple[tuple[int, tuple[int, ...]], ...]  # (color, members)
     component_sizes: dict  # color -> largest component of that color
     list_violations: tuple[tuple[int, int], ...]  # (vertex, color not in its list)
     oversized_components: tuple[tuple[int, ...], ...]
@@ -261,7 +260,8 @@ def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> Colori
         if lists is not None and v not in lists:
             raise ValueError(f"no color list for vertex {v}")
     seen = [False] * g.n
-    comps: list[tuple[int, tuple[int, ...]]] = []
+    sizes: dict = {}
+    oversized = []
     for s in range(g.n):
         if seen[s]:
             continue
@@ -276,24 +276,19 @@ def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> Colori
                     seen[y] = True
                     comp.append(y)
                     queue.append(y)
-        comps.append((color, tuple(sorted(comp))))
-    sizes: dict = {}
-    for color, members in comps:
-        sizes[color] = max(sizes.get(color, 0), len(members))
+        sizes[color] = max(sizes.get(color, 0), len(comp))
+        if max_size is not None and len(comp) > max_size:
+            oversized.append(tuple(sorted(comp)))
     violations = tuple(
         (v, coloring[v])
         for v in range(g.n)
         if lists is not None and coloring[v] not in lists[v]
     )
-    oversized = tuple(
-        members for _, members in comps if max_size is not None and len(members) > max_size
-    )
     return ColoringReport(
-        max_component=max((len(m) for _, m in comps), default=0),
-        components=tuple(comps),
+        max_component=max(sizes.values(), default=0),
         component_sizes=sizes,
         list_violations=violations,
-        oversized_components=oversized,
+        oversized_components=tuple(oversized),
     )
 
 

@@ -84,13 +84,6 @@ class _State:
                     sizes[c] += self.size[u]
         return sizes
 
-    def assign(self, v: int, c: int) -> bool:
-        """Color v with c unless the resulting cluster would exceed k."""
-        if self.try_sizes(v)[c] > self.k:
-            return False
-        self.paint(v, c)
-        return True
-
     def paint(self, v: int, c: int):
         """Color v with c, a color known to fit."""
         color, colored_nbrs, parent, size = self.color, self.colored_nbrs, self.parent, self.size
@@ -195,12 +188,13 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
 
     state = _State(g, k)
     for v in sorted(pins):
-        if not state.assign(v, pins[v]):
+        if state.try_sizes(v)[pins[v]] > k:
             raise ValueError("inconsistent pins")
+        state.paint(v, pins[v])
     for comp in connected_components(g):
         if not any(v in pins for v in comp):
-            if not state.assign(comp[0], 0):
-                return MCResult("no", None, 0)
+            # nothing in comp is colored yet, so the seed's cluster is itself: 1 <= k
+            state.paint(comp[0], 0)
     seeds = deque(
         u
         for v in range(g.n)

@@ -6,6 +6,7 @@ sink), and returns one record per instance. Records depend only on the
 name, seed and count, never on the number of worker processes.
 """
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -83,6 +84,8 @@ def run_suite_instance(name: str, spec: GenSpec) -> dict:
 def run_suite(name: str, seed: int, count: int, workers: int = 1) -> list[dict]:
     """Records of the suite's instances in draw order, each with its index."""
     specs = _suite_specs(name, seed, count)
+    # the pool forks all its workers at once, and more than count or the cores do no work
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_suite_instance, [name] * len(specs), specs))

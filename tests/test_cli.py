@@ -488,6 +488,27 @@ class TestGen:
                             "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, what, n", [
+        (["--family", "triangulation", "--n", "2000000000"], "triangulation", 2000000000),
+        (["--family", "quadrangulation", "--n", "2000000000"], "quadrangulation", 2000000000),
+        (["--family", "hex_torus", "--rows", "100000", "--cols", "100000"], "hex_torus", 20000000000),
+        (["--family", "triangulated_torus", "--rows", "100000", "--cols", "100000"],
+         "triangulated_torus", 10000000000),
+        (["--family", "hex_patch", "--rows", "100000", "--cols", "100000"], "hex_patch", 20000000000),
+        (["--family", "hypergraph3", "--n", "2000", "--m", "1000000000"], "hypergraph3", 1000002000),
+    ])
+    def test_oversized_instance_is_refused_before_allocating(self, tmp_path, capsys, argv, what, n):
+        out = tmp_path / "x"
+        tracemalloc.start()
+        try:
+            code, _ = dispatch(["islands", "gen", *argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and not out.exists()
+        assert f"{what} would build {n} vertices; at most 1000000 are allowed" in capsys.readouterr().err
+        assert peak < 2**20
+
 
 class TestSolve:
     def test_terminal_pins(self, tmp_path):
@@ -750,6 +771,32 @@ class TestSuite:
             _, a = dispatch(argv)
             _, b = dispatch(argv + ["--workers", "2"])
             assert seeded(a) == seeded(b), name
+
+    def test_workers_are_clamped_to_count_and_cores(self, monkeypatch):
+        # the pool forks every worker at its first task, so the clamp is
+        # checked on a stand-in that starts no process
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
+        serial = suites.run_suite("planar-A", 4, 2)
+        assert made == []
+        assert suites.run_suite("planar-A", 4, 2, workers=100000) == serial
+        assert len(suites.run_suite("planar-A", 4, 5, workers=100000)) == 5
+        assert made == [2, 3]
 
     @pytest.mark.parametrize("name,digest", list(SUITE_GOLDEN.items()))
     def test_seeded_report_is_unchanged(self, name, digest):

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from archipelago import graphs
 from archipelago.generators import (
     GenSpec,
     gen,
     hex_patch,
     hex_torus,
+    hypergraph3,
     quadrangulation,
     triangulated_torus,
     triangulation,
@@ -109,6 +111,11 @@ class TestHypergraph3:
         with pytest.raises(ValueError):
             gen(GenSpec("hypergraph3", n=4, m=5, seed=0))
 
+    def test_negative_count_is_refused(self):
+        # a negative m would shrink the size that the vertex limit checks
+        with pytest.raises(ValueError, match="m >= 0"):
+            hypergraph3(2 * 10**6, -1, seed=0)
+
 
 class TestGenDispatch:
     def test_families(self):
@@ -118,3 +125,19 @@ class TestGenDispatch:
         assert emb.graph.n == 18
         with pytest.raises(ValueError):
             gen(GenSpec("mystery"))
+
+
+@pytest.mark.parametrize("build,args,n", [
+    (triangulation, (10, 1), 10),
+    (quadrangulation, (10, 1), 10),
+    (hex_torus, (3, 4), 24),
+    (triangulated_torus, (3, 4), 12),
+    (hex_patch, (3, 4, 0, 1), 24),
+    (hypergraph3, (6, 5, 1), 11),  # its incidence graph: 6 vertices and 5 hyperedges
+])
+def test_size_limit_is_the_exact_size(monkeypatch, build, args, n):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", n)
+    build(*args)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
+    with pytest.raises(ValueError, match=f"{build.__name__} would build {n} vertices"):
+        build(*args)

@@ -69,9 +69,9 @@ class TestGraph:
         assert h.n == 3 and h.m == 1
         assert h.has_edge(relabel[0], relabel[1])
 
-    def test_from_edges(self):
-        g = Graph.from_edges([(2, 5)])
-        assert g.n == 6 and g.m == 1
+    def test_isolated_vertices_count(self):
+        g = Graph(6, [(2, 5)])
+        assert g.n == 6 and g.m == 1 and g.degree(0) == 0
 
 
 class TestFaceTracing:

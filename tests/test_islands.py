@@ -9,7 +9,6 @@ from archipelago.islands import (
     REGIME_B,
     REGIME_C,
     REGIMES,
-    IslandRefusal,
     IslandWitness,
     find_island,
     forbidden_configuration,
@@ -65,15 +64,14 @@ class TestIsIsland:
 
     def test_refusal(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        r = is_island(g, [0], 2)
-        assert isinstance(r, IslandRefusal) and not r
-        assert r.vertex == 0 and r.outside_count == 3
-        assert "allowed 2" in r.reason
+        assert is_island(g, [0], 2) is None
+        assert is_island(g, [0], 3).outside_degrees == {0: 3}
 
     def test_empty_and_out_of_range(self):
         g = Graph(2, [(0, 1)])
-        assert not is_island(g, [], 1)
-        assert not is_island(g, [5], 1)
+        assert is_island(g, [], 1) is None
+        assert is_island(g, [5], 1) is None
+        assert is_island(g, [-1], 1) is None
 
     def test_whole_graph_is_island(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -84,9 +82,9 @@ class TestIsIsland:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         alive, live_deg = [True, True, False, True], [1, 1, 0, 0]
         view = LiveView(g, alive, live_deg)
-        assert is_island(view, [0, 1], 0) and not is_island(g, [0, 1], 0)
-        assert not is_island(view, [2], 0)
-        assert not is_island(view, [1, 2], 1)
+        assert is_island(view, [0, 1], 0) and is_island(g, [0, 1], 0) is None
+        assert is_island(view, [2], 0) is None
+        assert is_island(view, [1, 2], 1) is None
         assert find_island(view, 0, 2).members == (0, 1)
         assert connected_components(view) == [[0, 1], [3]]
         # the view follows later removals of its owner

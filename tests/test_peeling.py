@@ -138,6 +138,11 @@ class TestReplay:
         # at threshold 2 and fails at 1
         assert replace(dissolved, regime=replace(REGIME_C, factor=2), chi=-1).replay_ok()
         assert not replace(dissolved, regime=replace(REGIME_C, factor=1), chi=-1).replay_ok()
+        # every layer replays and the base's components are small, but the
+        # base omits a live vertex, or lists a removed one
+        assert not replace(dec, layers=dec.layers[:-1]).replay_ok()
+        assert replace(dec, chi=-1).replay_ok()
+        assert not replace(dec, chi=-1, base=dec.layers[0]).replay_ok()
 
     def test_threshold_follows_chi(self):
         # a stored threshold of 10**9 once let an unpeeled triangulation pass
@@ -289,11 +294,11 @@ class TestColorFourPlusSink:
         assert fault is None
         assert set(coloring.values()) <= {1, 2, 3, 4, 5}
         report = audit(emb.graph, coloring)
-        for c, members in report.components:
+        for c, size in report.component_sizes.items():
             if c in (1, 2, 3, 4):
-                assert len(members) <= 3
+                assert size <= 3
             else:
-                assert len(members) <= max(3, dec.threshold)
+                assert size <= max(3, dec.threshold)
 
     def test_torus(self):
         emb = triangulated_torus(5, 5)
@@ -319,8 +324,10 @@ class TestAudit:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         report = audit(g, {0: 0, 1: 0, 2: 1, 3: 0})
         assert report.max_component == 2
-        assert report.component_sizes[0] == 2
-        assert ((0, (0, 1)) in report.components) and ((1, (2,)) in report.components)
+        assert report.component_sizes == {0: 2, 1: 1}
+        assert report.oversized_components == ()
+        report = audit(g, {0: 0, 1: 0, 2: 1, 3: 0}, max_size=1)
+        assert report.oversized_components == ((0, 1),) and not report.ok
 
     def test_uncolored_rejected(self):
         g = Graph(2, [(0, 1)])

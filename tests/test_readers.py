@@ -96,6 +96,14 @@ def test_blank_lines_and_comments_anywhere(data):
     assert key(parse("\n".join(noisy))) == key(x)
 
 
+@pytest.mark.parametrize("line", ["-1 0 -1", "99 100 -1"])
+def test_sign_line_out_of_range_raises_value_error(line):
+    # -1 once wrapped round to the last vertex, and 99 raised IndexError
+    triangle = "3 3\n0 1\n1 2\n0 2\n0: 1 2\n1: 0 2\n2: 0 1\nsigns:\n"
+    with pytest.raises(ValueError, match="not in graph"):
+        parse_embedding(triangle + line + "\n")
+
+
 @pytest.mark.parametrize("parse", [parse_graph, parse_embedding, parse_hypergraph])
 def test_negative_vertex_count_raises_value_error(parse):
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
