@@ -26,10 +26,8 @@ from archipelago.gadgets import (
     build_tree,
     build_uncrosser,
     hyper2color,
-    parse_hypergraph,
     reduce_girth8,
     reduce_planar,
-    serialize_hypergraph,
     validate_uncrosser,
 )
 from archipelago.generators import FAMILIES, GenSpec, gen
@@ -40,13 +38,14 @@ from archipelago.graphs import (
     euler_characteristic,
     parse_coloring,
     parse_embedding,
+    parse_graph,
+    parse_hypergraph,
     parse_lists,
     parse_terminals,
-    read_rotations,
-    read_rows,
     serialize_coloring,
     serialize_embedding,
     serialize_graph,
+    serialize_hypergraph,
     terminal_comments,
 )
 from archipelago.islands import REGIMES, find_island
@@ -71,23 +70,6 @@ def _write(path: str, text: str, report: dict, kind: str):
     report["outputs"][kind] = path
 
 
-def _load_graph(path: str, report: dict) -> tuple[Graph, Embedding | None, str]:
-    """Read a graph file; an embedding file's rotations are checked and kept."""
-    text = _read(path, report)
-    n, edges, rest = read_rows(text, 2, "edge")
-    g = Graph(n, edges)
-    return g, read_rotations(g, rest) if rest else None, text
-
-
-def _read_per_vertex(path: str, parse, g: Graph, report: dict) -> dict:
-    """A coloring or list file, refused if it names a vertex g lacks."""
-    per_vertex = parse(_read(path, report))
-    for v in per_vertex:
-        if not 0 <= v < g.n:
-            raise ValueError(f"{path} names vertex {v}, which a graph of {g.n} vertices lacks")
-    return per_vertex
-
-
 def _emit(args, report: dict, lines: list[str]):
     """Human lines to stdout, unless --json claims stdout for the report."""
     if args.json:
@@ -102,7 +84,8 @@ def _coloring_lines(args, coloring: dict[int, int], report: dict) -> list[str]:
     if args.out:
         _write(args.out, serialize_coloring(coloring), report, "coloring")
         return []
-    return [f"{v} {coloring[v]}" for v in sorted(coloring)]
+    # an empty coloring's file is one blank line, which prints as nothing
+    return serialize_coloring(coloring).splitlines() if coloring else []
 
 
 def _audit_report(rep, base_size: int) -> dict:
@@ -130,7 +113,7 @@ def _dump_residual(g: Graph, tv: TheoremViolation, path: str, report: dict):
 # islands subcommands
 
 def _cmd_find(args, report) -> int:
-    g, _, _ = _load_graph(args.graph, report)
+    g, _ = parse_graph(_read(args.graph, report))
     if args.regime:
         regime = REGIMES[args.regime]
         k = regime.k if args.k is None else args.k
@@ -165,11 +148,11 @@ def _cmd_color(args, report) -> int:
                          "it takes no other --regime and no --footnote-12")
     if not args.four_plus_sink and not (args.regime and args.lists):
         raise ValueError("--regime and --lists are required unless --four-plus-sink")
-    g, emb, _ = _load_graph(args.graph, report)
+    g, emb = parse_graph(_read(args.graph, report))
 
     t0 = time.perf_counter()
     regime = REGIMES[args.regime or "A"]
-    lists = _read_per_vertex(args.lists, parse_lists, g, report) if args.lists else None
+    lists = parse_lists(_read(args.lists, report), g.n) if args.lists else None
     try:
         dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
     except TheoremViolation as tv:
@@ -204,9 +187,9 @@ def _cmd_color(args, report) -> int:
 
 
 def _cmd_verify(args, report) -> int:
-    g, _, _ = _load_graph(args.graph, report)
-    coloring = _read_per_vertex(args.coloring, parse_coloring, g, report)
-    lists = _read_per_vertex(args.lists, parse_lists, g, report) if args.lists else None
+    g, _ = parse_graph(_read(args.graph, report))
+    coloring = parse_coloring(_read(args.coloring, report), g.n)
+    lists = parse_lists(_read(args.lists, report), g.n) if args.lists else None
     rep = audit(g, coloring, max_size=args.max_size, lists=lists)
     report["verdicts"]["report"] = _audit_report(rep, 0)
     report["verdicts"]["ok"] = rep.ok
@@ -276,10 +259,9 @@ def _parse_pins(pin_args, terminals: dict[str, int]) -> dict[int, int]:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad pin {item!r}; expected 'v=c'")
-        if name in terminals:
-            v = terminals[name]
-        else:
-            v = int(name)
+        v = terminals[name] if name in terminals else int(name)
+        if v in pins:
+            raise ValueError(f"vertex {v} is pinned twice")
         pins[v] = int(value)
     return pins
 
@@ -288,7 +270,8 @@ def _cmd_solve(args, report) -> int:
     if args.optimize and (args.pin or args.k is not None):
         raise ValueError("--optimize searches every k without pins; "
                          "it takes no --pin and no --k")
-    g, _, text = _load_graph(args.graph, report)
+    text = _read(args.graph, report)
+    g, _ = parse_graph(text)
     if args.optimize:
         t0 = time.perf_counter()
         res = mc_optimize(g, budget=args.budget)

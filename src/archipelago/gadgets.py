@@ -20,47 +20,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from archipelago.graphs import Embedding, Graph, check_size, connected_components, euler_characteristic, read_rows
+from archipelago.graphs import Embedding, Graph, Hypergraph3, check_size, connected_components, euler_characteristic
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
-
-
-@dataclass(frozen=True)
-class Hypergraph3:
-    """3-uniform hypergraph: a vertex count and a tuple of sorted triples."""
-
-    n: int
-    edges: tuple
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for e in self.edges:
-            if len(e) != 3 or len(set(e)) != 3:
-                raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
-            if not all(isinstance(v, int) and 0 <= v < self.n for v in e):
-                raise ValueError(f"hyperedge {e} out of range")
-            if tuple(sorted(e)) != tuple(e):
-                raise ValueError(f"hyperedge {e} must be sorted")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Hypergraph3":
-        return cls(n, tuple(tuple(sorted(e)) for e in edges))
-
-
-def parse_hypergraph(text: str) -> Hypergraph3:
-    """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
-    n, edges, rest = read_rows(text, 3, "hyperedge")
-    h = Hypergraph3.from_edges(n, edges)
-    if rest:
-        raise ValueError(f"trailing content after {len(h.edges)} hyperedges: {rest[0]!r}")
-    return h
-
-
-def serialize_hypergraph(h: Hypergraph3) -> str:
-    out = [f"{h.n} {len(h.edges)}"]
-    out.extend(f"{a} {b} {c}" for a, b, c in h.edges)
-    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -623,24 +585,14 @@ def hyper2color(h: Hypergraph3):
         by_max[e[2]].append(e)
     colors = [-1] * h.n
 
-    def consistent(v: int) -> bool:
-        return all(
-            not (colors[a] == colors[b] == colors[c]) for a, b, c in by_max[v]
-        )
-
-    v = 0
-    choice = [0] * h.n
-    while True:
+    def extend(v: int) -> bool:
+        """Color v, v + 1, .. in turn, trying 0 before 1; the depth is at most 30."""
         if v == h.n:
-            return {u: colors[u] for u in range(h.n)}
-        if choice[v] == 2:
-            choice[v] = 0
-            colors[v] = -1
-            v -= 1
-            if v < 0:
-                return None
-            continue
-        colors[v] = choice[v]
-        choice[v] += 1
-        if consistent(v):
-            v += 1
+            return True
+        for c in (0, 1):
+            colors[v] = c
+            if not any(colors[a] == colors[b] == c for a, b, _ in by_max[v]) and extend(v + 1):
+                return True
+        return False
+
+    return {u: colors[u] for u in range(h.n)} if extend(0) else None

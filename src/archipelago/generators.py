@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from archipelago.graphs import Embedding, Graph, bipartition, check_size, connected_components, girth
+from archipelago.graphs import Embedding, Graph, Hypergraph3, bipartition, check_size, connected_components, girth
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,8 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     """
     if rows < 3 or cols < 3:
         raise ValueError("hex_patch needs rows, cols >= 3")
+    if deletions < 0:
+        raise ValueError("hex_patch needs deletions >= 0")
     n = 2 * rows * cols
     check_size(n, "hex_patch")
     rng = random.Random(seed)
@@ -223,13 +225,11 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     return emb
 
 
-def hypergraph3(n: int, m: int, seed: int):
+def hypergraph3(n: int, m: int, seed: int) -> Hypergraph3:
     """Random 3-uniform hypergraph: m distinct sorted triples on n vertices.
 
     Its size is that of its incidence graph, n + m vertices.
     """
-    from archipelago.gadgets import Hypergraph3
-
     if n < 3:
         raise ValueError("hypergraph3 needs n >= 3")
     if m < 0:

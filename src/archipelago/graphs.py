@@ -1,4 +1,4 @@
-"""Core graph and surface-embedding types.
+"""Core graph, surface-embedding and hypergraph types, and every text format.
 
 Graphs are simple and undirected, with vertices 0..n-1. Embeddings are rotation
 systems (cyclic neighbor orders) with optional edge signs, so non-orientable
@@ -420,13 +420,13 @@ def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, ...]]:
         yield tuple(map(int, parts))
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain edge-list format: a header "n m", then m lines "u v"."""
+def parse_graph(text: str) -> tuple[Graph, Embedding | None]:
+    """Parse a graph file, a header "n m" then m lines "u v": the graph, and the
+    embedding its rotation lines give (checked) if it is an embedding file, else None.
+    """
     n, edges, rest = read_rows(text, 2, "edge")
     g = Graph(n, edges)
-    if rest:
-        raise ValueError(f"trailing content after {g.m} edges: {rest[0]!r}")
-    return g
+    return g, read_rotations(g, rest) if rest else None
 
 
 def serialize_graph(g: Graph, comments: list[str] | None = None) -> str:
@@ -442,44 +442,45 @@ def parse_embedding(text: str) -> Embedding:
     return read_rotations(Graph(n, edges), rest)
 
 
+def _vertex_lines(lines: list[str], n: int, what: str, expected: str) -> dict[int, list[int]]:
+    """Lines "v: a b c" as {v: [a, b, c]}, one line per v in 0..n-1; errors name them `what`."""
+    rows: dict[int, list[int]] = {}
+    for line in lines:
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad {what} line {line!r}; expected '{expected}'")
+        v = int(head)
+        if not 0 <= v < n:
+            raise ValueError(f"{what} line names vertex {v}, which a graph of {n} vertices lacks")
+        if v in rows:
+            raise ValueError(f"two {what} lines for vertex {v}")
+        rows[v] = [int(x) for x in rest.split()]
+    return rows
+
+
 def read_rotations(g: Graph, lines: list[str]) -> Embedding:
     """The embedding of g given by rotation lines "v: a b c", one per vertex,
     then an optional section "signs:" of lines "u v -1". A vertex or an edge
     named twice is an error.
     """
-    rotations: dict[int, tuple[int, ...]] = {}
+    cut = lines.index("signs:") if "signs:" in lines else len(lines)
+    rotations = _vertex_lines(lines[:cut], g.n, "rotation", "v: a b c")
     signs: dict[tuple[int, int], int] = {}
-    in_signs = False
-    for line in lines:
+    for line in lines[cut + 1 :]:
         if line == "signs:":
-            in_signs = True
             continue
-        if in_signs:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad sign line {line!r}; expected 'u v -1'")
-            u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
-            key = (u, v) if u < v else (v, u)
-            if key in signs:
-                raise ValueError(f"two sign lines for edge {key}")
-            signs[key] = s
-        else:
-            head, sep, rest = line.partition(":")
-            if not sep:
-                raise ValueError(f"bad rotation line {line!r}; expected 'v: a b c'")
-            v = int(head)
-            if not 0 <= v < g.n:
-                raise ValueError(f"rotation line for out-of-range vertex {v}")
-            if v in rotations:
-                raise ValueError(f"two rotation lines for vertex {v}")
-            rotations[v] = tuple([int(x) for x in rest.split()])  # Embedding keeps it as is
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad sign line {line!r}; expected 'u v -1'")
+        u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
+        key = (u, v) if u < v else (v, u)
+        if key in signs:
+            raise ValueError(f"two sign lines for edge {key}")
+        signs[key] = s
     for v in range(g.n):
-        if v not in rotations:
-            if g.degree(v) == 0:
-                rotations[v] = ()
-            else:
-                raise ValueError(f"missing rotation for vertex {v}")
-    return Embedding(g, [rotations[v] for v in range(g.n)], signs)
+        if v not in rotations and g.degree(v):
+            raise ValueError(f"missing rotation for vertex {v}")
+    return Embedding(g, [rotations.get(v, ()) for v in range(g.n)], signs)
 
 
 def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> str:
@@ -489,6 +490,44 @@ def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> st
         out.append("signs:")
         out.extend(f"{u} {v} -1" for u, v in neg)
     return serialize_graph(emb.graph, comments) + "".join(line + "\n" for line in out)
+
+
+@dataclass(frozen=True)
+class Hypergraph3:
+    """3-uniform hypergraph: a vertex count and a tuple of sorted triples."""
+
+    n: int
+    edges: tuple
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        for e in self.edges:
+            if len(e) != 3 or len(set(e)) != 3:
+                raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
+            if not all(isinstance(v, int) and 0 <= v < self.n for v in e):
+                raise ValueError(f"hyperedge {e} out of range")
+            if tuple(sorted(e)) != tuple(e):
+                raise ValueError(f"hyperedge {e} must be sorted")
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "Hypergraph3":
+        return cls(n, tuple(tuple(sorted(e)) for e in edges))
+
+
+def parse_hypergraph(text: str) -> Hypergraph3:
+    """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
+    n, edges, rest = read_rows(text, 3, "hyperedge")
+    h = Hypergraph3.from_edges(n, edges)
+    if rest:
+        raise ValueError(f"trailing content after {len(h.edges)} hyperedges: {rest[0]!r}")
+    return h
+
+
+def serialize_hypergraph(h: Hypergraph3) -> str:
+    out = [f"{h.n} {len(h.edges)}"]
+    out.extend(f"{a} {b} {c}" for a, b, c in h.edges)
+    return "\n".join(out) + "\n"
 
 
 def parse_terminals(text: str) -> dict[str, int]:
@@ -507,18 +546,11 @@ def terminal_comments(terminals: dict[str, int]) -> list[str]:
     return [f"terminal {name} {vid}" for name, vid in terminals.items()]
 
 
-def parse_lists(text: str) -> dict[int, list[int]]:
-    """Per-vertex color menus, one line "v: c1 c2 ..." each."""
-    lists: dict[int, list[int]] = {}
-    for line in significant_lines(text):
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ValueError(f"bad list line {line!r}; expected 'v: c1 c2 ...'")
-        v = int(head)
-        if v in lists:
-            raise ValueError(f"duplicate list for vertex {v}")
-        lists[v] = [int(c) for c in rest.split()]
-        if not lists[v]:
+def parse_lists(text: str, n: int) -> dict[int, list[int]]:
+    """Per-vertex color menus of a graph of n vertices, one line "v: c1 c2 ..." each."""
+    lists = _vertex_lines(significant_lines(text), n, "list", "v: c1 c2 ...")
+    for v, colors in lists.items():
+        if not colors:
             raise ValueError(f"empty list for vertex {v}")
     return lists
 
@@ -528,14 +560,16 @@ def serialize_lists(lists: dict[int, list[int]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_coloring(text: str) -> dict[int, int]:
-    """Chosen colors, one line "v c" each."""
+def parse_coloring(text: str, n: int) -> dict[int, int]:
+    """Chosen colors of a graph of n vertices, one line "v c" each."""
     coloring: dict[int, int] = {}
     for line in significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"bad coloring line {line!r}; expected 'v c'")
         v = int(parts[0])
+        if not 0 <= v < n:
+            raise ValueError(f"coloring line names vertex {v}, which a graph of {n} vertices lacks")
         if v in coloring:
             raise ValueError(f"vertex {v} colored twice")
         coloring[v] = int(parts[1])

@@ -104,37 +104,33 @@ def find_island(g: Graph | LiveView, k: int, size: int, restrict_to=None) -> Isl
 
 
 def _grow_island(g: Graph | LiveView, k: int, size: int, seed: int, cand_set: set[int]) -> set[int] | None:
-    """Branch search for an island containing seed, ids >= seed, within cand_set."""
+    """Branch search for an island containing seed, ids >= seed, within cand_set.
 
-    def violating(included: set[int]) -> int | None:
-        worst = None
-        for v in included:
-            cnt = sum(1 for u in g.neighbors(v) if u not in included)
-            if cnt > k:
-                worst = v if worst is None else min(worst, v)
-        return worst
-
-    def recurse(included: set[int], excluded: set[int]) -> set[int] | None:
-        p = violating(included)
+    Depth first over (included, excluded) pairs on an explicit stack, so the
+    search depth is not bounded by Python's recursion limit: each step adds
+    the least undecided neighbor u of the least violating member, trying the
+    branch that includes u before the one that excludes it.
+    """
+    stack = [({seed}, set())]
+    while stack:
+        included, excluded = stack.pop()
+        p = min((v for v in included if sum(1 for u in g.neighbors(v) if u not in included) > k),
+                default=None)
         if p is None:
-            return set(included)
+            return included
         if len(included) == size:
-            return None
+            continue
         # the violator must absorb an undecided neighbor; it cannot if too
         # many of its neighbors are already excluded
+        if sum(1 for u in g.neighbors(p) if u in excluded or u not in cand_set or u < seed) > k:
+            continue
         undecided = [
             u
             for u in g.neighbors(p)
             if u not in included and u not in excluded and u in cand_set and u >= seed
         ]
-        if sum(1 for u in g.neighbors(p) if u in excluded or u not in cand_set or u < seed) > k:
-            return None
-        if not undecided:
-            return None
-        u = min(undecided)
-        hit = recurse(included | {u}, excluded)
-        if hit is not None:
-            return hit
-        return recurse(included, excluded | {u})
-
-    return recurse({seed}, set())
+        if undecided:
+            u = min(undecided)
+            stack.append((included, excluded | {u}))
+            stack.append((included | {u}, excluded))
+    return None

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
-from archipelago.gadgets import GadgetGraph, Hypergraph3, _tree_sizes, build_equalizer, build_N
-from archipelago.graphs import Embedding, Face, Graph, connected_components, euler_characteristic
+from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build_N
+from archipelago.graphs import Embedding, Face, Graph, Hypergraph3, connected_components, euler_characteristic
 from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
 from archipelago.solver import MCResult, OptimizeResult

@@ -16,6 +16,7 @@ from archipelago.graphs import (
     parse_coloring,
     parse_embedding,
     parse_graph,
+    parse_hypergraph,
     parse_lists,
     parse_terminals,
     serialize_coloring,
@@ -41,29 +42,39 @@ def write_lists(path, n, colors):
 class TestFormats:
     def test_lists_roundtrip(self):
         lists = {0: [1, 5, 9], 1: [2, 3], 2: [7]}
-        assert parse_lists(serialize_lists(lists)) == lists
+        assert parse_lists(serialize_lists(lists), 3) == lists
 
     def test_inline_comments(self):
-        assert parse_lists("0: 1 2 # menu\n# 1: 5\n1: 3\n") == {0: [1, 2], 1: [3]}
-        assert parse_coloring("0 1 # chosen\n\n1 3\n") == {0: 1, 1: 3}
+        assert parse_lists("0: 1 2 # menu\n# 1: 5\n1: 3\n", 2) == {0: [1, 2], 1: [3]}
+        assert parse_coloring("0 1 # chosen\n\n1 3\n", 2) == {0: 1, 1: 3}
 
     def test_lists_reject_garbage(self):
         with pytest.raises(ValueError):
-            parse_lists("0 1 2\n")
+            parse_lists("0 1 2\n", 1)
         with pytest.raises(ValueError):
-            parse_lists("0:\n")
+            parse_lists("0:\n", 1)
         with pytest.raises(ValueError):
-            parse_lists("0: 1\n0: 2\n")
+            parse_lists("0: 1\n0: 2\n", 1)
 
     def test_coloring_roundtrip(self):
         col = {0: 4, 3: 1, 7: 2}
-        assert parse_coloring(serialize_coloring(col)) == col
+        assert parse_coloring(serialize_coloring(col), 8) == col
 
     def test_coloring_reject_garbage(self):
         with pytest.raises(ValueError):
-            parse_coloring("0 1 2\n")
+            parse_coloring("0 1 2\n", 1)
         with pytest.raises(ValueError):
-            parse_coloring("0 1\n0 2\n")
+            parse_coloring("0 1\n0 2\n", 1)
+
+    @pytest.mark.parametrize("parse, text, v", [
+        (parse_lists, "0: 1\n3: 2\n", 3),
+        (parse_lists, "-1: 1\n", -1),
+        (parse_coloring, "0 1\n3 2\n", 3),
+        (parse_coloring, "-1 0\n", -1),
+    ])
+    def test_per_vertex_files_refuse_absent_vertices(self, parse, text, v):
+        with pytest.raises(ValueError, match=f"names vertex {v}, which a graph of 3 vertices lacks"):
+            parse(text, 3)
 
 
 class TestExitCodes:
@@ -149,7 +160,7 @@ class TestColor:
                                "list_violations", "oversized", "base_size"}
         assert report["max_component"] <= 3
         assert report["list_violations"] == []
-        coloring = parse_coloring(out.read_text())
+        coloring = parse_coloring(out.read_text(), 50)
         assert set(coloring) == set(range(50))
         code, _ = dispatch(["islands", "verify", "--graph", str(emb),
                             "--coloring", str(out), "--lists", str(lists),
@@ -304,7 +315,7 @@ class TestColor:
         assert code == 3
         residual = tmp_path / "k9.g.residual"
         assert rep["outputs"]["residual"] == str(residual)
-        dumped = parse_graph(residual.read_text())
+        dumped, _ = parse_graph(residual.read_text())
         assert dumped.n == 9 and dumped.m == 36
         assert "original-ids: 0 1 2 3 4 5 6 7 8" in residual.read_text()
 
@@ -353,7 +364,7 @@ class TestColor:
         code, rep = dispatch(["islands", "color", "--graph", str(k9), "--chi", "-22",
                               "--lists", str(tmp_path / "l.txt"), "--regime", "A"])
         assert code == 3
-        assert parse_graph((tmp_path / "k9.emb.residual").read_text()).m == 36
+        assert parse_graph((tmp_path / "k9.emb.residual").read_text())[0].m == 36
 
     def test_successful_run_traces_no_faces(self, tmp_path, monkeypatch):
         emb = tmp_path / "t.emb"
@@ -479,7 +490,6 @@ class TestGen:
         if kind == "emb":
             parse_embedding(text)
         else:
-            from archipelago.gadgets import parse_hypergraph
             parse_hypergraph(text)
 
     def test_bad_params(self, tmp_path):
@@ -487,6 +497,13 @@ class TestGen:
                             "--rows", "1", "--cols", "1",
                             "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_negative_deletions_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _ = dispatch(["islands", "gen", "--family", "hex_patch", "--rows", "3",
+                            "--cols", "3", "--deletions", "-4", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "hex_patch needs deletions >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, what, n", [
         (["--family", "triangulation", "--n", "2000000000"], "triangulation", 2000000000),
@@ -531,7 +548,7 @@ class TestSolve:
         code, rep = dispatch(["mc", "solve", "--graph", str(g), "--k", "1",
                               "--pin", "0=1", "--out", str(out)])
         assert code == 0
-        coloring = parse_coloring(out.read_text())
+        coloring = parse_coloring(out.read_text(), 4)
         assert coloring[0] == 1 and len(coloring) == 4
 
     def test_bad_pin(self, tmp_path):
@@ -543,6 +560,18 @@ class TestSolve:
         code, _ = dispatch(["mc", "solve", "--graph", str(g), "--k", "1",
                             "--pin", "w=0"])
         assert code == 2
+
+    @pytest.mark.parametrize("pins", [["0=0", "0=1"], ["0=0", "0=0"], ["y=0", "0=1"], ["0=1", "y=1"]])
+    def test_vertex_pinned_twice_is_refused(self, tmp_path, capsys, pins):
+        g = tmp_path / "p3.g"
+        g.write_text("# terminal y 0\n3 2\n0 1\n1 2\n")
+        argv = ["mc", "solve", "--graph", str(g), "--k", "1"]
+        for pin in pins:
+            argv += ["--pin", pin]
+        capsys.readouterr()
+        code, _ = dispatch(argv)
+        assert code == 2
+        assert "vertex 0 is pinned twice" in capsys.readouterr().err
 
     def test_k_required_without_optimize(self, tmp_path):
         g = tmp_path / "g.g"
@@ -630,7 +659,7 @@ class TestGadget:
         assert code == 0
         text = out.read_text()
         assert parse_terminals(text) == {"y": 0, "z": 1}
-        assert parse_graph(text).n == rep["verdicts"]["n"] == 50
+        assert parse_graph(text)[0].n == rep["verdicts"]["n"] == 50
 
     def test_arity_flag_mismatch(self):
         code, _ = dispatch(["mc", "gadget", "--type", "tree", "--k", "2"])
@@ -745,6 +774,11 @@ class TestSuite:
         code, _ = dispatch(["suite", "run", "--name", "nope", "--count", "1"])
         assert code == 2
 
+    def test_negative_count_is_refused(self, capsys):
+        code, rep = dispatch(["suite", "run", "--name", "planar-A", "--count", "-5"])
+        assert code == 2 and rep["verdicts"] == {}
+        assert "count must be nonnegative, not -5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["planar-A", "quad-B", "hex-C",
                                       "torus-C", "planar-sink", "torus-sink"])
     def test_small_runs_pass(self, name):
@@ -824,7 +858,7 @@ class TestSuite:
         line = next(l for l in text.splitlines() if "original-ids:" in l)
         assert [int(v) for v in line.split(":")[1].split()] == first["residual"]
         g = gen(GenSpec(**first["spec"])).graph
-        assert parse_graph(text) == g.induced(first["residual"])[0]
+        assert parse_graph(text)[0] == g.induced(first["residual"])[0]
 
     def test_corrupted_layer_fails_replay(self, monkeypatch):
         def corrupted(g, regime, chi, footnote_12=False):

@@ -10,7 +10,6 @@ from archipelago import gadgets, graphs
 from archipelago.gadgets import (
     CountingCheck,
     GadgetGraph,
-    Hypergraph3,
     _uncrosser_size,
     build_equalizer,
     build_J,
@@ -20,10 +19,8 @@ from archipelago.gadgets import (
     counting_check_J,
     forward_coloring_girth8,
     hyper2color,
-    parse_hypergraph,
     reduce_girth8,
     reduce_planar,
-    serialize_hypergraph,
     tree_leaf,
     validate_uncrosser,
 )
@@ -31,9 +28,12 @@ from archipelago.generators import hypergraph3
 from archipelago.graphs import (
     Embedding,
     Graph,
+    Hypergraph3,
     bipartition,
     euler_characteristic,
     girth,
+    parse_hypergraph,
+    serialize_hypergraph,
 )
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide

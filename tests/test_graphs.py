@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from archipelago.gadgets import parse_hypergraph
 from archipelago.graphs import (
     Embedding,
     Graph,
@@ -15,6 +14,7 @@ from archipelago.graphs import (
     girth,
     parse_embedding,
     parse_graph,
+    parse_hypergraph,
     parse_terminals,
     read_rows,
     serialize_embedding,
@@ -281,8 +281,15 @@ GRAPH_FILE = """\
 
 class TestFormats:
     def test_parse_graph(self):
-        g = parse_graph(GRAPH_FILE)
-        assert g.n == 4 and g.m == 3 and g.has_edge(1, 2)
+        g, emb = parse_graph(GRAPH_FILE)
+        assert g.n == 4 and g.m == 3 and g.has_edge(1, 2) and emb is None
+
+    def test_parse_graph_checks_and_keeps_rotation_lines(self):
+        text = serialize_embedding(icosahedron_embedding())
+        g, emb = parse_graph(text)
+        assert emb.graph is g and emb.rotations == parse_embedding(text).rotations
+        with pytest.raises(ValueError, match="two rotation lines for vertex 1"):
+            parse_graph("3 2\n0 1\n1 2\n0: 1\n1: 0 2\n1: 2 0\n2: 1\n")
 
     def test_graph_round_trip(self):
         rng = random.Random(9)
@@ -290,7 +297,7 @@ class TestFormats:
             n = rng.randrange(1, 10)
             pairs = list(combinations(range(n), 2))
             g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
-            assert parse_graph(serialize_graph(g)) == g
+            assert parse_graph(serialize_graph(g)) == (g, None)
 
     def test_parse_graph_errors(self):
         with pytest.raises(ValueError):
@@ -338,7 +345,7 @@ class TestFormats:
             parse_embedding(text + "0 1 -1\n")
 
     def test_inline_comments_in_every_section(self):
-        assert parse_graph("2 1 # header\n0 1 # edge\n") == Graph(2, [(0, 1)])
+        assert parse_graph("2 1 # header\n0 1 # edge\n") == (Graph(2, [(0, 1)]), None)
         emb = parse_embedding("2 1\n0 1\n0: 1 # rotation\n1: 0\nsigns: # negative edges\n0 1 -1 # flip\n")
         assert emb.rotations == ((1,), (0,)) and emb.sign(0, 1) == -1
 
@@ -356,4 +363,4 @@ class TestFormats:
     def test_terminal_comments(self):
         text = "# terminal y 0\n# terminal z 1\n2 1\n0 1\n"
         assert parse_terminals(text) == {"y": 0, "z": 1}
-        assert parse_graph(text).m == 1
+        assert parse_graph(text)[0].m == 1

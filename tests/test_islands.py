@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -186,6 +187,15 @@ class TestFindIsland:
             if got is not None:
                 assert len(got.members) <= size
                 assert is_island(g, got.members, k)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # a cycle has no 0-island short of the whole cycle, so the search
+        # includes one vertex per step until it reaches the size cap
+        size = sys.getrecursionlimit() + 100
+        n = size + 100
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert find_island(g, 0, size) is None
+        assert find_island(g, 0, n).members == tuple(range(n))
 
     def test_hexagonal_face_island(self):
         g = hex_torus_like()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archipelago.gadgets import parse_hypergraph, serialize_hypergraph
 from archipelago.generators import (
     hex_patch,
     hex_torus,
@@ -17,8 +16,10 @@ from archipelago.graphs import (
     Embedding,
     parse_embedding,
     parse_graph,
+    parse_hypergraph,
     serialize_embedding,
     serialize_graph,
+    serialize_hypergraph,
 )
 
 EMBEDDINGS = {
@@ -57,7 +58,7 @@ def hypergraph(d):
 
 # kind -> (draw an object, serialize, parse, comparison key)
 FORMATS = {
-    "graph": (lambda d: signed_embedding(d).graph, serialize_graph, parse_graph, lambda g: g),
+    "graph": (lambda d: signed_embedding(d).graph, serialize_graph, lambda text: parse_graph(text)[0], lambda g: g),
     "embedding": (signed_embedding, serialize_embedding, parse_embedding, embedding_key),
     "hypergraph": (hypergraph, serialize_hypergraph, parse_hypergraph, lambda h: h),
 }
