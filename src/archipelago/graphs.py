@@ -33,15 +33,15 @@ class Graph:
             adj[v].append(u)
         # a duplicate edge shows as a repeated neighbor; checking the sorted
         # lists keeps no per-edge key alive while the edges are read
-        for u, nbrs in enumerate(adj):
+        for nbrs in adj:
             nbrs.sort()
-            if len(set(nbrs)) < len(nbrs):
-                v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
-                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-            adj[u] = tuple(nbrs)
+        self._adj = tuple(map(tuple, adj))
+        degree_sum = sum(map(len, self._adj))
+        if sum(map(len, map(set, self._adj))) != degree_sum:
+            u, v = next((u, v) for u, nbrs in enumerate(self._adj) for v, w in zip(nbrs, nbrs[1:]) if v == w)
+            raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
         self.n = n
-        self._adj = tuple(adj)
-        self._m = sum(map(len, adj)) // 2
+        self._m = degree_sum // 2
 
     @property
     def m(self) -> int:
@@ -161,13 +161,11 @@ class Embedding:
 
     def __init__(self, graph: Graph, rotations, signs=None):
         self.graph = graph
-        rots = []
-        for v in range(graph.n):
-            rot = tuple(rotations[v])
-            if tuple(sorted(rot)) != graph.neighbors(v):
-                raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
-            rots.append(rot)
-        self.rotations = tuple(rots)
+        rots = tuple(map(tuple, map(rotations.__getitem__, range(graph.n))))
+        if tuple(map(tuple, map(sorted, rots))) != graph._adj:
+            v = next(v for v, rot in enumerate(rots) if tuple(sorted(rot)) != graph.neighbors(v))
+            raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
+        self.rotations = rots
         sign = {}
         if signs:
             for (u, v), s in signs.items():
@@ -381,21 +379,40 @@ def check_size(n: int, what: str):
 
 def significant_lines(text: str) -> list[str]:
     """The non-blank lines, stripped; in every format "#" comments out the rest of a line."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.partition("#")[0].strip()
-        if line:
-            out.append(line)
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(filter(None, map(str.strip, lines)))
 
 
-def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int, ...]], list[str]]:
+def _id_table(n: int, reads: int) -> dict[str, int]:
+    """The table {str(i): i for i < n} through which a file's ids are read, or
+    no table when fewer than n tokens are to be read: building it would cost
+    more than reading them by int(), and a header's n alone may not inflate it.
+    """
+    return {str(i): i for i in range(n)} if reads >= n else {}
+
+
+def _ints(tokens: list[str], ids: dict[str, int]) -> list[int]:
+    """The tokens as integers, read through the id table `ids`. If any token is
+    not in it (a large color, "+1", "007", "-1", an id out of range, or no
+    integer at all), every token is read by int() instead, which gives the
+    same values and the same errors.
+    """
+    try:
+        return list(map(ids.__getitem__, tokens))
+    except KeyError:
+        return list(map(int, tokens))
+
+
+def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int, ...]], list[str], dict[str, int]]:
     """Read the header "n m" and m rows of `width` integers, naming rows `what`.
 
-    Returns n, the rows, and the significant lines after them for the caller.
-    The rows are an iterator that parses each row as it is reached, so no row
-    outlives its use (a malformed row raises there); the row count is
-    checked at once.
+    Returns n, the rows, the significant lines after them and the table of
+    vertex ids the rows were read through, for the caller's own lines. The
+    row count and every row's width are checked, and every token converted,
+    before anything is returned; the rows are an iterator over one flat list
+    of integers, so no per-row tuple outlives its use.
     """
     lines = significant_lines(text)
     if not lines:
@@ -409,24 +426,22 @@ def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int
     body = lines[1 : 1 + m]
     if len(body) != m:
         raise ValueError(f"expected {m} {what}s, found {len(body)}")
-    return n, _rows(body, width, what), lines[1 + m :]
-
-
-def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, ...]]:
-    for line in lines:
-        parts = line.split()
-        if len(parts) != width:
-            raise ValueError(f"bad {what} line {line!r}")
-        yield tuple(map(int, parts))
+    if body and set(map(len, map(str.split, body))) != {width}:
+        line = next(line for line in body if len(line.split()) != width)
+        raise ValueError(f"bad {what} line {line!r}")
+    tokens = " ".join(body).split()
+    ids = _id_table(n, len(tokens))
+    flat = _ints(tokens, ids)
+    return n, zip(*[iter(flat)] * width), lines[1 + m :], ids
 
 
 def parse_graph(text: str) -> tuple[Graph, Embedding | None]:
     """Parse a graph file, a header "n m" then m lines "u v": the graph, and the
     embedding its rotation lines give (checked) if it is an embedding file, else None.
     """
-    n, edges, rest = read_rows(text, 2, "edge")
+    n, edges, rest, ids = read_rows(text, 2, "edge")
     g = Graph(n, edges)
-    return g, read_rotations(g, rest) if rest else None
+    return g, read_rotations(g, rest, ids) if rest else None
 
 
 def serialize_graph(g: Graph, comments: list[str] | None = None) -> str:
@@ -438,37 +453,42 @@ def serialize_graph(g: Graph, comments: list[str] | None = None) -> str:
 
 def parse_embedding(text: str) -> Embedding:
     """Parse the embedding format: a graph section, rotation lines, optional signs."""
-    n, edges, rest = read_rows(text, 2, "edge")
-    return read_rotations(Graph(n, edges), rest)
+    n, edges, rest, ids = read_rows(text, 2, "edge")
+    return read_rotations(Graph(n, edges), rest, ids)
 
 
-def _vertex_lines(lines: list[str], n: int, what: str, expected: str) -> dict[int, list[int]]:
-    """Lines "v: a b c" as {v: [a, b, c]}, one line per v in 0..n-1; errors name them `what`."""
-    rows: dict[int, list[int]] = {}
-    for line in lines:
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ValueError(f"bad {what} line {line!r}; expected '{expected}'")
-        v = int(head)
-        if not 0 <= v < n:
-            raise ValueError(f"{what} line names vertex {v}, which a graph of {n} vertices lacks")
-        if v in rows:
-            raise ValueError(f"two {what} lines for vertex {v}")
-        rows[v] = [int(x) for x in rest.split()]
-    return rows
+def _vertex_lines(lines: list[str], n: int, what: str, expected: str, ids: dict[str, int]) -> dict[int, list[int]]:
+    """Lines "v: a b c" as {v: [a, b, c]}, one line per v in 0..n-1; errors name them `what`.
+
+    All lines are split at their ":" and checked before any list is read.
+    """
+    parts = [line.partition(":") for line in lines]
+    if not all(sep for _, sep, _ in parts):
+        line = next(line for line, (_, sep, _) in zip(lines, parts) if not sep)
+        raise ValueError(f"bad {what} line {line!r}; expected '{expected}'")
+    heads = _ints([head for head, _, _ in parts], ids)
+    if heads and not (0 <= min(heads) and max(heads) < n):
+        v = next(v for v in heads if not 0 <= v < n)
+        raise ValueError(f"{what} line names vertex {v}, which a graph of {n} vertices lacks")
+    if len(set(heads)) < len(heads):
+        seen: set[int] = set()
+        for v in heads:
+            if v in seen:
+                raise ValueError(f"two {what} lines for vertex {v}")
+            seen.add(v)
+    return dict(zip(heads, [_ints(rest.split(), ids) for _, _, rest in parts]))
 
 
-def read_rotations(g: Graph, lines: list[str]) -> Embedding:
+def read_rotations(g: Graph, lines: list[str], ids: dict[str, int]) -> Embedding:
     """The embedding of g given by rotation lines "v: a b c", one per vertex,
-    then an optional section "signs:" of lines "u v -1". A vertex or an edge
-    named twice is an error.
+    then an optional section "signs:" of lines "u v -1", read through the
+    table of vertex ids `ids`. A vertex or an edge named twice, or a second
+    "signs:" line, is an error.
     """
     cut = lines.index("signs:") if "signs:" in lines else len(lines)
-    rotations = _vertex_lines(lines[:cut], g.n, "rotation", "v: a b c")
+    rotations = _vertex_lines(lines[:cut], g.n, "rotation", "v: a b c", ids)
     signs: dict[tuple[int, int], int] = {}
     for line in lines[cut + 1 :]:
-        if line == "signs:":
-            continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad sign line {line!r}; expected 'u v -1'")
@@ -477,10 +497,13 @@ def read_rotations(g: Graph, lines: list[str]) -> Embedding:
         if key in signs:
             raise ValueError(f"two sign lines for edge {key}")
         signs[key] = s
-    for v in range(g.n):
-        if v not in rotations and g.degree(v):
-            raise ValueError(f"missing rotation for vertex {v}")
-    return Embedding(g, [rotations.get(v, ()) for v in range(g.n)], signs)
+    if len(rotations) < g.n:
+        for v in range(g.n):
+            if v not in rotations:
+                if g.degree(v):
+                    raise ValueError(f"missing rotation for vertex {v}")
+                rotations[v] = []
+    return Embedding(g, rotations, signs)
 
 
 def serialize_embedding(emb: Embedding, comments: list[str] | None = None) -> str:
@@ -517,7 +540,7 @@ class Hypergraph3:
 
 def parse_hypergraph(text: str) -> Hypergraph3:
     """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
-    n, edges, rest = read_rows(text, 3, "hyperedge")
+    n, edges, rest, _ = read_rows(text, 3, "hyperedge")
     h = Hypergraph3.from_edges(n, edges)
     if rest:
         raise ValueError(f"trailing content after {len(h.edges)} hyperedges: {rest[0]!r}")
@@ -548,7 +571,8 @@ def terminal_comments(terminals: dict[str, int]) -> list[str]:
 
 def parse_lists(text: str, n: int) -> dict[int, list[int]]:
     """Per-vertex color menus of a graph of n vertices, one line "v: c1 c2 ..." each."""
-    lists = _vertex_lines(significant_lines(text), n, "list", "v: c1 c2 ...")
+    lines = significant_lines(text)
+    lists = _vertex_lines(lines, n, "list", "v: c1 c2 ...", _id_table(n, len(lines)))
     for v, colors in lists.items():
         if not colors:
             raise ValueError(f"empty list for vertex {v}")

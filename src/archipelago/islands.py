@@ -106,31 +106,61 @@ def find_island(g: Graph | LiveView, k: int, size: int, restrict_to=None) -> Isl
 def _grow_island(g: Graph | LiveView, k: int, size: int, seed: int, cand_set: set[int]) -> set[int] | None:
     """Branch search for an island containing seed, ids >= seed, within cand_set.
 
-    Depth first over (included, excluded) pairs on an explicit stack, so the
-    search depth is not bounded by Python's recursion limit: each step adds
-    the least undecided neighbor u of the least violating member, trying the
-    branch that includes u before the one that excludes it.
+    Each step adds the least undecided neighbor u of the least violating
+    member, trying the branch that includes u before the one that excludes
+    it. The members' outside-neighbor counts and the violators are updated
+    as a vertex joins or leaves, and backtracking unwinds a path of
+    (vertex, included) decisions, so a step costs the degree of the vertex
+    it adds or removes and the depth is not bounded by the recursion limit.
     """
-    stack = [({seed}, set())]
-    while stack:
-        included, excluded = stack.pop()
-        p = min((v for v in included if sum(1 for u in g.neighbors(v) if u not in included) > k),
-                default=None)
-        if p is None:
-            return included
-        if len(included) == size:
+    neighbors = g.neighbors
+    included, excluded = {seed}, set()
+    outside = {seed: len(neighbors(seed))}  # each member's neighbors outside included
+    violators = {seed} if outside[seed] > k else set()
+    path: list[tuple[int, bool]] = []
+    while violators:
+        u = None
+        if len(included) < size:
+            # the least violator must absorb an undecided neighbor; it cannot
+            # if too many of its neighbors are already excluded
+            blocked = 0
+            for w in neighbors(min(violators)):
+                if w not in included:
+                    if w in excluded or w not in cand_set or w < seed:
+                        blocked += 1
+                    elif u is None or w < u:
+                        u = w
+            if blocked > k:
+                u = None
+        if u is not None:
+            count = 0
+            for w in neighbors(u):
+                if w in included:
+                    outside[w] -= 1
+                    if outside[w] == k:
+                        violators.discard(w)
+                else:
+                    count += 1
+            included.add(u)
+            outside[u] = count
+            if count > k:
+                violators.add(u)
+            path.append((u, True))
             continue
-        # the violator must absorb an undecided neighbor; it cannot if too
-        # many of its neighbors are already excluded
-        if sum(1 for u in g.neighbors(p) if u in excluded or u not in cand_set or u < seed) > k:
-            continue
-        undecided = [
-            u
-            for u in g.neighbors(p)
-            if u not in included and u not in excluded and u in cand_set and u >= seed
-        ]
-        if undecided:
-            u = min(undecided)
-            stack.append((included, excluded | {u}))
-            stack.append((included | {u}, excluded))
-    return None
+        # backtrack to the deepest include step and take its exclude branch
+        while path and not path[-1][1]:
+            excluded.remove(path.pop()[0])
+        if not path:
+            return None
+        u = path.pop()[0]
+        included.remove(u)
+        del outside[u]
+        violators.discard(u)
+        for w in neighbors(u):
+            if w in included:
+                outside[w] += 1
+                if outside[w] == k + 1:
+                    violators.add(w)
+        excluded.add(u)
+        path.append((u, False))
+    return included

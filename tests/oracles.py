@@ -12,13 +12,23 @@ import heapq
 import math
 import warnings
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
 from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build_N
-from archipelago.graphs import Embedding, Face, Graph, Hypergraph3, connected_components, euler_characteristic
-from archipelago.islands import REGIME_A, IslandWitness, Regime, find_island, forbidden_configuration, is_island
+from archipelago.graphs import (
+    MAX_VERTICES,
+    Embedding,
+    Face,
+    Graph,
+    Hypergraph3,
+    LiveView,
+    connected_components,
+    euler_characteristic,
+)
+from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration, is_island
 from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
 from archipelago.solver import MCResult, OptimizeResult
 
@@ -894,8 +904,225 @@ def short_cycle_through(g, s: int, low_deg: int, max_len: int) -> list[int] | No
     return best
 
 
+# find_island with the search that copies its member set at every include
+# step and rescans every member for violators at every node
+
+
+def find_island(g: Graph | LiveView, k: int, size: int, restrict_to=None) -> IslandWitness | None:
+    """Search for a k-island of at most `size` vertices; None if none exists.
+
+    Complete: a minimal island is connected, so it lies in the subgraph
+    induced by vertices of degree at most k + size - 1 (each member has at
+    most k neighbors outside and at most size - 1 inside). The search seeds at
+    each candidate vertex in increasing id order and only ever adds vertices
+    with id at least the seed, which is sound because the component of the
+    island's minimum vertex is itself an island.
+
+    With restrict_to set, members are drawn only from that vertex set, but
+    outside-neighbor counts still refer to the full graph, so any witness is a
+    genuine island of g. An id in restrict_to outside 0..n-1 is a ValueError.
+    """
+    if k < 0 or size < 1:
+        raise ValueError("need k >= 0 and size >= 1")
+    degree_cap = k + size - 1
+    pool = g.vertices() if restrict_to is None else sorted(set(restrict_to))
+    if pool and not (0 <= pool[0] and pool[-1] < g.n):
+        raise ValueError(f"restrict_to names vertices outside 0..{g.n - 1}")
+    candidates = [v for v in pool if g.degree(v) <= degree_cap]
+    cand_set = set(candidates)
+    for seed in candidates:
+        hit = _grow_island(g, k, size, seed, cand_set)
+        if hit is not None:
+            witness = is_island(g, hit, k)
+            if witness is None:
+                raise AssertionError(f"island search produced a non-island: {hit}")
+            return witness
+    return None
+
+
+def _grow_island(g: Graph | LiveView, k: int, size: int, seed: int, cand_set: set[int]) -> set[int] | None:
+    """Branch search for an island containing seed, ids >= seed, within cand_set.
+
+    Depth first over (included, excluded) pairs on an explicit stack, so the
+    search depth is not bounded by Python's recursion limit: each step adds
+    the least undecided neighbor u of the least violating member, trying the
+    branch that includes u before the one that excludes it.
+    """
+    stack = [({seed}, set())]
+    while stack:
+        included, excluded = stack.pop()
+        p = min((v for v in included if sum(1 for u in g.neighbors(v) if u not in included) > k),
+                default=None)
+        if p is None:
+            return included
+        if len(included) == size:
+            continue
+        # the violator must absorb an undecided neighbor; it cannot if too
+        # many of its neighbors are already excluded
+        if sum(1 for u in g.neighbors(p) if u in excluded or u not in cand_set or u < seed) > k:
+            continue
+        undecided = [
+            u
+            for u in g.neighbors(p)
+            if u not in included and u not in excluded and u in cand_set and u >= seed
+        ]
+        if undecided:
+            u = min(undecided)
+            stack.append((included, excluded | {u}))
+            stack.append((included | {u}, excluded))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the readers that read rows lazily and convert every token by int() as they
+# reach it; `signs:` may repeat, as it could in these readers
+
+
+def significant_lines(text: str) -> list[str]:
+    """The non-blank lines, stripped; in every format "#" comments out the rest of a line."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.partition("#")[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
+def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int, ...]], list[str]]:
+    """Read the header "n m" and m rows of `width` integers, naming rows `what`.
+
+    Returns n, the rows, and the significant lines after them for the caller.
+    The rows are an iterator that parses each row as it is reached, so no row
+    outlives its use (a malformed row raises there); the row count is
+    checked at once.
+    """
+    lines = significant_lines(text)
+    if not lines:
+        raise ValueError("empty file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"bad header {lines[0]!r}; expected 'n m'")
+    n, m = int(header[0]), int(header[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"header declares {n} vertices; at most {MAX_VERTICES} are read")
+    body = lines[1 : 1 + m]
+    if len(body) != m:
+        raise ValueError(f"expected {m} {what}s, found {len(body)}")
+    return n, _rows(body, width, what), lines[1 + m :]
+
+
+def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, ...]]:
+    for line in lines:
+        parts = line.split()
+        if len(parts) != width:
+            raise ValueError(f"bad {what} line {line!r}")
+        yield tuple(map(int, parts))
+
+
+def parse_graph(text: str) -> tuple[Graph, Embedding | None]:
+    """Parse a graph file, a header "n m" then m lines "u v": the graph, and the
+    embedding its rotation lines give (checked) if it is an embedding file, else None.
+    """
+    n, edges, rest = read_rows(text, 2, "edge")
+    g = Graph(n, edges)
+    return g, read_rotations(g, rest) if rest else None
+
+
+def parse_embedding(text: str) -> Embedding:
+    """Parse the embedding format: a graph section, rotation lines, optional signs."""
+    n, edges, rest = read_rows(text, 2, "edge")
+    return read_rotations(Graph(n, edges), rest)
+
+
+def _vertex_lines(lines: list[str], n: int, what: str, expected: str) -> dict[int, list[int]]:
+    """Lines "v: a b c" as {v: [a, b, c]}, one line per v in 0..n-1; errors name them `what`."""
+    rows: dict[int, list[int]] = {}
+    for line in lines:
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad {what} line {line!r}; expected '{expected}'")
+        v = int(head)
+        if not 0 <= v < n:
+            raise ValueError(f"{what} line names vertex {v}, which a graph of {n} vertices lacks")
+        if v in rows:
+            raise ValueError(f"two {what} lines for vertex {v}")
+        rows[v] = [int(x) for x in rest.split()]
+    return rows
+
+
+def read_rotations(g: Graph, lines: list[str]) -> Embedding:
+    """The embedding of g given by rotation lines "v: a b c", one per vertex,
+    then an optional section "signs:" of lines "u v -1". A vertex or an edge
+    named twice is an error.
+    """
+    cut = lines.index("signs:") if "signs:" in lines else len(lines)
+    rotations = _vertex_lines(lines[:cut], g.n, "rotation", "v: a b c")
+    signs: dict[tuple[int, int], int] = {}
+    for line in lines[cut + 1 :]:
+        if line == "signs:":
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad sign line {line!r}; expected 'u v -1'")
+        u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
+        key = (u, v) if u < v else (v, u)
+        if key in signs:
+            raise ValueError(f"two sign lines for edge {key}")
+        signs[key] = s
+    for v in range(g.n):
+        if v not in rotations and g.degree(v):
+            raise ValueError(f"missing rotation for vertex {v}")
+    return Embedding(g, [rotations.get(v, ()) for v in range(g.n)], signs)
+
+
+def parse_hypergraph(text: str) -> Hypergraph3:
+    """Parse the hypergraph format: a header "n m", then m lines "a b c"."""
+    n, edges, rest = read_rows(text, 3, "hyperedge")
+    h = Hypergraph3.from_edges(n, edges)
+    if rest:
+        raise ValueError(f"trailing content after {len(h.edges)} hyperedges: {rest[0]!r}")
+    return h
+
+
+def parse_lists(text: str, n: int) -> dict[int, list[int]]:
+    """Per-vertex color menus of a graph of n vertices, one line "v: c1 c2 ..." each."""
+    lists = _vertex_lines(significant_lines(text), n, "list", "v: c1 c2 ...")
+    for v, colors in lists.items():
+        if not colors:
+            raise ValueError(f"empty list for vertex {v}")
+    return lists
+
+
+def parse_coloring(text: str, n: int) -> dict[int, int]:
+    """Chosen colors of a graph of n vertices, one line "v c" each."""
+    coloring: dict[int, int] = {}
+    for line in significant_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad coloring line {line!r}; expected 'v c'")
+        v = int(parts[0])
+        if not 0 <= v < n:
+            raise ValueError(f"coloring line names vertex {v}, which a graph of {n} vertices lacks")
+        if v in coloring:
+            raise ValueError(f"vertex {v} colored twice")
+        coloring[v] = int(parts[1])
+    return coloring
+
+
 # ---------------------------------------------------------------------------
 # graph helpers used only by tests
+
+
+class CountingGraph(Graph):
+    """A Graph that counts the calls made to its neighbors()."""
+
+    def __init__(self, n: int, edges):
+        super().__init__(n, edges)
+        self.reads = 0
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        self.reads += 1
+        return self._adj[v]
 
 
 def distance(g: Graph, s: int, t: int) -> float:

@@ -626,6 +626,51 @@ def test_config_path_matches_oracle():
     assert cycles >= 50
 
 
+# find_island against the search that copies its member set at every step
+
+FAMILY_DRAWS = {
+    "triangulation": lambda rng: triangulation(rng.randrange(4, 60), seed=rng.randrange(1000)),
+    "quadrangulation": lambda rng: quadrangulation(rng.randrange(4, 60), seed=rng.randrange(1000)),
+    "hex_torus": lambda rng: hex_torus(rng.randrange(3, 6), rng.randrange(3, 6)),
+    "triangulated_torus": lambda rng: triangulated_torus(rng.randrange(3, 6), rng.randrange(3, 6)),
+    "hex_patch": lambda rng: hex_patch(rng.randrange(3, 6), rng.randrange(3, 6),
+                                       deletions=rng.randrange(5), seed=rng.randrange(1000)),
+}
+
+
+def island_case(rng):
+    """A graph, k and size: a random graph with random parameters, or a
+    family's embedding graph under its regime's."""
+    if rng.random() < 0.8:
+        n = rng.randrange(2, 25)
+        g = Graph(n, bounded_edges(rng, n, rng.randrange(2, 10), rng.randrange(6 * n)))
+        return g, rng.randrange(4), rng.randrange(1, 13)
+    family = rng.choice(sorted(FAMILY_DRAWS))
+    regime = FAMILIES[family][0]
+    return FAMILY_DRAWS[family](rng).graph, regime.k, regime.size
+
+
+def test_find_island_matches_oracle():
+    rng = random.Random("find-island")
+    found = views = restricted = 0
+    for _ in range(3000):
+        g, k, size = island_case(rng)
+        if rng.random() < 0.3:
+            alive = [rng.random() > 0.2 for _ in range(g.n)]
+            g = LiveView(g, alive, [sum(alive[u] for u in g.neighbors(v)) for v in range(g.n)])
+            views += 1
+        restrict_to = None
+        live = list(g.vertices())
+        if live and rng.random() < 0.3:
+            # a ball round a vertex, as the bounds report restricts its search
+            restrict_to = oracles._ball(g, [rng.choice(live)], rng.randrange(4))
+            restricted += 1
+        got = find_island(g, k, size, restrict_to)
+        assert got == oracles.find_island(g, k, size, restrict_to)
+        found += got is not None
+    assert min(found, 3000 - found, views, restricted) >= 500
+
+
 # reduce_planar: the drawn rotation system against networkx's planarity test
 
 

@@ -307,14 +307,16 @@ class TestFormats:
         with pytest.raises(ValueError):
             parse_graph("2 1\n0 1\n0 1\n")
 
-    def test_rows_are_counted_at_once_and_parsed_when_reached(self):
+    def test_rows_are_counted_and_converted_at_once(self):
         with pytest.raises(ValueError, match="expected 2 edges, found 1"):
             read_rows("3 2\n0 1\n", 2, "edge")
-        n, rows, rest = read_rows("3 2\n0 1\n1 2 0\n", 2, "edge")
-        assert (n, rest) == (3, [])
-        assert next(rows) == (0, 1)
         with pytest.raises(ValueError, match="bad edge line '1 2 0'"):
-            next(rows)
+            read_rows("3 2\n0 1\n1 2 0\n", 2, "edge")
+        n, rows, rest, ids = read_rows("3 2\n0 1\n+1 002\n0: 1\n", 2, "edge")
+        assert (n, rest, ids) == (3, ["0: 1"], {"0": 0, "1": 1, "2": 2})
+        # the rows are one flat list of integers read off in pairs, so each
+        # row's tuple is made when it is reached and none outlives the read
+        assert list(rows) == [(0, 1), (1, 2)]
 
     def test_embedding_round_trip(self):
         emb = icosahedron_embedding()

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from archipelago.islands import (
     forbidden_configuration,
     is_island,
 )
+from oracles import CountingGraph
 
 
 def brute_island_exists(g, k, size):
@@ -196,6 +198,24 @@ class TestFindIsland:
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
         assert find_island(g, 0, size) is None
         assert find_island(g, 0, n).members == tuple(range(n))
+
+    def test_deep_search_costs_each_step_one_degree(self):
+        # on a cycle the search from vertex 0 includes one vertex per step up
+        # to the size cap, then backtracks through every step; every other
+        # seed fails at once, as its neighbour below it may not join
+        n, size = 1200, 1100
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        g = CountingGraph(n, edges)
+        assert find_island(g, 0, size) is None
+        assert g.reads <= 4 * size * 2
+        g = Graph(n, edges)
+        tracemalloc.start()
+        try:
+            assert find_island(g, 0, size) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_hexagonal_face_island(self):
         g = hex_torus_like()
