@@ -79,18 +79,18 @@ class PeelDecomposition:
         """Re-verify every layer against the graph it was removed from.
 
         Layers are replayed against one live mask on the original graph: each
-        must be a non-empty set of at most `size` live vertices, each
-        with at most k live neighbors outside it. The base must then be
-        exactly the live vertices, in components of at most `threshold`.
+        must be a non-empty set of at most `size` live vertices, none
+        repeated, each with at most k live neighbors outside it. The base must
+        then be exactly the live vertices, in components of at most `threshold`.
         Malformed layers (out-of-range or already removed vertices) make the
         replay fail rather than raise. The cost is linear in n + m.
         """
         g, k, size = self.graph, self.regime.k, self.size
         alive = [True] * g.n
         for layer in self.layers:
-            if not layer or len(layer) > size:
-                return False
             members = set(layer)
+            if not members or len(layer) > size or len(members) < len(layer):
+                return False
             for v in members:
                 if not (0 <= v < g.n and alive[v]):
                     return False

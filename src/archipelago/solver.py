@@ -23,7 +23,10 @@ a forward scan for the next branching vertex, not a pass over all n vertices.
 Each vertex keeps a count of its colored neighbors, and a pointer holds a rank
 in the branching order below which no frontier vertex lies; the scan starts
 there. It skips only vertices that are off the frontier, so the search picks
-the same vertex and explores the same tree as a scan from the first rank.
+the same vertex and explores the same tree as a scan from the first rank. The
+search state lives in local lists that _search's nested steps share; what
+depends on the graph alone (adjacency, branching order and ranks, components)
+comes from _setup, once per mc_decide and once for every k mc_optimize tries.
 """
 
 from __future__ import annotations
@@ -51,119 +54,12 @@ class OptimizeResult:
     nodes_explored: int
 
 
-class _State:
-    """Colors plus rollback-able cluster and frontier bookkeeping."""
-
-    def __init__(self, g: Graph, k: int):
-        self.adj = tuple(g.neighbors(v) for v in range(g.n))
-        self.k = k
-        self.color = [-1] * g.n
-        self.parent = list(range(g.n))
-        self.size = [1] * g.n
-        self.union_trail: list[int] = []  # merged child roots
-        self.color_trail: list[int] = []  # vertices in assignment order
-        self.colored_nbrs = [0] * g.n
-        self.seen = [0] * g.n  # the try_sizes call that last counted each root
-        self.stamp = 0
-        # branching order, its inverse, and a rank no frontier vertex is below
-        self.priority = sorted(range(g.n), key=lambda v: (-len(self.adj[v]), v))
-        self.rank = sorted(range(g.n), key=self.priority.__getitem__)
-        self.low = 0
-
-    def try_sizes(self, v: int) -> list[int]:
-        """Cluster sizes if v were colored 0 and 1; colors and clusters stay."""
-        color, parent, seen, sizes = self.color, self.parent, self.seen, [1, 1]
-        self.stamp = stamp = self.stamp + 1
-        for u in self.adj[v]:
-            c = color[u]
-            if c != -1:
-                while parent[u] != u:
-                    u = parent[u]
-                if seen[u] != stamp:  # each root counts once per call
-                    seen[u] = stamp
-                    sizes[c] += self.size[u]
-        return sizes
-
-    def paint(self, v: int, c: int):
-        """Color v with c, a color known to fit."""
-        color, colored_nbrs, parent, size = self.color, self.colored_nbrs, self.parent, self.size
-        color[v] = c
-        self.color_trail.append(v)
-        root = v  # of v's cluster
-        for u in self.adj[v]:
-            colored_nbrs[u] += 1
-            if color[u] == c:
-                ru, rv = u, root
-                while parent[ru] != ru:
-                    ru = parent[ru]
-                if ru != rv:
-                    if size[ru] < size[rv]:
-                        ru, rv = rv, ru
-                    parent[rv] = root = ru
-                    size[ru] += size[rv]
-                    self.union_trail.append(rv)
-            elif color[u] == -1 and self.rank[u] < self.low:
-                self.low = self.rank[u]
-
-    def marks(self) -> tuple[int, int]:
-        return len(self.union_trail), len(self.color_trail)
-
-    def undo_to(self, marks: tuple[int, int]):
-        umark, cmark = marks
-        while len(self.union_trail) > umark:
-            child = self.union_trail.pop()
-            self.size[self.parent[child]] -= self.size[child]
-            self.parent[child] = child
-        while len(self.color_trail) > cmark:
-            v = self.color_trail.pop()
-            self.color[v] = -1
-            for u in self.adj[v]:
-                self.colored_nbrs[u] -= 1
-            if self.colored_nbrs[v] and self.rank[v] < self.low:
-                self.low = self.rank[v]
-
-    def pick(self) -> int | None:
-        """First vertex in priority that is uncolored with a colored neighbor."""
-        color, colored_nbrs, priority = self.color, self.colored_nbrs, self.priority
-        for i in range(self.low, len(priority)):
-            v = priority[i]
-            if color[v] == -1 and colored_nbrs[v]:
-                self.low = i
-                return v
-        return None
-
-    def propagate(self, queue: deque) -> bool:
-        """Force single-choice vertices; False when one has no choice.
-
-        Only the uncolored neighbors of each newly colored vertex are queued,
-        which misses a vertex whose option a cluster growing elsewhere removes
-        (on the path 0-1-2 at k = 2, coloring 1 then 2 alike leaves 0 one
-        color, unforced). The search stays exact: a branch checks the size
-        its color would make, and _yes audits the result.
-        """
-        color = self.color
-        while queue:
-            v = queue.popleft()
-            if color[v] != -1:
-                continue
-            size0, size1 = self.try_sizes(v)
-            ok0, ok1 = size0 <= self.k, size1 <= self.k
-            if not ok0 and not ok1:
-                return False
-            if ok0 != ok1:
-                self.paint(v, 0 if ok0 else 1)
-                for u in self.adj[v]:
-                    if color[u] == -1:
-                        queue.append(u)
-        return True
-
-    def attempt(self, v: int, c: int, size: int) -> bool:
-        """Color v with c, whose cluster would have size vertices, and propagate."""
-        if size > self.k:
-            return False
-        self.paint(v, c)
-        queue = deque(u for u in self.adj[v] if self.color[u] == -1)
-        return self.propagate(queue)
+def _setup(g: Graph) -> tuple:
+    """What every search of g shares: adjacency, branching order, ranks, components."""
+    adj = tuple(g.neighbors(v) for v in range(g.n))
+    priority = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    rank = sorted(range(g.n), key=priority.__getitem__)
+    return adj, priority, rank, connected_components(g)
 
 
 def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
@@ -177,6 +73,8 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, not {budget}")
     pins = dict(pins) if pins else {}
     for v, c in pins.items():
         if not 0 <= v < g.n:
@@ -185,40 +83,134 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
             raise ValueError(f"pin color {c} must be 0 or 1")
     if g.n == 0:
         return MCResult("yes", {}, 0, 0)
+    return _search(g, _setup(g), k, pins, budget)
 
-    state = _State(g, k)
+
+def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult:
+    """mc_decide on a non-empty graph with checked pins and _setup(g)'s data."""
+    adj, priority, rank, components = setup
+    n = g.n
+    color = [-1] * n
+    parent = list(range(n))
+    size = [1] * n
+    union_trail: list[int] = []  # merged child roots
+    color_trail: list[int] = []  # vertices in assignment order
+    colored_nbrs = [0] * n
+    seen = [0] * n  # the try_sizes call that last counted each root
+    stamp = 0
+    low = 0  # a rank in the branching order no frontier vertex is below
+
+    def try_sizes(v: int) -> list[int]:
+        """Cluster sizes if v were colored 0 and 1; colors and clusters stay."""
+        nonlocal stamp
+        stamp += 1
+        sizes = [1, 1]
+        for u in adj[v]:
+            c = color[u]
+            if c != -1:
+                while parent[u] != u:
+                    u = parent[u]
+                if seen[u] != stamp:  # each root counts once per call
+                    seen[u] = stamp
+                    sizes[c] += size[u]
+        return sizes
+
+    def paint(v: int, c: int):
+        """Color v with c, a color known to fit."""
+        nonlocal low
+        color[v] = c
+        color_trail.append(v)
+        root = v  # of v's cluster
+        for u in adj[v]:
+            colored_nbrs[u] += 1
+            cu = color[u]
+            if cu == c:
+                ru, rv = u, root
+                while parent[ru] != ru:
+                    ru = parent[ru]
+                if ru != rv:
+                    if size[ru] < size[rv]:
+                        ru, rv = rv, ru
+                    parent[rv] = root = ru
+                    size[ru] += size[rv]
+                    union_trail.append(rv)
+            elif cu == -1 and rank[u] < low:
+                low = rank[u]
+
+    def undo_to(umark: int, cmark: int):
+        nonlocal low
+        while len(union_trail) > umark:
+            child = union_trail.pop()
+            size[parent[child]] -= size[child]
+            parent[child] = child
+        while len(color_trail) > cmark:
+            v = color_trail.pop()
+            color[v] = -1
+            for u in adj[v]:
+                colored_nbrs[u] -= 1
+            if colored_nbrs[v] and rank[v] < low:
+                low = rank[v]
+
+    def pick() -> int | None:
+        """First vertex in priority that is uncolored with a colored neighbor."""
+        nonlocal low
+        for i in range(low, n):
+            v = priority[i]
+            if color[v] == -1 and colored_nbrs[v]:
+                low = i
+                return v
+        return None
+
+    def propagate(queue: deque) -> bool:
+        """Force single-choice vertices; False when one has no choice.
+
+        Only the neighbors of each newly colored vertex are queued, which
+        misses a vertex whose option a cluster growing elsewhere removes (on
+        the path 0-1-2 at k = 2, coloring 1 then 2 alike leaves 0 one color,
+        unforced). The search stays exact: a branch checks the size its color
+        would make, and _yes audits the result. Whole neighbor lists are
+        queued; a vertex colored when queued is still colored when popped.
+        """
+        while queue:
+            v = queue.popleft()
+            if color[v] != -1:
+                continue
+            size0, size1 = try_sizes(v)
+            ok0, ok1 = size0 <= k, size1 <= k
+            if not ok0 and not ok1:
+                return False
+            if ok0 != ok1:
+                paint(v, 0 if ok0 else 1)
+                queue.extend(adj[v])
+        return True
+
     for v in sorted(pins):
-        if state.try_sizes(v)[pins[v]] > k:
+        if try_sizes(v)[pins[v]] > k:
             raise ValueError("inconsistent pins")
-        state.paint(v, pins[v])
-    for comp in connected_components(g):
+        paint(v, pins[v])
+    for comp in components:
         if not any(v in pins for v in comp):
             # nothing in comp is colored yet, so the seed's cluster is itself: 1 <= k
-            state.paint(comp[0], 0)
-    seeds = deque(
-        u
-        for v in range(g.n)
-        if state.color[v] != -1
-        for u in state.adj[v]
-        if state.color[u] == -1
-    )
-    if not state.propagate(seeds):
+            paint(comp[0], 0)
+    seeds = deque(u for v in range(n) if color[v] != -1 for u in adj[v] if color[u] == -1)
+    if not propagate(seeds):
         return MCResult("no", None, 0)
 
     def frame(v: int) -> list:
         """v, its first color, colors tried, cluster sizes per color, marks."""
-        sizes = state.try_sizes(v)
-        return [v, 1 if sizes[1] > sizes[0] else 0, 0, sizes, state.marks()]
+        sizes = try_sizes(v)
+        return [v, 1 if sizes[1] > sizes[0] else 0, 0, sizes, len(union_trail), len(color_trail)]
 
     nodes = 0
-    first = state.pick()
+    first = pick()
     if first is None:
-        return _yes(g, state, nodes)
+        return _yes(g, color, k, nodes)
     stack = [frame(first)]
     while stack:
         top = stack[-1]
-        v, c0, tried, sizes, marks = top
-        state.undo_to(marks)
+        v, c0, tried, sizes, umark, cmark = top
+        if len(color_trail) > cmark:  # unions come only with colors
+            undo_to(umark, cmark)
         if tried == 2:
             stack.pop()
             continue
@@ -227,19 +219,21 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
         if nodes > budget:
             return MCResult("inconclusive", None, nodes - 1)
         c = c0 ^ tried
-        if state.attempt(v, c, sizes[c]):
-            nxt = state.pick()
-            if nxt is None:
-                return _yes(g, state, nodes)
-            stack.append(frame(nxt))
+        if sizes[c] <= k:
+            paint(v, c)
+            if propagate(deque(adj[v])):
+                nxt = pick()
+                if nxt is None:
+                    return _yes(g, color, k, nodes)
+                stack.append(frame(nxt))
     return MCResult("no", None, nodes)
 
 
-def _yes(g: Graph, state: _State, nodes: int) -> MCResult:
-    coloring = {v: state.color[v] for v in range(g.n)}
-    if any(c == -1 for c in coloring.values()):
+def _yes(g: Graph, color: list[int], k: int, nodes: int) -> MCResult:
+    coloring = dict(enumerate(color))
+    if -1 in color:
         raise AssertionError("search finished with uncolored vertices")
-    report = audit(g, coloring, max_size=state.k)
+    report = audit(g, coloring, max_size=k)
     if report.oversized_components:
         raise AssertionError("search returned an oversized component; solver bug")
     return MCResult("yes", coloring, nodes, report.max_component)
@@ -252,21 +246,24 @@ def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
     some smaller k came back inconclusive; if the budget runs dry entirely,
     the all-zeros coloring supplies a trivial upper bound.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, not {budget}")
     if g.n == 0:
         return OptimizeResult(0, {}, True, 0)
+    setup = _setup(g)
     spent = 0
     inconclusive_seen = False
     for k in range(1, g.n + 1):
         remaining = budget - spent
         if remaining <= 0:
             break
-        res = mc_decide(g, k, budget=remaining)
+        res = _search(g, setup, k, {}, remaining)
         spent += res.nodes_explored
         if res.verdict == "yes":
             return OptimizeResult(k, res.coloring, not inconclusive_seen, spent)
         if res.verdict == "inconclusive":
             inconclusive_seen = True
     coloring = {v: 0 for v in range(g.n)}
-    worst = max(len(c) for c in connected_components(g))
+    worst = max(len(c) for c in setup[3])
     return OptimizeResult(worst, coloring, False, spent)
 

@@ -85,6 +85,8 @@ def run_suite(name: str, seed: int, count: int, workers: int = 1) -> list[dict]:
     """Records of the suite's instances in draw order, each with its index."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, not {count}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     specs = _suite_specs(name, seed, count)
     # the pool forks all its workers at once, and more than count or the cores do no work
     workers = min(workers, count, os.cpu_count() or 1)

@@ -600,6 +600,15 @@ class TestSolve:
         assert rep["verdicts"]["verdict"] == "no"
         assert rep["verdicts"]["nodes_explored"] == 4
 
+    @pytest.mark.parametrize("extra", [["--k", "3"], ["--optimize"]])
+    def test_negative_budget_is_refused(self, tmp_path, capsys, extra):
+        g = tmp_path / "c5.g"
+        g.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        capsys.readouterr()
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), *extra, "--budget", "-1"])
+        assert code == 2 and rep["verdicts"] == {}
+        assert "budget must be nonnegative, not -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         ["--pin", "0=1"], ["--pin", "0=1", "--pin", "1=1"], ["--k", "1"],
         ["--pin", "0=1", "--pin", "1=1", "--k", "1"],
@@ -691,6 +700,12 @@ class TestGadget:
             "north_south_split", "west_east_split",
             "corner_agree", "corner_disagree"}
 
+    def test_validate_refuses_a_negative_budget(self, capsys):
+        code, _ = dispatch(["mc", "gadget", "--type", "uncrosser", "--k", "2",
+                            "--validate", "--budget", "-3"])
+        assert code == 2
+        assert "budget must be nonnegative, not -3" in capsys.readouterr().err
+
     def test_validate_wrong_type(self):
         code, _ = dispatch(["mc", "gadget", "--type", "N", "--k", "2",
                             "--validate"])
@@ -779,6 +794,13 @@ class TestSuite:
         assert code == 2 and rep["verdicts"] == {}
         assert "count must be nonnegative, not -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_are_refused(self, capsys, workers):
+        code, rep = dispatch(["suite", "run", "--name", "planar-A", "--count", "2",
+                              "--workers", workers])
+        assert code == 2 and rep["verdicts"] == {}
+        assert f"workers must be at least 1, not {workers}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["planar-A", "quad-B", "hex-C",
                                       "torus-C", "planar-sink", "torus-sink"])
     def test_small_runs_pass(self, name):
@@ -830,6 +852,10 @@ class TestSuite:
         assert made == []
         assert suites.run_suite("planar-A", 4, 2, workers=100000) == serial
         assert len(suites.run_suite("planar-A", 4, 5, workers=100000)) == 5
+        assert made == [2, 3]
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                suites.run_suite("planar-A", 4, 2, workers=workers)
         assert made == [2, 3]
 
     @pytest.mark.parametrize("name,digest", list(SUITE_GOLDEN.items()))

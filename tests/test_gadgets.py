@@ -238,6 +238,10 @@ class TestUncrosser:
         u = build_uncrosser(2)
         assert validate_uncrosser(u, 2, budget=0).verdict == "inconclusive"
 
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget must be nonnegative, not -3"):
+            validate_uncrosser(build_uncrosser(2), 2, budget=-3)
+
 
 class TestGirth8Reduction:
     def test_one_hyperedge_shape(self):

@@ -134,6 +134,12 @@ class TestReplay:
         layers[1] = layers[1] + (layers[0][0],)
         assert not replace(dec, layers=tuple(layers)).replay_ok()
 
+    def test_vertex_repeated_within_a_layer_is_rejected(self):
+        # the members form a set, so only the count shows the repeat
+        dec = peel(triangulation(30, 1).graph, REGIME_A, 2)
+        assert dec.layers[0] == (7,) and dec.replay_ok()
+        assert not replace(dec, layers=((7, 7),) + dec.layers[1:]).replay_ok()
+
     def test_out_of_range_vertex_is_rejected(self):
         dec = self._path()
         for bad in (dec.graph.n, -1):

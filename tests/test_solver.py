@@ -10,7 +10,7 @@ from archipelago.gadgets import reduce_girth8
 from archipelago.generators import hypergraph3, triangulation
 from archipelago.graphs import Graph
 from archipelago.peeling import audit
-from archipelago.solver import MCResult, mc_decide, mc_optimize
+from archipelago.solver import MCResult, OptimizeResult, mc_decide, mc_optimize
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -158,6 +158,13 @@ class TestDecide:
         assert res.nodes_explored == 2
         assert mc_decide(complete(5), 2) == MCResult("no", None, 4)
 
+    def test_negative_budget_is_refused(self):
+        # a budget of 0 explores no node; below that there is no budget
+        assert mc_decide(complete(5), 2, budget=0) == MCResult("inconclusive", None, 0)
+        for g in (complete(5), Graph(0, [])):
+            with pytest.raises(ValueError, match="budget must be nonnegative, not -1"):
+                mc_decide(g, 2, budget=-1)
+
     def test_node_cost_does_not_grow_with_the_graph(self, monkeypatch):
         # 5,000 nodes on a 21,986-vertex reduction: pick reads about 29,000
         # entries of the branching order, and 6.9 million when every scan
@@ -169,12 +176,13 @@ class TestDecide:
                 Order.reads += 1
                 return super().__getitem__(i)
 
-        class CountingState(solver._State):
-            def __init__(self, g, k):
-                super().__init__(g, k)
-                self.priority = Order(self.priority)
+        setup = solver._setup
 
-        monkeypatch.setattr(solver, "_State", CountingState)
+        def counting_setup(g):
+            adj, priority, rank, components = setup(g)
+            return adj, Order(priority), rank, components
+
+        monkeypatch.setattr(solver, "_setup", counting_setup)
         g = reduce_girth8(hypergraph3(8, 6, seed=1), 2).graph
         assert g.n == 21986
         res = mc_decide(g, 2, budget=5000)
@@ -210,6 +218,26 @@ class TestOptimize:
         assert mc_optimize(complete(4)).k == 2
         assert mc_optimize(cycle(5)).k == 2
         assert mc_optimize(Graph(0, [])).k == 0
+
+    def test_one_setup_per_graph(self, monkeypatch):
+        # the components come with the set-up, which every k shares
+        calls = []
+        components = solver.connected_components
+
+        def counting_components(g):
+            calls.append(g)
+            return components(g)
+
+        monkeypatch.setattr(solver, "connected_components", counting_components)
+        res = mc_optimize(complete(5))
+        assert res.k == 3 and res.exact
+        assert len(calls) == 1
+
+    def test_negative_budget_is_refused(self):
+        assert mc_optimize(complete(5), budget=0) == OptimizeResult(5, dict.fromkeys(range(5), 0), False, 0)
+        for g in (complete(5), Graph(0, [])):
+            with pytest.raises(ValueError, match="budget must be nonnegative, not -1"):
+                mc_optimize(g, budget=-1)
 
     def test_budget_starvation_falls_back(self):
         res = mc_optimize(complete(5), budget=1)
