@@ -71,7 +71,7 @@ def _euler_charges(emb: Embedding, regime: Regime) -> tuple[list[int], list[int]
     """initial_charges' vertex and face charges, as integers."""
     g = emb.graph
     faces = emb.faces
-    chi = g.n - g.m + len(faces)
+    chi = euler_characteristic(emb)
     a, b = regime.vertex_charge
     c, e = regime.face_charge
     vc = [a * g.degree(v) + b for v in range(g.n)]

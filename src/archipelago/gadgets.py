@@ -512,6 +512,10 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
         raise ValueError("the hypergraph must be connected through shared "
                          "vertices; reduce its pieces separately")
     length = k * (k - 1) + 1
+    middles = 2 * k * (k - 1) - 1
+    # refuse on the crossing-free part first: the connectors alone are
+    # quadratic in k, and crossings only add to the size
+    check_size(h.n + len(h.edges) * length * (1 + middles), "reduce_planar's crossing-free part")
     targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
     slots: dict[int, int] = {}
     for u in targets:
@@ -519,7 +523,6 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
             slots[u] = len(slots)
 
     n_crossings = _count_crossings([slots[u] for u in targets], h.n)
-    middles = 2 * k * (k - 1) - 1
     # a connector with c crossings runs through c + 1 equalizers
     check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
                 + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")

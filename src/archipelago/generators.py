@@ -1,10 +1,11 @@
 """Seeded generators for embedded test instances.
 
 Every family is deterministic in its seed (randomness goes through
-random.Random.randrange exclusively) and every construction is verified
-before being returned: faces are retraced and the promised invariants
-(face degrees, Euler characteristic, regularity, girth) are checked, with a
-RuntimeError on any violation.
+random.Random.randrange exclusively) and is certified through one
+constructor, `_surface`: it reads the graph off the family's rotation lists,
+retraces the faces and checks the promised Euler characteristic and face
+degree. Each family then checks only its own invariants (regularity, girth,
+bipartiteness). Any violation raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from archipelago.graphs import Embedding, Graph, Hypergraph3, bipartition, check_size, connected_components, girth
+from archipelago.graphs import (Embedding, Graph, Hypergraph3, bipartition, check_size, connected_components,
+                                euler_characteristic, girth)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,26 @@ def _check(cond: bool, what: str):
         raise RuntimeError(f"generator post-check failed: {what}")
 
 
+def _graph(rot) -> Graph:
+    """The graph whose vertex v has the neighbors rot[v]."""
+    return Graph(len(rot), [(u, v) for u, nbrs in enumerate(rot) for v in nbrs if u < v])
+
+
+def _surface(rot, chi: int, face_degree: int | None, what: str) -> Embedding:
+    """The embedding with rotation rot[v] at each vertex v, certified.
+
+    The faces are retraced; every face must have face_degree sides, when
+    one is given, and the Euler characteristic must be chi. No family counts
+    its faces or edges, because these two checks fix the counts on the
+    sphere: n - m + f = 2 with 3f = 2m gives f = 2n - 4 for a triangulation,
+    and with 4f = 2m gives m = 2n - 4 for a quadrangulation.
+    """
+    emb = Embedding(_graph(rot), rot)
+    _check(face_degree is None or all(f.degree == face_degree for f in emb.faces), f"{what} face degrees")
+    _check(euler_characteristic(emb) == chi, f"{what} characteristic")
+    return emb
+
+
 def triangulation(n: int, seed: int) -> Embedding:
     """Random planar triangulation on n >= 4 vertices by face subdivision.
 
@@ -63,7 +85,7 @@ def triangulation(n: int, seed: int) -> Embedding:
         raise ValueError("triangulation needs n >= 4")
     check_size(n, "triangulation")
     rng = random.Random(seed)
-    rot = {0: [1, 2, 3], 1: [2, 0, 3], 2: [3, 0, 1], 3: [1, 0, 2]}
+    rot = [[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]]
     faces = [(0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 1)]
     for w in range(4, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
@@ -72,14 +94,9 @@ def triangulation(n: int, seed: int) -> Embedding:
         for x, y in ((a, b), (b, c), (c, a)):
             i = rot[y].index(x)
             rot[y].insert(i + 1, w)
-        rot[w] = [b, a, c]
+        rot.append([b, a, c])
         faces += [(a, b, w), (b, c, w), (c, a, w)]
-    g = Graph(n, [(u, v) for u in rot for v in rot[u] if u < v])
-    emb = Embedding(g, [rot[v] for v in range(n)])
-    _check(len(emb.faces) == 2 * n - 4, "triangulation face count")
-    _check(all(f.degree == 3 for f in emb.faces), "triangulation face degrees")
-    _check(g.n - g.m + len(emb.faces) == 2, "triangulation characteristic")
-    return emb
+    return _surface(rot, 2, 3, "triangulation")
 
 
 def quadrangulation(n: int, seed: int) -> Embedding:
@@ -93,7 +110,7 @@ def quadrangulation(n: int, seed: int) -> Embedding:
         raise ValueError("quadrangulation needs n >= 4")
     check_size(n, "quadrangulation")
     rng = random.Random(seed)
-    rot = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]}
+    rot = [[3, 1], [0, 2], [1, 3], [2, 0]]
     faces = [(0, 1, 2, 3), (3, 2, 1, 0)]
     for w in range(4, n):
         walk = faces.pop(rng.randrange(len(faces)))
@@ -101,46 +118,39 @@ def quadrangulation(n: int, seed: int) -> Embedding:
         a, b, c, d = (walk[(d0 + i) % 4] for i in range(4))
         rot[a].insert(rot[a].index(d) + 1, w)
         rot[c].insert(rot[c].index(b) + 1, w)
-        rot[w] = [c, a]
+        rot.append([c, a])
         faces += [(a, b, c, w), (c, d, a, w)]
-    g = Graph(n, [(u, v) for u in rot for v in rot[u] if u < v])
-    emb = Embedding(g, [rot[v] for v in range(n)])
-    _check(g.m == 2 * n - 4, "quadrangulation edge count")
-    _check(all(f.degree == 4 for f in emb.faces), "quadrangulation face degrees")
-    _check(g.n - g.m + len(emb.faces) == 2, "quadrangulation characteristic")
-    _check(bipartition(g) is not None, "quadrangulation bipartiteness")
+    emb = _surface(rot, 2, 4, "quadrangulation")
+    _check(bipartition(emb.graph) is not None, "quadrangulation bipartiteness")
     return emb
 
 
-def _hex_ids(rows: int, cols: int):
-    def A(r, c):
-        return 2 * ((r % rows) * cols + (c % cols))
+def _hex_rotations(rows: int, cols: int, wrap: bool) -> list[list[int]]:
+    """Rotations of the rows x cols hexagonal grid, two vertices per cell.
 
-    def B(r, c):
-        return A(r, c) + 1
-
-    return A, B
+    Cell (r, c) holds vertex 2(r*cols + c), joined to its partner 2(r*cols + c)+1
+    and to the partners in cells (r, c-1) and (r-1, c); the partner is joined
+    to cells (r, c+1) and (r+1, c). With wrap, cells are taken mod the grid,
+    giving the torus; without, neighbors across the grid's edge are left out.
+    """
+    rot = []
+    for r in range(rows):
+        for c in range(cols):
+            for partner, steps in ((1, ((0, 0), (0, -1), (-1, 0))), (0, ((0, 0), (0, 1), (1, 0)))):
+                rot.append([2 * ((r + dr) % rows * cols + (c + dc) % cols) + partner
+                            for dr, dc in steps
+                            if wrap or (0 <= r + dr < rows and 0 <= c + dc < cols)])
+    return rot
 
 
 def hex_torus(rows: int, cols: int) -> Embedding:
     """Hexagonal grid on the torus: 3-regular, girth 6, characteristic 0."""
     if rows < 3 or cols < 3:
         raise ValueError("hex_torus needs rows, cols >= 3")
-    n = 2 * rows * cols
-    check_size(n, "hex_torus")
-    A, B = _hex_ids(rows, cols)
-    rot: list[list[int]] = [[] for _ in range(n)]
-    for r in range(rows):
-        for c in range(cols):
-            rot[A(r, c)] = [B(r, c), B(r, c - 1), B(r - 1, c)]
-            rot[B(r, c)] = [A(r, c), A(r, c + 1), A(r + 1, c)]
-    edges = {(min(u, v), max(u, v)) for u in range(n) for v in rot[u]}
-    g = Graph(n, sorted(edges))
-    emb = Embedding(g, rot)
-    _check(all(g.degree(v) == 3 for v in range(n)), "hex_torus regularity")
-    _check(all(f.degree == 6 for f in emb.faces), "hex_torus face degrees")
-    _check(g.n - g.m + len(emb.faces) == 0, "hex_torus characteristic")
-    _check(girth(g) == 6, "hex_torus girth")
+    check_size(2 * rows * cols, "hex_torus")
+    emb = _surface(_hex_rotations(rows, cols, wrap=True), 0, 6, "hex_torus")
+    _check(all(len(nbrs) == 3 for nbrs in emb.rotations), "hex_torus regularity")
+    _check(girth(emb.graph) == 6, "hex_torus girth")
     return emb
 
 
@@ -148,39 +158,22 @@ def triangulated_torus(rows: int, cols: int) -> Embedding:
     """Triangular grid on the torus: 6-regular, all faces triangles."""
     if rows < 3 or cols < 3:
         raise ValueError("triangulated_torus needs rows, cols >= 3")
-    n = rows * cols
-    check_size(n, "triangulated_torus")
-
-    def vid(r, c):
-        return (r % rows) * cols + (c % cols)
-
-    rot: list[list[int]] = [[] for _ in range(n)]
-    for r in range(rows):
-        for c in range(cols):
-            rot[vid(r, c)] = [
-                vid(r, c + 1),
-                vid(r + 1, c + 1),
-                vid(r + 1, c),
-                vid(r, c - 1),
-                vid(r - 1, c - 1),
-                vid(r - 1, c),
-            ]
-    edges = {(min(u, v), max(u, v)) for u in range(n) for v in rot[u]}
-    g = Graph(n, sorted(edges))
-    emb = Embedding(g, rot)
-    _check(all(g.degree(v) == 6 for v in range(n)), "triangulated_torus regularity")
-    _check(all(f.degree == 3 for f in emb.faces), "triangulated_torus face degrees")
-    _check(g.n - g.m + len(emb.faces) == 0, "triangulated_torus characteristic")
+    check_size(rows * cols, "triangulated_torus")
+    steps = ((0, 1), (1, 1), (1, 0), (0, -1), (-1, -1), (-1, 0))
+    rot = [[(r + dr) % rows * cols + (c + dc) % cols for dr, dc in steps]
+           for r in range(rows) for c in range(cols)]
+    emb = _surface(rot, 0, 3, "triangulated_torus")
+    _check(all(len(nbrs) == 6 for nbrs in emb.rotations), "triangulated_torus regularity")
     return emb
 
 
 def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     """Planar patch of the hexagonal grid with random connected deletions.
 
-    The torus construction without the wrap edges, then up to `deletions`
+    The hex torus's rotations less their wrap edges, then up to `deletions`
     random vertex removals that keep the graph connected (removals that would
-    disconnect it are skipped). Result is planar, bipartite, girth 6 or
-    acyclic.
+    disconnect it are skipped). The result is certified planar through the
+    same constructor as every family, and is bipartite, girth 6 or acyclic.
     """
     if rows < 3 or cols < 3:
         raise ValueError("hex_patch needs rows, cols >= 3")
@@ -189,24 +182,8 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     n = 2 * rows * cols
     check_size(n, "hex_patch")
     rng = random.Random(seed)
-    A, B = _hex_ids(rows, cols)
-    rot: dict[int, list[int]] = {v: [] for v in range(n)}
-    for r in range(rows):
-        for c in range(cols):
-            nbrs = [B(r, c)]
-            if c >= 1:
-                nbrs.append(B(r, c - 1))
-            if r >= 1:
-                nbrs.append(B(r - 1, c))
-            rot[A(r, c)] = nbrs
-            nbrs = [A(r, c)]
-            if c + 1 < cols:
-                nbrs.append(A(r, c + 1))
-            if r + 1 < rows:
-                nbrs.append(A(r + 1, c))
-            rot[B(r, c)] = nbrs
-
-    grid = Graph(n, {(min(u, v), max(u, v)) for u in rot for v in rot[u]})
+    rot = _hex_rotations(rows, cols, wrap=False)
+    grid = _graph(rot)
     live = set(range(n))
     for _ in range(deletions):
         if len(live) <= 1:
@@ -216,12 +193,10 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
         live.discard(v)
         if len(connected_components(grid.induced(live)[0])) > 1:
             live.add(v)
-    g, relabel = grid.induced(live)
-    rotations = [[relabel[u] for u in rot[v] if u in live] for v in sorted(live)]
-    emb = Embedding(g, rotations)
-    _check(g.n - g.m + len(emb.faces) == 2, "hex_patch characteristic")
-    _check(bipartition(g) is not None, "hex_patch bipartiteness")
-    _check(girth(g) >= 6, "hex_patch girth")
+    relabel = {v: i for i, v in enumerate(sorted(live))}
+    emb = _surface([[relabel[u] for u in rot[v] if u in relabel] for v in relabel], 2, None, "hex_patch")
+    _check(bipartition(emb.graph) is not None, "hex_patch bipartiteness")
+    _check(girth(emb.graph) >= 6, "hex_patch girth")
     return emb
 
 

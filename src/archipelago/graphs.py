@@ -83,9 +83,6 @@ class Graph:
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
 

@@ -754,6 +754,22 @@ class TestReduce:
                               "--regime", "B"])
         assert code == 0 and rep["verdicts"]["chi"] == 2
 
+    def test_oversized_planar_reduction_is_refused_before_allocating(self, tmp_path, capsys):
+        # one hyperedge's connectors alone number k(k - 1) + 1
+        h = tmp_path / "h.h3"
+        h.write_text("3 1\n0 1 2\n")
+        tracemalloc.start()
+        try:
+            code, _ = dispatch(["mc", "reduce", "--variant", "planar", "--hypergraph", str(h),
+                                "--k", "3000", "--out", str(tmp_path / "r.emb")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert ("crossing-free part would build 161892035994003 vertices; at most 1000000 are allowed"
+                in capsys.readouterr().err)
+        assert peak < 2**20
+
 
 class TestHyper2Color:
     def test_colorable(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from archipelago import graphs
 from archipelago.generators import (
     GenSpec,
+    _surface,
     gen,
     hex_patch,
     hex_torus,
@@ -91,6 +92,19 @@ class TestHexPatch:
         assert girth(emb.graph) >= 6
         assert bipartition(emb.graph) is not None
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deletions_stop_at_one_vertex(self, seed):
+        emb = hex_patch(3, 3, deletions=200, seed=seed)
+        assert emb.graph.n == 1
+        assert euler_characteristic(emb) == 2
+
+    def test_rotations_are_the_torus_less_its_wrap_edges(self):
+        torus = hex_torus(4, 5)
+        patch = hex_patch(4, 5, deletions=0, seed=0)
+        assert patch.rotations == tuple(tuple(u for u in rot if patch.graph.has_edge(v, u))
+                                         for v, rot in enumerate(torus.rotations))
+        assert patch.graph.m == torus.graph.m - (4 + 5)  # one wrap edge per row and per column
+
     def test_deterministic(self):
         a = hex_patch(4, 5, deletions=8, seed=42)
         b = hex_patch(4, 5, deletions=8, seed=42)
@@ -115,6 +129,17 @@ class TestHypergraph3:
         # a negative m would shrink the size that the vertex limit checks
         with pytest.raises(ValueError, match="m >= 0"):
             hypergraph3(2 * 10**6, -1, seed=0)
+
+
+class TestSurface:
+    @pytest.mark.parametrize("chi, face_degree, what", [
+        (0, 3, "characteristic"),
+        (2, 4, "face degrees"),
+    ])
+    def test_refuses_a_broken_promise(self, chi, face_degree, what):
+        rot = triangulation(9, seed=2).rotations
+        with pytest.raises(RuntimeError, match=f"post-check failed: triangulation {what}"):
+            _surface(rot, chi, face_degree, "triangulation")
 
 
 class TestGenDispatch:

@@ -114,6 +114,11 @@ def test_sign_line_out_of_range_raises_value_error(line):
         parse_embedding(triangle + line + "\n")
 
 
+def test_isolated_vertex_may_have_no_rotation_line():
+    emb = parse_embedding("3 1\n0 1\n0: 1\n1: 0\n")
+    assert emb.rotations == ((1,), (0,), ())
+
+
 @pytest.mark.parametrize("parse", [parse_graph, parse_embedding, parse_hypergraph])
 def test_negative_vertex_count_raises_value_error(parse):
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
