@@ -182,7 +182,8 @@ def counting_check_J(t: int) -> CountingCheck:
     This margin is what forces the two coupler roots to agree: a root
     colored c passes color 1-c to at least 4t+1 of any internal vertex's 5t
     children, so more than half of all leaves end up colored by root parity,
-    and the two trees share all their leaves.
+    and the two trees share all their leaves. This is the program's check of
+    the coupler's counting claim; the tests run it for t = 2..1000.
     """
     if t < 2:
         raise ValueError("t must be at least 2")

@@ -11,10 +11,10 @@ bipartiteness). Any violation raises RuntimeError.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
-from archipelago.graphs import (Embedding, Graph, Hypergraph3, bipartition, check_size, connected_components,
-                                euler_characteristic, girth)
+from archipelago.graphs import Embedding, Graph, Hypergraph3, bipartition, check_size, euler_characteristic, girth
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,25 @@ def triangulated_torus(rows: int, cols: int) -> Embedding:
     return emb
 
 
+def _joined(rot, live, v: int) -> bool:
+    """Whether the live vertices, connected with v, stay connected without it.
+
+    They do when v's live neighbors lie in one component, so the search from
+    one of them stops once it has met all of them.
+    """
+    missing = {u for u in rot[v] if live[u]}
+    start = missing.pop()
+    seen = {start}
+    queue = deque([start])
+    while missing and queue:
+        for y in rot[queue.popleft()]:
+            if live[y] and y not in seen:
+                seen.add(y)
+                missing.discard(y)
+                queue.append(y)
+    return not missing
+
+
 def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     """Planar patch of the hexagonal grid with random connected deletions.
 
@@ -183,17 +202,18 @@ def hex_patch(rows: int, cols: int, deletions: int, seed: int) -> Embedding:
     check_size(n, "hex_patch")
     rng = random.Random(seed)
     rot = _hex_rotations(rows, cols, wrap=False)
-    grid = _graph(rot)
-    live = set(range(n))
+    pool = list(range(n))  # the live vertices, in order
+    live = [True] * n
     for _ in range(deletions):
-        if len(live) <= 1:
+        if len(pool) <= 1:
             break
-        pool = sorted(live)
-        v = pool[rng.randrange(len(pool))]
-        live.discard(v)
-        if len(connected_components(grid.induced(live)[0])) > 1:
-            live.add(v)
-    relabel = {v: i for i, v in enumerate(sorted(live))}
+        i = rng.randrange(len(pool))
+        v = pool.pop(i)
+        live[v] = False
+        if not _joined(rot, live, v):
+            live[v] = True
+            pool.insert(i, v)
+    relabel = {v: i for i, v in enumerate(pool)}
     emb = _surface([[relabel[u] for u in rot[v] if u in relabel] for v in relabel], 2, None, "hex_patch")
     _check(bipartition(emb.graph) is not None, "hex_patch bipartiteness")
     _check(girth(emb.graph) >= 6, "hex_patch girth")

@@ -26,7 +26,9 @@ there. It skips only vertices that are off the frontier, so the search picks
 the same vertex and explores the same tree as a scan from the first rank. The
 search state lives in local lists that _search's nested steps share; what
 depends on the graph alone (adjacency, branching order and ranks, components)
-comes from _setup, once per mc_decide and once for every k mc_optimize tries.
+comes from _setup, once per mc_decide or mc_optimize. mc_optimize is one
+branch-and-bound run of the same search (Land and Doig, 1960), from the
+BFS-layer parity coloring down.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ class MCResult:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    k: int
+    k: int  # the largest monochromatic component of coloring
     coloring: dict[int, int]
-    exact: bool
-    nodes_explored: int
+    exact: bool  # the search refuted every coloring below k
+    nodes_explored: int  # nodes of the one branch-and-bound search
 
 
 def _setup(g: Graph) -> tuple:
@@ -86,8 +88,16 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7) -> MCResult:
     return _search(g, _setup(g), k, pins, budget)
 
 
-def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult:
-    """mc_decide on a non-empty graph with checked pins and _setup(g)'s data."""
+def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int, best: list[int] | None = None) -> MCResult:
+    """mc_decide on a non-empty graph with checked pins and _setup(g)'s data.
+
+    Given best, a coloring whose largest cluster is k + 1, it is a branch and
+    bound: each coloring completed is copied into best, k drops below its
+    largest cluster, and the frames whose state holds a larger cluster are
+    popped (a color forced under a larger k is forced under a smaller one, so
+    the rest stay sound). It ends "no" when nothing below best exists, with
+    best's largest cluster as best_max_component.
+    """
     adj, priority, rank, components = setup
     n = g.n
     color = [-1] * n
@@ -99,6 +109,7 @@ def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult
     seen = [0] * n  # the try_sizes call that last counted each root
     stamp = 0
     low = 0  # a rank in the branching order no frontier vertex is below
+    largest = 0  # the largest cluster of the state
 
     def try_sizes(v: int) -> list[int]:
         """Cluster sizes if v were colored 0 and 1; colors and clusters stay."""
@@ -117,7 +128,7 @@ def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult
 
     def paint(v: int, c: int):
         """Color v with c, a color known to fit."""
-        nonlocal low
+        nonlocal low, largest
         color[v] = c
         color_trail.append(v)
         root = v  # of v's cluster
@@ -136,9 +147,13 @@ def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult
                     union_trail.append(rv)
             elif cu == -1 and rank[u] < low:
                 low = rank[u]
+        if size[root] > largest:
+            largest = size[root]
 
-    def undo_to(umark: int, cmark: int):
-        nonlocal low
+    def undo_to(umark: int, cmark: int, big: int):
+        """Back to the state with the given trail lengths and largest cluster."""
+        nonlocal low, largest
+        largest = big
         while len(union_trail) > umark:
             child = union_trail.pop()
             size[parent[child]] -= size[child]
@@ -192,41 +207,45 @@ def _search(g: Graph, setup: tuple, k: int, pins: dict, budget: int) -> MCResult
         if not any(v in pins for v in comp):
             # nothing in comp is colored yet, so the seed's cluster is itself: 1 <= k
             paint(comp[0], 0)
-    seeds = deque(u for v in range(n) if color[v] != -1 for u in adj[v] if color[u] == -1)
-    if not propagate(seeds):
-        return MCResult("no", None, 0)
 
     def frame(v: int) -> list:
-        """v, its first color, colors tried, cluster sizes per color, marks."""
+        """v, its first color, colors tried, cluster sizes per color, marks, largest cluster."""
         sizes = try_sizes(v)
-        return [v, 1 if sizes[1] > sizes[0] else 0, 0, sizes, len(union_trail), len(color_trail)]
+        return [v, 1 if sizes[1] > sizes[0] else 0, 0, sizes, len(union_trail), len(color_trail), largest]
 
     nodes = 0
-    first = pick()
-    if first is None:
-        return _yes(g, color, k, nodes)
-    stack = [frame(first)]
-    while stack:
+    stack: list[list] = []
+    grown = propagate(deque(u for v in range(n) if color[v] != -1 for u in adj[v] if color[u] == -1))
+    while True:
+        if grown:  # the state grew without a conflict: branch on it, or it is complete
+            grown = False
+            nxt = pick()
+            if nxt is not None:
+                stack.append(frame(nxt))
+            elif best is None:
+                return _yes(g, color, k, nodes)
+            else:
+                best[:] = color
+                k = largest - 1
+                while stack and stack[-1][6] > k:
+                    stack.pop()
+        if not stack:
+            return MCResult("no", None, nodes, None if best is None else k + 1)
         top = stack[-1]
-        v, c0, tried, sizes, umark, cmark = top
+        v, c0, tried, sizes, umark, cmark, big = top
         if len(color_trail) > cmark:  # unions come only with colors
-            undo_to(umark, cmark)
+            undo_to(umark, cmark, big)
         if tried == 2:
             stack.pop()
             continue
         top[2] = tried + 1
         nodes += 1
         if nodes > budget:
-            return MCResult("inconclusive", None, nodes - 1)
+            return MCResult("inconclusive", None, nodes - 1, None if best is None else k + 1)
         c = c0 ^ tried
         if sizes[c] <= k:
             paint(v, c)
-            if propagate(deque(adj[v])):
-                nxt = pick()
-                if nxt is None:
-                    return _yes(g, color, k, nodes)
-                stack.append(frame(nxt))
-    return MCResult("no", None, nodes)
+            grown = propagate(deque(adj[v]))
 
 
 def _yes(g: Graph, color: list[int], k: int, nodes: int) -> MCResult:
@@ -239,31 +258,42 @@ def _yes(g: Graph, color: list[int], k: int, nodes: int) -> MCResult:
     return MCResult("yes", coloring, nodes, report.max_component)
 
 
-def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
-    """Smallest k for which a coloring exists, within a shared node budget.
+def _parity(adj: tuple, components: list[list[int]]) -> list[int]:
+    """The BFS-layer parity coloring from each component's first vertex.
 
-    Runs the decision procedure for k = 1, 2, ... The result is exact unless
-    some smaller k came back inconclusive; if the budget runs dry entirely,
-    the all-zeros coloring supplies a trivial upper bound.
+    An edge joins two vertices of one layer or of adjacent layers, so every
+    monochromatic component of it lies inside one layer.
+    """
+    color = [-1] * len(adj)
+    for comp in components:
+        color[comp[0]] = 0
+        queue = deque(comp[:1])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if color[y] == -1:
+                    color[y] = color[x] ^ 1
+                    queue.append(y)
+    return color
+
+
+def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
+    """Least largest monochromatic component over all colorings, within a node budget.
+
+    One branch-and-bound _search from the BFS-layer parity coloring down.
+    exact means the search refuted every coloring below the one returned; a
+    budget that runs out returns the best coloring found. The coloring is
+    audited, and k is its largest component.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, not {budget}")
     if g.n == 0:
         return OptimizeResult(0, {}, True, 0)
     setup = _setup(g)
-    spent = 0
-    inconclusive_seen = False
-    for k in range(1, g.n + 1):
-        remaining = budget - spent
-        if remaining <= 0:
-            break
-        res = _search(g, setup, k, {}, remaining)
-        spent += res.nodes_explored
-        if res.verdict == "yes":
-            return OptimizeResult(k, res.coloring, not inconclusive_seen, spent)
-        if res.verdict == "inconclusive":
-            inconclusive_seen = True
-    coloring = {v: 0 for v in range(g.n)}
-    worst = max(len(c) for c in setup[3])
-    return OptimizeResult(worst, coloring, False, spent)
-
+    best = _parity(setup[0], setup[3])
+    top = audit(g, dict(enumerate(best))).max_component
+    if top == 1:  # a proper coloring
+        return OptimizeResult(1, dict(enumerate(best)), True, 0)
+    res = _search(g, setup, top - 1, {}, budget, best)
+    found = _yes(g, best, res.best_max_component, res.nodes_explored)
+    return OptimizeResult(found.best_max_component, found.coloring, res.verdict == "no", res.nodes_explored)

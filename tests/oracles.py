@@ -373,6 +373,8 @@ def girth(g: Graph) -> float:
 # mc_decide and mc_optimize with pick() scanning every vertex at every node.
 # larger_first=False tries color 0 first at every branching vertex, as the
 # package did before it ordered the colors by the cluster each would join.
+# mc_optimize_climb is the optimizer the branch and bound replaced: one
+# mc_decide for each k = 1, 2, ...
 
 class _State:
     """Colors plus rollback-able cluster bookkeeping."""
@@ -419,6 +421,10 @@ class _State:
 
     def marks(self) -> tuple[int, int]:
         return len(self.union_trail), len(self.color_trail)
+
+    def largest(self) -> int:
+        """The largest cluster, read off every colored vertex's root."""
+        return max((self.size[self.find(v)] for v, c in enumerate(self.color) if c != -1), default=0)
 
     def undo_to(self, marks: tuple[int, int]):
         umark, cmark = marks
@@ -480,8 +486,19 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7, larger_first: bo
             raise ValueError(f"pin color {c} must be 0 or 1")
     if g.n == 0:
         return MCResult("yes", {}, 0, 0)
+    return _search(g, k, pins, budget, larger_first)
 
+
+def _search(g: Graph, k: int, pins: dict, budget: int, larger_first: bool = True,
+            best: dict | None = None) -> MCResult:
+    """mc_decide; given best, a coloring whose largest cluster is k + 1, the
+    branch and bound below it: a coloring found replaces best, k drops below
+    it and the frames whose state holds a cluster above k are dropped."""
     state = _State(g, k)
+
+    def bound() -> int | None:
+        return None if best is None else state.k + 1
+
     for v in sorted(pins):
         if not state.assign(v, pins[v]):
             raise ValueError("inconsistent pins")
@@ -497,7 +514,7 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7, larger_first: bo
         if state.color[u] == -1
     )
     if not state.propagate(seeds):
-        return MCResult("no", None, 0)
+        return MCResult("no", None, 0, bound())
 
     priority = sorted(range(g.n), key=lambda v: (-len(state.adj[v]), v))
 
@@ -514,13 +531,28 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7, larger_first: bo
         return [0, 1]
 
     nodes = 0
-    first = pick()
-    if first is None:
-        return _yes(g, state, nodes)
-    stack: list[list] = [[first, order(first), state.marks()]]
+    stack: list[list] = []
+
+    def extend() -> MCResult | None:
+        """Push a frame for the next branching vertex, or take a complete coloring."""
+        nxt = pick()
+        if nxt is not None:
+            stack.append([nxt, order(nxt), state.marks(), state.largest()])
+            return None
+        if best is None:
+            return _yes(g, state, nodes)
+        best.clear()
+        best.update(enumerate(state.color))
+        state.k = state.largest() - 1
+        stack[:] = [f for f in stack if f[3] <= state.k]
+        return None
+
+    found = extend()
+    if found is not None:
+        return found
     while stack:
         frame = stack[-1]
-        v, colors, marks = frame
+        v, colors, marks, _ = frame
         state.undo_to(marks)
         if not colors:
             stack.pop()
@@ -528,13 +560,12 @@ def mc_decide(g: Graph, k: int, pins=None, budget: int = 10**7, larger_first: bo
         c = colors.pop(0)
         nodes += 1
         if nodes > budget:
-            return MCResult("inconclusive", None, nodes - 1)
+            return MCResult("inconclusive", None, nodes - 1, bound())
         if state.attempt(v, c):
-            nxt = pick()
-            if nxt is None:
-                return _yes(g, state, nodes)
-            stack.append([nxt, order(nxt), state.marks()])
-    return MCResult("no", None, nodes)
+            found = extend()
+            if found is not None:
+                return found
+    return MCResult("no", None, nodes, bound())
 
 
 def _yes(g: Graph, state: _State, nodes: int) -> MCResult:
@@ -547,7 +578,38 @@ def _yes(g: Graph, state: _State, nodes: int) -> MCResult:
     return MCResult("yes", coloring, nodes, report.max_component)
 
 
+def parity_coloring(g: Graph) -> dict[int, int]:
+    """Parity of each vertex's BFS distance from its component's smallest vertex."""
+    coloring = {}
+    for comp in connected_components(g):
+        level = {comp[0]: 0}
+        queue = deque([comp[0]])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if y not in level:
+                    level[y] = level[x] + 1
+                    queue.append(y)
+        coloring.update((v, d % 2) for v, d in level.items())
+    return dict(sorted(coloring.items()))
+
+
 def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
+    """Branch and bound from the parity coloring down, within a node budget."""
+    if g.n == 0:
+        return OptimizeResult(0, {}, True, 0)
+    best = parity_coloring(g)
+    top = audit(g, best).max_component
+    if top == 1:
+        return OptimizeResult(1, best, True, 0)
+    res = _search(g, top - 1, {}, budget, best=best)
+    report = audit(g, best, max_size=res.best_max_component)
+    if report.oversized_components:
+        raise AssertionError("branch and bound kept an oversized component")
+    return OptimizeResult(report.max_component, best, res.verdict == "no", res.nodes_explored)
+
+
+def mc_optimize_climb(g: Graph, budget: int = 10**7) -> OptimizeResult:
     """Smallest k for which a coloring exists, within a shared node budget.
 
     Runs the decision procedure for k = 1, 2, ... The result is exact unless

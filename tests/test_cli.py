@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from archipelago import cli, graphs, suites
+from archipelago import cli, graphs, solver, suites
 from archipelago.cli import dispatch
 from archipelago.generators import GenSpec, gen
 from archipelago.graphs import (
@@ -25,7 +25,7 @@ from archipelago.graphs import (
     serialize_lists,
 )
 from archipelago.islands import REGIME_C
-from archipelago.peeling import TheoremViolation, color, peel
+from archipelago.peeling import TheoremViolation, audit, color, peel
 from archipelago.suites import SUITE_NAMES
 from test_peeling import fallback_graph
 
@@ -608,6 +608,20 @@ class TestSolve:
         code, rep = dispatch(["mc", "solve", "--graph", str(g), *extra, "--budget", "-1"])
         assert code == 2 and rep["verdicts"] == {}
         assert "budget must be nonnegative, not -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--k", "2"], ["--optimize"]])
+    def test_failed_audit_exits_one(self, tmp_path, capsys, monkeypatch, extra):
+        # an audit that finds every component too big stands for a solver bug
+        def strict(g, coloring, max_size=None):
+            return audit(g, coloring, max_size=0)
+
+        monkeypatch.setattr(solver, "audit", strict)
+        g = tmp_path / "c5.g"
+        g.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), *extra])
+        assert code == 1
+        assert rep["verdicts"]["assertion"] == "search returned an oversized component; solver bug"
+        assert "property failed: search returned an oversized component" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--pin", "0=1"], ["--pin", "0=1", "--pin", "1=1"], ["--k", "1"],

@@ -459,6 +459,16 @@ def test_mc_optimize_matches_oracle(case):
     assert mc_optimize(g, budget) == oracles.mc_optimize(g, budget)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=solver_cases())
+def test_mc_optimize_matches_climb(case):
+    # the branch and bound finds the k, and the exactness, of climbing
+    # k = 1, 2, ... with one mc_decide each, the optimizer it replaced
+    g = case[0]
+    res, climb = mc_optimize(g), oracles.mc_optimize_climb(g)
+    assert (res.k, res.exact) == (climb.k, climb.exact)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 40), data=st.data())
 def test_mc_decide_matches_oracle_on_pinned_stars(n, data):

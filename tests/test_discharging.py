@@ -14,7 +14,7 @@ from archipelago.generators import hex_patch, hex_torus, quadrangulation, triang
 from archipelago.graphs import Embedding, Graph, euler_characteristic
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
 from oracles import CountingGraph
-from tests.test_graphs import icosahedron_embedding
+from test_graphs import icosahedron_embedding
 
 
 def emb_sorted(g):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import pytest
 
@@ -104,6 +106,28 @@ class TestHexPatch:
         assert patch.rotations == tuple(tuple(u for u in rot if patch.graph.has_edge(v, u))
                                          for v, rot in enumerate(torus.rotations))
         assert patch.graph.m == torus.graph.m - (4 + 5)  # one wrap edge per row and per column
+
+    def test_deletions_build_no_graph(self, monkeypatch):
+        # a deletion is checked by a search from one live neighbor of the
+        # deleted vertex: the only graph built is the certified output
+        built = []
+        init = graphs.Graph.__init__
+
+        def counting_init(self, n, edges):
+            built.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(graphs.Graph, "__init__", counting_init)
+        emb = hex_patch(30, 30, deletions=400, seed=1)
+        assert built == [emb.graph.n]
+
+    def test_outputs_are_unchanged(self):
+        # sha256 of the serialized patches, recorded when every deletion
+        # rebuilt the live graph and its components
+        digest = hashlib.sha256()
+        for rows, cols, deletions, seed in product((3, 4, 5), (3, 4, 6), (0, 5, 20, 60), range(3)):
+            digest.update(graphs.serialize_embedding(hex_patch(rows, cols, deletions, seed)).encode())
+        assert digest.hexdigest() == "0de937418bc7880c11e93fa3defaf878b4b6c291af64d9a031df6e6cc1d40151"
 
     def test_deterministic(self):
         a = hex_patch(4, 5, deletions=8, seed=42)

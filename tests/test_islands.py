@@ -103,7 +103,7 @@ class TestForbiddenConfigurationA:
 
     def test_five_five_edge(self):
         # icosahedron is 5-regular: every edge is a degree-5 pair
-        from tests.test_graphs import icosahedron_embedding
+        from test_graphs import icosahedron_embedding
 
         g = icosahedron_embedding().graph
         w = forbidden_configuration(g, REGIME_A)

@@ -331,7 +331,7 @@ class TestColorFourPlusSink:
         assert fault is None and report.ok  # threshold 0: every component small
 
     def test_icosahedron(self):
-        from tests.test_graphs import icosahedron_embedding
+        from test_graphs import icosahedron_embedding
 
         g = icosahedron_embedding().graph
         coloring, _, _ = color(peel(g, REGIME_A, chi=2))

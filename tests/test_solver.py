@@ -234,21 +234,56 @@ class TestOptimize:
         assert len(calls) == 1
 
     def test_negative_budget_is_refused(self):
-        assert mc_optimize(complete(5), budget=0) == OptimizeResult(5, dict.fromkeys(range(5), 0), False, 0)
+        # a budget of 0 explores no node and returns the BFS-parity coloring:
+        # vertex 0 alone in layer 0, the other four in layer 1
+        parity = {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
+        assert mc_optimize(complete(5), budget=0) == OptimizeResult(4, parity, False, 0)
         for g in (complete(5), Graph(0, [])):
             with pytest.raises(ValueError, match="budget must be nonnegative, not -1"):
                 mc_optimize(g, budget=-1)
 
     def test_budget_starvation_falls_back(self):
+        # the best coloring found: here the parity coloring
         res = mc_optimize(complete(5), budget=1)
         assert not res.exact
-        assert res.k == 5
-        assert largest_mono_component(complete(5), res.coloring) <= res.k
+        assert res.k == 4 and res.nodes_explored == 1
+        assert largest_mono_component(complete(5), res.coloring) == res.k
+
+    def test_every_budget_returns_an_audited_coloring(self):
+        for seed in range(30):
+            g = random_graph(8, 0.3 + 0.02 * seed, 4000 + seed)
+            best = next(k for k in range(1, g.n + 1) if brute_coloring(g, k) is not None)
+            for budget in range(61):
+                res = mc_optimize(g, budget)
+                assert res.nodes_explored <= budget
+                assert largest_mono_component(g, res.coloring) == res.k >= best
+                assert res.k == best or not res.exact
+
+    def test_bipartite_graphs_need_no_search(self):
+        # the parity coloring of a bipartite graph is proper
+        for g in (path(6), cycle(6), Graph(3, [])):
+            res = mc_optimize(g, budget=0)
+            assert (res.k, res.exact, res.nodes_explored) == (1, True, 0)
 
     def test_node_total_on_small_triangulations(self):
-        # each branch tries the larger cluster first; with color 0 first the
-        # same searches take 5,725 nodes, the difference all in "yes" searches
+        # one search from the parity coloring down; oracles.mc_optimize_climb,
+        # with a search for each k = 1, 2, ..., takes 5,462
         graphs = [triangulation(n, seed=s).graph for n in range(12, 21) for s in range(4)]
         results = [mc_optimize(g) for g in graphs]
         assert all(res.exact for res in results)
-        assert sum(res.nodes_explored for res in results) == 5462
+        assert sum(res.nodes_explored for res in results) == 5394
+
+
+class TestYesAudit:
+    """The two checks _yes makes before it returns a coloring."""
+
+    def test_uncolored_vertex(self):
+        with pytest.raises(AssertionError, match="uncolored vertices"):
+            solver._yes(path(2), [0, -1], 1, 0)
+
+    def test_oversized_component(self, monkeypatch):
+        monkeypatch.setattr(solver, "audit", lambda g, coloring, max_size=None: audit(g, coloring, max_size=0))
+        with pytest.raises(AssertionError, match="oversized component; solver bug"):
+            mc_decide(path(2), 1)
+        with pytest.raises(AssertionError, match="oversized component; solver bug"):
+            mc_optimize(complete(3))
