@@ -53,6 +53,11 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's neighbors, indexed by vertex, for passes over them all."""
+        return self._adj
+
     def vertices(self) -> range:
         return range(self.n)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from archipelago.graphs import Graph, LiveView, connected_components
 from archipelago.islands import REGIME_A, Regime, find_island, forbidden_configuration
@@ -80,30 +81,32 @@ class PeelDecomposition:
 
         Layers are replayed against one live mask on the original graph: each
         must be a non-empty set of at most `size` live vertices, none
-        repeated, each with at most k live neighbors outside it. The base must
-        then be exactly the live vertices, in components of at most `threshold`.
-        Malformed layers (out-of-range or already removed vertices) make the
-        replay fail rather than raise. The cost is linear in n + m.
+        repeated, each with at most k live neighbors outside it. A layer's
+        members leave the mask before their neighbors are counted, so a
+        repeat finds its vertex gone and the live neighbors left are those
+        outside. The base must then be exactly the live vertices, in
+        components of at most `threshold`. Malformed layers (out-of-range or
+        already removed vertices) make the replay fail rather than raise.
+        The cost is linear in n + m.
         """
         g, k, size = self.graph, self.regime.k, self.size
-        alive = [True] * g.n
+        n, adj = g.n, g.adjacency
+        alive = [True] * n
         for layer in self.layers:
-            members = set(layer)
-            if not members or len(layer) > size or len(members) < len(layer):
+            if not layer or len(layer) > size:
                 return False
-            for v in members:
-                if not (0 <= v < g.n and alive[v]):
+            for v in layer:
+                if not (0 <= v < n and alive[v]):
                     return False
-            for v in members:
+                alive[v] = False
+            for v in layer:
                 outside = 0
-                for u in g.neighbors(v):
-                    if alive[u] and u not in members:
+                for u in adj[v]:
+                    if alive[u]:
                         outside += 1
                 if outside > k:
                     return False
-            for v in members:
-                alive[v] = False
-        if sorted(self.base) != [v for v in range(g.n) if alive[v]]:
+        if sorted(self.base) != list(compress(range(n), alive)):
             return False
         return all(len(c) <= self.threshold for c in connected_components(g.induced(self.base)[0]))
 
@@ -197,38 +200,48 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
     return PeelDecomposition(g, regime, chi, tuple(layers), base, planar)
 
 
+def _first_missing(table, n: int) -> int:
+    """The least vertex below n that table has no entry for, or n."""
+    if all(map(table.__contains__, range(n))):
+        return n
+    return next(v for v in range(n) if v not in table)
+
+
 def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
     """Color a decomposition from per-vertex lists of at least k+1 colors each.
 
     Base vertices take the first color of their list. Layers are colored in
     reverse removal order; each island member takes the first list color not
     used by an already-colored neighbor outside its own island. Monochromatic
-    components then have at most `dec.bound` vertices.
+    components then have at most `dec.bound` vertices. Beside the returned
+    dict, a list holds each vertex's color once its layer is done, and None
+    before (so no list may offer None); dec's layers and base must partition
+    the vertices, as they do when replay_ok accepts it.
     """
-    g = dec.graph
-    k = dec.regime.k
-    for v in range(g.n):
-        if v not in lists:
-            raise ValueError(f"no color list for vertex {v}")
-        if len(set(lists[v])) < k + 1:
-            raise ValueError(f"list of vertex {v} has fewer than {k + 1} distinct colors")
+    g, k = dec.graph, dec.regime.k
+    n, adj = g.n, g.adjacency
+    gap = _first_missing(lists, n)
+    rows = list(map(lists.__getitem__, range(gap)))
+    short = next((v for v, row in enumerate(rows) if len(set(row)) <= k), gap)
+    if short < gap:
+        raise ValueError(f"list of vertex {short} has fewer than {k + 1} distinct colors")
+    if gap < n:
+        raise ValueError(f"no color list for vertex {gap}")
     coloring: dict[int, int] = {}
+    col = [None] * n
     for v in dec.base:
-        coloring[v] = lists[v][0]
+        coloring[v] = col[v] = rows[v][0]
     for layer in reversed(dec.layers):
-        members = set(layer)
         for v in sorted(layer):
-            used = {
-                coloring[u]
-                for u in g.neighbors(v)
-                if u in coloring and u not in members
-            }
-            for c in lists[v]:
+            used = set(map(col.__getitem__, adj[v]))
+            for c in rows[v]:
                 if c not in used:
                     coloring[v] = c
                     break
             else:
                 raise AssertionError(f"vertex {v} ran out of colors; broken layer")
+        for v in layer:
+            col[v] = coloring[v]
     return coloring
 
 
@@ -249,41 +262,38 @@ class ColoringReport:
 def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> ColoringReport:
     """Connected components of each color class, checked against bounds.
 
-    Raises if any vertex is uncolored, or has no list when lists is given.
-    When max_size is given, components larger than it are reported as
-    oversized; when lists is given, vertices colored outside their list are
-    reported.
+    Raises for the least vertex that is uncolored, or has no list when lists
+    is given. When max_size is given, components larger than it are
+    reported as oversized; when lists is given, vertices colored outside
+    their list are reported. One pass over a per-vertex color list.
     """
-    for v in range(g.n):
-        if v not in coloring:
-            raise ValueError(f"vertex {v} is uncolored")
-        if lists is not None and v not in lists:
-            raise ValueError(f"no color list for vertex {v}")
-    seen = [False] * g.n
+    n, adj = g.n, g.adjacency
+    gap = _first_missing(coloring, n)
+    v = min(gap, n if lists is None else _first_missing(lists, n))
+    if v < n:
+        raise ValueError(f"vertex {v} is uncolored" if v == gap else f"no color list for vertex {v}")
+    cols = list(map(coloring.__getitem__, range(n)))
+    seen = [False] * n
     sizes: dict = {}
     oversized = []
-    for s in range(g.n):
+    for s in range(n):
         if seen[s]:
             continue
         seen[s] = True
-        color = coloring[s]
+        color = cols[s]
         comp = [s]
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if not seen[y] and coloring[y] == color:
+        for x in comp:
+            for y in adj[x]:
+                if cols[y] == color and not seen[y]:
                     seen[y] = True
                     comp.append(y)
-                    queue.append(y)
-        sizes[color] = max(sizes.get(color, 0), len(comp))
-        if max_size is not None and len(comp) > max_size:
+        size = len(comp)
+        if size > sizes.get(color, 0):
+            sizes[color] = size
+        if max_size is not None and size > max_size:
             oversized.append(tuple(sorted(comp)))
-    violations = tuple(
-        (v, coloring[v])
-        for v in range(g.n)
-        if lists is not None and coloring[v] not in lists[v]
-    )
+    violations = () if lists is None else tuple(
+        (v, c) for v, c in enumerate(cols) if c not in lists[v])
     return ColoringReport(
         max_component=max(sizes.values(), default=0),
         component_sizes=sizes,

@@ -58,7 +58,7 @@ class OptimizeResult:
 
 def _setup(g: Graph) -> tuple:
     """What every search of g shares: adjacency, branching order, ranks, components."""
-    adj = tuple(g.neighbors(v) for v in range(g.n))
+    adj = g.adjacency
     priority = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     rank = sorted(range(g.n), key=priority.__getitem__)
     return adj, priority, rank, connected_components(g)

@@ -29,7 +29,7 @@ from archipelago.graphs import (
     euler_characteristic,
 )
 from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration, is_island
-from archipelago.peeling import PeelDecomposition, TheoremViolation, audit
+from archipelago.peeling import ColoringReport, PeelDecomposition, TheoremViolation
 from archipelago.solver import MCResult, OptimizeResult
 
 
@@ -54,6 +54,100 @@ def replay_ok(dec: PeelDecomposition) -> bool:
         if any(len(c) > dec.threshold for c in connected_components(sub)):
             return False
     return True
+
+
+def replay_ok_live_mask(dec: PeelDecomposition) -> bool:
+    """PeelDecomposition.replay_ok with a member set per layer and a live mask."""
+    g, k, size = dec.graph, dec.regime.k, dec.size
+    alive = [True] * g.n
+    for layer in dec.layers:
+        members = set(layer)
+        if not members or len(layer) > size or len(members) < len(layer):
+            return False
+        for v in members:
+            if not (0 <= v < g.n and alive[v]):
+                return False
+        for v in members:
+            outside = 0
+            for u in g.neighbors(v):
+                if alive[u] and u not in members:
+                    outside += 1
+            if outside > k:
+                return False
+        for v in members:
+            alive[v] = False
+    if sorted(dec.base) != [v for v in range(g.n) if alive[v]]:
+        return False
+    return all(len(c) <= dec.threshold for c in connected_components(g.induced(dec.base)[0]))
+
+
+def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
+    """peeling.extend_coloring over the colouring dict and a member set per layer."""
+    g = dec.graph
+    k = dec.regime.k
+    for v in range(g.n):
+        if v not in lists:
+            raise ValueError(f"no color list for vertex {v}")
+        if len(set(lists[v])) < k + 1:
+            raise ValueError(f"list of vertex {v} has fewer than {k + 1} distinct colors")
+    coloring: dict[int, int] = {}
+    for v in dec.base:
+        coloring[v] = lists[v][0]
+    for layer in reversed(dec.layers):
+        members = set(layer)
+        for v in sorted(layer):
+            used = {
+                coloring[u]
+                for u in g.neighbors(v)
+                if u in coloring and u not in members
+            }
+            for c in lists[v]:
+                if c not in used:
+                    coloring[v] = c
+                    break
+            else:
+                raise AssertionError(f"vertex {v} ran out of colors; broken layer")
+    return coloring
+
+
+def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> ColoringReport:
+    """peeling.audit over the colouring dict, with a deque per component."""
+    for v in range(g.n):
+        if v not in coloring:
+            raise ValueError(f"vertex {v} is uncolored")
+        if lists is not None and v not in lists:
+            raise ValueError(f"no color list for vertex {v}")
+    seen = [False] * g.n
+    sizes: dict = {}
+    oversized = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        color = coloring[s]
+        comp = [s]
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if not seen[y] and coloring[y] == color:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        sizes[color] = max(sizes.get(color, 0), len(comp))
+        if max_size is not None and len(comp) > max_size:
+            oversized.append(tuple(sorted(comp)))
+    violations = tuple(
+        (v, coloring[v])
+        for v in range(g.n)
+        if lists is not None and coloring[v] not in lists[v]
+    )
+    return ColoringReport(
+        max_component=max(sizes.values(), default=0),
+        component_sizes=sizes,
+        list_violations=violations,
+        oversized_components=tuple(oversized),
+    )
 
 
 def trace_faces(emb: Embedding) -> tuple[Face, ...]:

@@ -42,7 +42,7 @@ from archipelago.graphs import (
     trace_faces,
 )
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
-from archipelago.peeling import TheoremViolation, color, peel
+from archipelago.peeling import TheoremViolation, audit, color, extend_coloring, peel
 from archipelago.regimes import _config_path
 from archipelago.solver import mc_decide, mc_optimize
 
@@ -169,7 +169,58 @@ def test_replay_ok_matches_oracle_on_mutated_decompositions(family, data):
         base=tuple(base),
         chi=data.draw(st.sampled_from([dec.chi, 2, 0, -1])),
     )
-    assert mutated.replay_ok() == _oracle_verdict(mutated)
+    assert mutated.replay_ok() == _oracle_verdict(mutated) == oracles.replay_ok_live_mask(mutated)
+
+
+def draw_lists(data, n, k):
+    """Lists of k+1 or more colors from a small palette, now and then one
+    short of k+1 distinct colors or missing."""
+    palette = st.integers(0, k + 2)
+    lists = {v: data.draw(st.lists(palette, min_size=k + 1, max_size=k + 3, unique=True)) for v in range(n)}
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        v = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            lists.pop(v, None)
+        else:
+            lists[v] = data.draw(st.lists(palette, min_size=1, max_size=k + 1).filter(lambda row: len(set(row)) <= k))
+    return lists
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_extend_coloring_matches_oracle(family, data):
+    regime, chi, draw = FAMILIES[family]
+    dec = peel(draw(data).graph, regime, chi)
+    lists = draw_lists(data, dec.graph.n, regime.k)
+    got, want = outcome(extend_coloring, dec, lists), outcome(oracles.extend_coloring, dec, lists)
+    # equal dicts in equal order
+    assert got == want
+    if got[0] == "value":
+        assert list(got[1].items()) == list(want[1].items())
+
+
+def report_fields(report):
+    return (report.max_component, list(report.component_sizes.items()), report.list_violations,
+            report.oversized_components)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_audit_matches_oracle(family, data):
+    regime, chi, draw = FAMILIES[family]
+    g = draw(data).graph
+    # a few colors make large monochromatic components; lists may miss the
+    # color, or a vertex may go without color or list
+    coloring = {v: data.draw(st.integers(0, data.draw(st.integers(0, 4)))) for v in range(g.n)}
+    lists = data.draw(st.none() | st.just(draw_lists(data, g.n, 1)))
+    if data.draw(st.integers(0, 4)) == 0:
+        del coloring[data.draw(st.integers(0, g.n - 1))]
+    max_size = data.draw(st.none() | st.integers(1, g.n))
+
+    def report(f):
+        return report_fields(f(g, coloring, max_size, lists))
+
+    assert outcome(report, audit) == outcome(report, oracles.audit)
 
 
 @settings(max_examples=60, deadline=None)

@@ -234,17 +234,38 @@ class TestColorFromLists:
         emb = triangulation(10, seed=0)
         dec = peel(emb.graph, REGIME_A, chi=2)
         lists = {v: [0, 1, 2, 3] for v in range(10)}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="list of vertex 0 has fewer than 5 distinct colors"):
             extend_coloring(dec, lists)
-        lists = {v: [0, 1, 2, 3, 3] for v in range(10)}
-        with pytest.raises(ValueError):
+        lists = {v: [0, 1, 2, 3, 3] if v == 7 else [0, 1, 2, 3, 4] for v in range(10)}
+        with pytest.raises(ValueError, match="list of vertex 7 has fewer than 5 distinct colors"):
             extend_coloring(dec, lists)
 
     def test_rejects_missing_list(self):
         emb = triangulation(6, seed=0)
         dec = peel(emb.graph, REGIME_A, chi=2)
         lists = {v: [0, 1, 2, 3, 4] for v in range(5)}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no color list for vertex 5"):
+            extend_coloring(dec, lists)
+
+    @pytest.mark.parametrize("missing, short, first", [
+        (2, 4, "no color list for vertex 2"),
+        (4, 2, "list of vertex 2 has fewer than 5 distinct colors"),
+    ])
+    def test_first_faulty_list_is_named(self, missing, short, first):
+        dec = peel(triangulation(6, seed=0).graph, REGIME_A, chi=2)
+        lists = {v: [0, 1, 2, 3, 4] for v in range(6) if v != missing}
+        lists[short] = [0, 1, 2, 3]
+        with pytest.raises(ValueError, match=first):
+            extend_coloring(dec, lists)
+
+    def test_broken_layer_runs_out_of_colors(self):
+        # the star's center goes first with five live neighbors, so no island;
+        # colored last, it finds all five of its colors on its leaves
+        g = Graph(6, [(0, v) for v in range(1, 6)])
+        dec = PeelDecomposition(g, REGIME_A, 2, tuple((v,) for v in range(6)), ())
+        assert not dec.replay_ok()
+        lists = {0: [1, 2, 3, 4, 5], **{v: [v, 6, 7, 8, 9] for v in range(1, 6)}}
+        with pytest.raises(AssertionError, match="vertex 0 ran out of colors; broken layer"):
             extend_coloring(dec, lists)
 
 
@@ -355,8 +376,20 @@ class TestAudit:
 
     def test_uncolored_rejected(self):
         g = Graph(2, [(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 1 is uncolored"):
             audit(g, {0: 1})
+
+    @pytest.mark.parametrize("uncolored, unlisted, first", [
+        (1, 3, "vertex 1 is uncolored"),
+        (3, 1, "no color list for vertex 1"),
+        (2, 2, "vertex 2 is uncolored"),
+    ])
+    def test_first_faulty_vertex_is_named(self, uncolored, unlisted, first):
+        g = Graph(5, [(v, v + 1) for v in range(4)])
+        coloring = {v: v % 2 for v in range(5) if v != uncolored}
+        lists = {v: [0, 1] for v in range(5) if v != unlisted}
+        with pytest.raises(ValueError, match=first):
+            audit(g, coloring, lists=lists)
 
     def test_list_violations(self):
         g = Graph(2, [(0, 1)])
