@@ -1,13 +1,15 @@
 """Exact discharging audits over embedded graphs.
 
-Charges are fractions.Fraction throughout, assigned to vertices (and faces,
-in the regimes that charge faces) from the Euler formula, then moved by the
-regime's local rules; coefficients, rules and bounds come from the regime's
-row in archipelago.regimes. The total is conserved exactly and asserted.
-Elements that end below the regime's bound are paired with island
-witnesses: on a valid embedding above the guarantee threshold, a
-below-bound element means an island is present somewhere, and the report
-insists on exhibiting one.
+Charges are assigned to vertices (and faces, in the regimes that charge
+faces) from the Euler formula, then moved by the regime's local rules;
+coefficients, rules and bounds come from the regime's row in
+archipelago.regimes. The starting charges are integers and the transfer
+amounts Fractions, so discharge moves integer units over one common
+denominator, asserts that their total is conserved exactly, and hands out
+the final charges as Fractions. Elements that end below the regime's bound
+are paired with island witnesses: on a valid embedding above the guarantee
+threshold, a below-bound element means an island is present somewhere, and
+the report insists on exhibiting one.
 """
 
 from __future__ import annotations
@@ -19,27 +21,17 @@ from itertools import chain
 
 from archipelago.graphs import Embedding, euler_characteristic
 from archipelago.islands import IslandWitness, Regime, find_island, forbidden_configuration
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One application of a discharging rule."""
-
-    rule: str
-    source: tuple[str, int]  # ("v", id) or ("f", face index)
-    target: tuple[str, int]
-    amount: Fraction
-
-    def __str__(self) -> str:
-        return (
-            f"rule={self.rule} from={self.source[0]}{self.source[1]} "
-            f"to={self.target[0]}{self.target[1]} amount={self.amount}"
-        )
+from archipelago.regimes import Transfer
 
 
 @dataclass
 class ChargeState:
-    """Vertex and face charges plus the log of every transfer applied."""
+    """Vertex and face charges plus the log of every transfer applied.
+
+    Charges are Fractions (initial_charges makes one per element; discharge
+    makes one per distinct value and shares it), and each transfer is a
+    Transfer named tuple whose amount is a Fraction.
+    """
 
     regime: Regime
     vertex_charge: list[Fraction]
@@ -74,8 +66,8 @@ def _euler_charges(emb: Embedding, regime: Regime) -> tuple[list[int], list[int]
     chi = euler_characteristic(emb)
     a, b = regime.vertex_charge
     c, e = regime.face_charge
-    vc = [a * g.degree(v) + b for v in range(g.n)]
-    fc = [c * f.degree + e for f in faces]
+    vc = [a * d + b for d in map(len, g.adjacency)]
+    fc = [c * len(f.walk) + e for f in faces]
     if sum(vc) + sum(fc) != b * chi:
         raise AssertionError(f"regime {regime.name} charges do not total {b}*chi")
     if regime.face_bound is None:
@@ -88,24 +80,21 @@ def discharge(emb: Embedding, regime: Regime) -> ChargeState:
 
     Charges move as integers over one common denominator, the lcm of the
     transfer amounts' denominators, so a transfer costs two integer
-    additions. Conservation is asserted on those integers, and the Fraction
-    charges are built once, at the end.
+    additions. The rules pass a few shared amount objects, whose integer
+    units are found once, by identity. Conservation is asserted on those
+    integers, and the Fraction charges are built once, at the end.
     """
     vc, fc = _euler_charges(emb, regime)
-    # the transfers keep no move tuple and one ("v", id) or ("f", id) tuple
-    # per element: fewer live objects, fewer garbage-collector passes
-    share = {}.setdefault
-    transfers = [
-        Transfer(rule, share(source, source), share(target, target), amount)
-        for rule, source, target, amount in regime.rules(emb)
-    ]
-    scale = math.lcm(*{t.amount.denominator for t in transfers})
+    transfers = list(regime.rules(emb))
+    amounts = {id(t.amount): t.amount for t in transfers}
+    scale = math.lcm(*{a.denominator for a in amounts.values()})
+    units = {key: scale // a.denominator * a.numerator for key, a in amounts.items()}
     book = {"v": [x * scale for x in vc], "f": [x * scale for x in fc]}
     before = sum(book["v"]) + sum(book["f"])
-    for t in transfers:
-        units = scale // t.amount.denominator * t.amount.numerator
-        book[t.source[0]][t.source[1]] -= units
-        book[t.target[0]][t.target[1]] += units
+    for _, (sk, si), (tk, ti), amount in transfers:
+        u = units[id(amount)]
+        book[sk][si] -= u
+        book[tk][ti] += u
     if sum(book["v"]) + sum(book["f"]) != before:
         raise AssertionError("discharging did not conserve total charge")
     exact = {x: Fraction(x, scale) for x in {*book["v"], *book["f"]}}  # few distinct
@@ -152,10 +141,17 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     distinct ball, and the whole-graph search at most once per report.
     When the guarantee premises hold (order above threshold, and the regime's
     girth precondition), a below-bound element without any island would
-    contradict the guarantee, so that case raises.
+    contradict the guarantee, so that case raises. A state whose vertex or
+    face count is not the embedding's is a ValueError.
     """
     regime = state.regime
     g = emb.graph
+    faces = emb.faces
+    if (len(state.vertex_charge), len(state.face_charge)) != (g.n, len(faces)):
+        raise ValueError(
+            f"the charge state has {len(state.vertex_charge)} vertices and "
+            f"{len(state.face_charge)} faces, the embedding {g.n} and {len(faces)}"
+        )
     chi = euler_characteristic(emb)
     threshold = regime.threshold(chi)
     vb = regime.vertex_bound
@@ -174,16 +170,13 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         return w if w is not None else search(frozenset(range(g.n)))
 
     entries: list[BoundEntry] = []
-    for v in range(g.n):
-        if state.vertex_charge[v] < vb:
-            witness = witness_near([v, *g.neighbors(v)])
-            entries.append(BoundEntry("v", v, state.vertex_charge[v], witness))
+    vc = state.vertex_charge
+    for v in _below(vc, vb):
+        entries.append(BoundEntry("v", v, vc[v], witness_near([v, *g.neighbors(v)])))
     if fb is not None:
-        for fi, face in enumerate(emb.faces):
-            if state.face_charge[fi] < fb:
-                entries.append(
-                    BoundEntry("f", fi, state.face_charge[fi], witness_near(face.vertices()))
-                )
+        fc = state.face_charge
+        for fi in _below(fc, fb):
+            entries.append(BoundEntry("f", fi, fc[fi], witness_near(faces[fi].vertices())))
     if theorem_applies:
         for e in entries:
             if e.witness is None:
@@ -200,6 +193,16 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         theorem_applies=theorem_applies,
         entries=tuple(entries),
     )
+
+
+def _below(charges: list[Fraction], bound: Fraction) -> list[int]:
+    """The indices of the charges under bound, comparing each distinct object once.
+
+    discharge shares one Fraction per value, so there are few to compare.
+    """
+    distinct = {id(x): x for x in charges}
+    low = {key for key, x in distinct.items() if x < bound}
+    return [i for i, key in enumerate(map(id, charges)) if key in low]
 
 
 def _ball(g, roots, radius: int) -> frozenset[int]:

@@ -155,8 +155,9 @@ class Embedding:
 
     `rotations[v]` lists the neighbors of v in cyclic order; it must be a
     permutation of the graph's adjacency at v. `signs` maps unordered edges to
-    +1/-1; edges absent from the map are positive. All-positive signs describe
-    an orientable surface.
+    +1/-1; edges absent from the map are positive, and an edge named twice, in
+    either order, is an error. All-positive signs describe an orientable
+    surface.
     """
 
     __slots__ = ("graph", "rotations", "_sign", "_faces")
@@ -170,13 +171,18 @@ class Embedding:
         self.rotations = rots
         sign = {}
         if signs:
+            named = set()
             for (u, v), s in signs.items():
                 if s not in (1, -1):
                     raise ValueError(f"sign of ({u}, {v}) must be +1 or -1")
                 if not (u in graph and v in graph and graph.has_edge(u, v)):
                     raise ValueError(f"signed edge ({u}, {v}) not in graph")
+                key = (u, v) if u < v else (v, u)
+                if key in named:
+                    raise ValueError(f"two signs for edge {key}")
+                named.add(key)
                 if s == -1:
-                    sign[(u, v) if u < v else (v, u)] = -1
+                    sign[key] = -1
         self._sign = sign
         self._faces: tuple[Face, ...] | None = None
 
@@ -330,6 +336,7 @@ def girth(g: Graph) -> float:
     level before it only looks for an edge inside that level.
     """
     best = math.inf
+    adj = g.adjacency
     level = [-1] * g.n  # -1 off the current root's search, -2 at earlier roots
     parent = [-1] * g.n
     for r in range(g.n):
@@ -340,12 +347,12 @@ def girth(g: Graph) -> float:
             if 2 * lx + 1 >= best:
                 break
             if 2 * lx + 2 >= best:  # only an edge inside level lx is short enough
-                for y in g.neighbors(x):
+                for y in adj[x]:
                     if level[y] == lx:
                         best = 2 * lx + 1
                         break
                 continue
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 ly = level[y]
                 if ly == -1:
                     level[y] = lx + 1

@@ -31,15 +31,17 @@ def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | None:
     removed one) or a member with more than k neighbors outside the set.
     """
     mset = set(members)
-    if not mset or any(v not in g for v in mset):
+    if not mset or not all(map(g.__contains__, mset)):
         return None
+    neighbors, inside = g.neighbors, mset.intersection
     outside = {}
     for v in sorted(mset):
-        cnt = sum(1 for u in g.neighbors(v) if u not in mset)
+        nbrs = neighbors(v)  # distinct, so the members among them are counted once
+        cnt = len(nbrs) - len(inside(nbrs))
         if cnt > k:
             return None
         outside[v] = cnt
-    return IslandWitness(members=tuple(sorted(mset)), k=k, outside_degrees=outside)
+    return IslandWitness(members=tuple(outside), k=k, outside_degrees=outside)
 
 
 # ---------------------------------------------------------------------------

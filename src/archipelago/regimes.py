@@ -15,13 +15,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from archipelago.graphs import Embedding, Graph, LiveView, girth
 
-# one application of a discharging rule: (rule, source, target, amount),
-# with each element named ("v", vertex id) or ("f", face index)
-Move = tuple[str, tuple[str, int], tuple[str, int], Fraction]
+
+class Transfer(NamedTuple):
+    """One application of a discharging rule.
+
+    A named tuple, so it unpacks as (rule, source, target, amount). Each
+    element is named ("v", vertex id) or ("f", face index), and a rule run
+    names every element with one shared tuple; the amount is a Fraction.
+    """
+
+    rule: str
+    source: tuple[str, int]
+    target: tuple[str, int]
+    amount: Fraction
+
+    def __str__(self) -> str:
+        return (
+            f"rule={self.rule} from={self.source[0]}{self.source[1]} "
+            f"to={self.target[0]}{self.target[1]} amount={self.amount}"
+        )
 
 
 @dataclass(frozen=True)
@@ -38,7 +54,7 @@ class Regime:
     scan: Callable[[Graph | LiveView, int, Iterable[int] | None], list[int] | None]
     vertex_charge: tuple[int, int]  # (a, b): a vertex of degree d starts with a*d + b
     face_charge: tuple[int, int]  # (c, e): a face of degree d starts with c*d + e
-    rules: Callable[[Embedding], Iterator[Move]]  # transfers in the order applied
+    rules: Callable[[Embedding], Iterator[Transfer]]  # transfers in the order applied
     vertex_bound: Fraction  # a vertex ending below this has an island nearby
     face_bound: Fraction | None  # likewise for faces; None: faces hold no charge
     precondition: Callable[[Graph], bool] = lambda g: True
@@ -161,28 +177,35 @@ def _walk_back(prev: dict[int, int], v: int) -> list[int]:
 # discharging rules
 
 
-def _vertex_rules_a(emb: Embedding) -> Iterator[Move]:
+def _vertex_rules_a(emb: Embedding) -> Iterator[Transfer]:
     # R1/R2: rich vertices support poor neighbors; R3: degree 6 tops up
     # degree 5. All flows are along edges.
-    g = emb.graph
+    adj = emb.graph.adjacency
+    deg = list(map(len, adj))
+    name = [("v", v) for v in range(len(adj))]
     r1, r2, r3 = Fraction(1, 4), Fraction(1, 12), Fraction(1, 6)
-    for v in range(g.n):
-        dv = g.degree(v)
+    for v, dv in enumerate(deg):
         if dv >= 7:
-            for u in g.neighbors(v):
-                du = g.degree(u)
+            for u in adj[v]:
+                du = deg[u]
                 if du == 5:
-                    yield "R1", ("v", v), ("v", u), r1
+                    yield Transfer("R1", name[v], name[u], r1)
                 elif du == 6:
-                    yield "R2", ("v", v), ("v", u), r2
+                    yield Transfer("R2", name[v], name[u], r2)
         elif dv == 6:
-            for u in g.neighbors(v):
-                if g.degree(u) == 5:
-                    yield "R3", ("v", v), ("v", u), r3
+            for u in adj[v]:
+                if deg[u] == 5:
+                    yield Transfer("R3", name[v], name[u], r3)
+
+
+def _names(emb: Embedding) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """Every vertex's ("v", id) and every face's ("f", index), one tuple each."""
+    return [("v", v) for v in range(emb.graph.n)], [("f", i) for i in range(len(emb.faces))]
 
 
 def _walk_rule(emb: Embedding, starter_deg: int, inner_deg: int, min_inner: int,
-               amount: Fraction, face_rule: str, vertex_rule: str) -> Iterator[Move]:
+               amount: Fraction, face_rule: str, vertex_rule: str,
+               names: tuple[list, list] | None = None) -> Iterator[Transfer]:
     """Facial-path rule: each low-degree starter is paid once per boundary pass.
 
     For every face, both boundary orientations, and every occurrence of a
@@ -190,41 +213,49 @@ def _walk_rule(emb: Embedding, starter_deg: int, inner_deg: int, min_inner: int,
     degree exactly inner_deg. A long enough run means the face pays the
     starter; otherwise the vertex ending the run pays (it can be the starter
     itself when the run wraps all the way around, a logged net-zero event).
+    `names` are _names(emb), when the caller shares them with its other rules.
     """
-    g = emb.graph
+    deg = list(map(len, emb.graph.adjacency))
+    vname, fname = names or _names(emb)
     for fi, face in enumerate(emb.faces):
+        if starter_deg not in map(deg.__getitem__, face.walk):
+            continue
         for w in (face.walk, face.reverse_walk):
+            dw = [deg[x] for x in w]
             d = len(w)
             for i, s in enumerate(w):
-                if g.degree(s) != starter_deg:
+                if dw[i] != starter_deg:
                     continue
                 j = 1
-                while j < d and g.degree(w[(i + j) % d]) == inner_deg:
+                while j < d and dw[(i + j) % d] == inner_deg:
                     j += 1
                 if j == d:
                     u, inner = s, d - 1
                 else:
                     u, inner = w[(i + j) % d], j - 1
                 if inner >= min_inner:
-                    yield face_rule, ("f", fi), ("v", s), amount
+                    yield Transfer(face_rule, fname[fi], vname[s], amount)
                 else:
-                    yield vertex_rule, ("v", u), ("v", s), amount
+                    yield Transfer(vertex_rule, vname[u], vname[s], amount)
 
 
-def _rules_b(emb: Embedding) -> Iterator[Move]:
-    yield from _walk_rule(emb, starter_deg=3, inner_deg=4, min_inner=3,
-                          amount=Fraction(1, 6), face_rule="B1f", vertex_rule="B1v")
+def _rules_b(emb: Embedding) -> Iterator[Transfer]:
+    names = _names(emb)
+    yield from _walk_rule(emb, starter_deg=3, inner_deg=4, min_inner=3, amount=Fraction(1, 6),
+                          face_rule="B1f", vertex_rule="B1v", names=names)
     # corner = one occurrence on a positive boundary walk; heavy vertices
     # feed their faces, faces sprinkle their light corners
-    g = emb.graph
+    deg = list(map(len, emb.graph.adjacency))
+    vname, fname = names
     heavy, light = Fraction(1, 18), Fraction(1, 54)
     for fi, face in enumerate(emb.faces):
+        f = fname[fi]
         for v in face.walk:
-            dv = g.degree(v)
+            dv = deg[v]
             if dv >= 5:
-                yield "B2v", ("v", v), ("f", fi), heavy
+                yield Transfer("B2v", vname[v], f, heavy)
             elif dv in (3, 4):
-                yield "B2f", ("f", fi), ("v", v), light
+                yield Transfer("B2f", f, vname[v], light)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 
 Run from anywhere; the repository root and src/ go on sys.path. The tier-1
 suite runs in this process under sys.settrace (no coverage package needed),
-so code run only in a subprocess counts as never run. It takes a few
-minutes. For each module of src/archipelago the script prints its
+so code run only in a subprocess counts as never run. Hypothesis draws from
+the fixed seed HYPOTHESIS_SEED, so two runs of one tree list the same lines.
+It takes a few minutes. For each module of src/archipelago the script prints its
 executable statement lines, how many of them never ran, and their numbers,
 then the totals.
 
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "archipelago"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 SKIPPED = (*DEFINITIONS, ast.Import, ast.ImportFrom, ast.Nonlocal)
+HYPOTHESIS_SEED = 0
 
 
 def statement_spans(path: Path) -> dict[int, range]:
@@ -63,7 +65,8 @@ def main(args: list[str]) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+                              *(args or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -28,7 +28,7 @@ from archipelago.graphs import (
     connected_components,
     euler_characteristic,
 )
-from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration, is_island
+from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration
 from archipelago.peeling import ColoringReport, PeelDecomposition, TheoremViolation
 from archipelago.solver import MCResult, OptimizeResult
 
@@ -1058,6 +1058,27 @@ def short_cycle_through(g, s: int, low_deg: int, max_len: int) -> list[int] | No
         if best is not None and len(best) <= 2 * level[x]:
             break
     return best
+
+
+# is_island counting each member's outside neighbours through a generator
+
+
+def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | None:
+    """The witness that an explicit vertex set is a k-island, or None.
+
+    None for an empty set, a vertex outside the graph (on a LiveView, a
+    removed one) or a member with more than k neighbors outside the set.
+    """
+    mset = set(members)
+    if not mset or any(v not in g for v in mset):
+        return None
+    outside = {}
+    for v in sorted(mset):
+        cnt = sum(1 for u in g.neighbors(v) if u not in mset)
+        if cnt > k:
+            return None
+        outside[v] = cnt
+    return IslandWitness(members=tuple(sorted(mset)), k=k, outside_degrees=outside)
 
 
 # find_island with the search that copies its member set at every include

@@ -732,6 +732,50 @@ def test_find_island_matches_oracle():
     assert min(found, 3000 - found, views, restricted) >= 500
 
 
+# is_island: set-counted outside neighbours against a generator per member
+
+
+def witness_fields(w):
+    """A witness's fields, with its outside degrees in order; None stays None."""
+    return w and (w.members, w.k, list(w.outside_degrees.items()))
+
+
+def test_is_island_matches_oracle():
+    rng = random.Random("is-island")
+    seen = {"empty": 0, "repeated": 0, "removed": 0, "out of range": 0, "island": 0, "not island": 0}
+    for _ in range(3000):
+        g, _, size = island_case(rng)
+        if rng.random() < 0.4:
+            alive = [rng.random() > 0.2 for _ in range(g.n)]
+            g = LiveView(g, alive, [sum(alive[u] for u in g.neighbors(v)) for v in range(g.n)])
+        live = list(g.vertices())
+        # a ball round a live vertex, cut to at most `size` members, mostly
+        members = []
+        if live and rng.random() < 0.95:
+            ball = sorted(oracles._ball(g, [rng.choice(live)], rng.randrange(3)))
+            members = rng.sample(ball, min(len(ball), rng.randrange(1, size + 1)))
+        if members and rng.random() < 0.2:
+            members.append(rng.choice(members))
+            seen["repeated"] += 1
+        if rng.random() < 0.15:
+            gone = [v for v in range(g.n) if v not in g]
+            if gone:
+                members.append(rng.choice(gone))
+                seen["removed"] += 1
+        if rng.random() < 0.1:
+            members.append(rng.choice([-1, g.n]))
+            seen["out of range"] += 1
+        seen["empty"] += not members
+        # k at the boundary: one below, at or one above the largest outside count
+        mset = set(members)
+        worst = max((sum(u not in mset for u in g.neighbors(v)) for v in mset if v in g), default=0)
+        k = max(0, worst + rng.choice((-1, 0, 1)))
+        got = is_island(g, members, k)
+        assert witness_fields(got) == witness_fields(oracles.is_island(g, members, k))
+        seen["island" if got else "not island"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 # reduce_planar: the drawn rotation system against networkx's planarity test
 
 

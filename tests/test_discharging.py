@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -336,9 +338,10 @@ class TestBoundsReport:
 
     def test_report_scales_on_a_large_quadrangulation(self, monkeypatch):
         # every below-bound element has a pattern anchored at it, so there is
-        # no search and no ball walk, and the anchored scans, with the girth
-        # precondition, read each neighbor list a few times (8,531 reads;
-        # searching every element's ball reads 2,364,846)
+        # no search and no ball walk, and the anchored scans read each
+        # neighbor list a few times (2,535 reads, the girth precondition
+        # reading the adjacency rows uncounted; searching every element's
+        # ball reads 2,364,846)
         emb = quadrangulation(2000, seed=1)
         g = CountingGraph(emb.graph.n, emb.graph.edges())
         emb = Embedding(g, emb.rotations)
@@ -372,3 +375,24 @@ class TestStateBasics:
     def test_total(self):
         state = ChargeState(REGIME_A, [Fraction(1), Fraction(-2)], [Fraction(3)], [])
         assert state.total() == 2
+
+
+class TestChecksRefuse:
+    def test_euler_total_refuses_a_missing_face(self):
+        # a triangle holds 2*3 - 6 = 0 of A's charge, so dropping one leaves
+        # the sum as it was while chi, and so -6*chi, moves by one face
+        emb = triangulation(30, seed=1)
+        emb._faces = emb.faces[1:]
+        with pytest.raises(AssertionError, match=re.escape("regime A charges do not total -6*chi")):
+            discharge(emb, REGIME_A)
+
+    def test_report_refuses_a_below_bound_element_without_an_island(self, monkeypatch):
+        # every vertex of the icosahedron ends at -1, and with the scan and
+        # the search finding nothing the guarantee would be contradicted
+        emb = icosahedron_embedding()
+        state = discharge(emb, REGIME_A)
+        state.regime = replace(REGIME_A, scan=lambda g, size, anchors: None)
+        monkeypatch.setattr(discharging, "find_island", lambda *args, **kwargs: None)
+        with pytest.raises(AssertionError, match=re.escape(
+                "v0 is below bound with no island anywhere; the guarantee is contradicted")):
+            charge_bounds_report(state, emb)

@@ -1,10 +1,14 @@
 import random
+import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from archipelago import islands
+from archipelago.generators import triangulation
 from archipelago.graphs import Graph, LiveView, connected_components
 from archipelago.islands import (
     REGIME_A,
@@ -79,6 +83,21 @@ class TestIsIsland:
     def test_whole_graph_is_island(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         assert is_island(g, range(5), 0)
+
+    def test_scan_hit_that_is_no_island_is_refused(self):
+        g = triangulation(20, seed=1).graph
+        hit = [max(g.vertices(), key=g.degree)]
+        assert g.degree(hit[0]) > REGIME_A.k
+        regime = replace(REGIME_A, scan=lambda g, size, anchors: hit)
+        with pytest.raises(AssertionError, match=re.escape(f"configuration scan produced a non-island: {hit}")):
+            forbidden_configuration(g, regime)
+
+    def test_search_hit_that_is_no_island_is_refused(self, monkeypatch):
+        g = triangulation(20, seed=1).graph
+        hit = {max(g.vertices(), key=g.degree)}
+        monkeypatch.setattr(islands, "_grow_island", lambda *args: hit)
+        with pytest.raises(AssertionError, match=re.escape(f"island search produced a non-island: {hit}")):
+            find_island(g, REGIME_A.k, REGIME_A.size)
 
     def test_live_view(self):
         # the path 0-1-2-3 with vertex 2 removed
