@@ -95,6 +95,7 @@ def discharge(emb: Embedding, regime: Regime) -> ChargeState:
         u = units[id(amount)]
         book[sk][si] -= u
         book[tk][ti] += u
+    # cannot fire: each move takes u units from one entry and gives them to another
     if sum(book["v"]) + sum(book["f"]) != before:
         raise AssertionError("discharging did not conserve total charge")
     exact = {x: Fraction(x, scale) for x in {*book["v"], *book["f"]}}  # few distinct

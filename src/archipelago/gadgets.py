@@ -11,16 +11,24 @@ under colorings whose monochromatic components are bounded:
 
 Reductions translate 3-uniform hypergraph 2-colorability into bounded
 monochromatic-component 2-colorability, once with girth 8 preserved and once
-inside the plane.
+inside the plane. A hypergraph coloring carries over the girth-8 reduction by
+graphs.parity_coloring, rooted at the hypergraph's vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from archipelago.graphs import Embedding, Graph, Hypergraph3, check_size, connected_components, euler_characteristic
+from archipelago.graphs import (
+    Embedding,
+    Graph,
+    Hypergraph3,
+    check_size,
+    connected_components,
+    euler_characteristic,
+    parity_coloring,
+)
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
 
@@ -401,7 +409,7 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
 
     Without its path edges the reduction falls into one bipartite piece per
     primitive: the primitive and the couplers whose z-root it is. Each piece
-    is properly 2-colored by breadth-first parity from its primitive, which
+    is properly 2-colored by graphs.parity_coloring from its primitive, which
     makes the only monochromatic edges path edges; a run of three would be a
     monochromatic hyperedge. The result is audited to components of size 2.
     """
@@ -412,17 +420,8 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
     if set(g.terminals) != {f"v{v}" for v in range(h.n)}.union(path):
         raise ValueError("graph does not match this hypergraph and k")
     ends = {g.terminals[name] for name in path}
-    coloring = {}
-    for v in range(h.n):
-        p = g.terminals[f"v{v}"]
-        coloring[p] = hcol[v]
-        queue = deque([p])
-        while queue:
-            x = queue.popleft()
-            for y in g.graph.neighbors(x):
-                if y not in coloring and not (x in ends and y in ends):
-                    coloring[y] = coloring[x] ^ 1
-                    queue.append(y)
+    pieces = Graph(g.graph.n, [(u, v) for u, v in g.graph.edges() if u not in ends or v not in ends])
+    coloring = dict(enumerate(parity_coloring(pieces, {g.terminals[f"v{v}"]: hcol[v] for v in range(h.n)})))
     report = audit(g.graph, coloring, max_size=2)
     if report.oversized_components:
         raise AssertionError("forward coloring produced an oversized component")

@@ -215,8 +215,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     of the (u, v, d) tuples. Every signed rotation system has
     succ(mirror(succ(s))) == mirror(s), so the mirror of the orbit s_0, ..,
     s_{L-1} is mirror(s_0), mirror(s_{L-1}), .., mirror(s_1): it is marked,
-    not traced, and its walk is read off the orbit's. An orbit is its own
-    mirror exactly when it holds the mirror of its first state.
+    not traced, and its walk is read off the orbit's.
 
     Faces come out in order of their least state, found by one pass over the
     states in increasing order, so the cost is linear in m.
@@ -249,9 +248,16 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
             mirror[s + 1] = 2 * at[i] + (sign < 0)
             tail[s] = tail[s + 1] = u
 
+    # No orbit is its own mirror, and the walks total 2m. mirror and
+    # t = mirror o succ are involutions without fixed points: mirror reverses
+    # the dart, and t(s) = s would make succ(s) == mirror(s), whose flags are
+    # opposite. So each orbit of the group they generate is a cycle of even
+    # length alternating the two; succ = mirror o t moves two steps along it,
+    # and its orbits there are the even and the odd positions, which mirror
+    # swaps. Each face is one orbit plus its distinct mirror orbit of equal
+    # length, so the 4m states come in pairs of orbits and the walks total 2m.
     face_of = [-1] * len(succ)
     faces = []
-    total_degree = 0
     for start in range(len(succ)):
         if face_of[start] >= 0:
             continue
@@ -262,16 +268,9 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
             face_of[state] = fid
             orbit.append(state)
             state = succ[state]
-        if face_of[mirror[start]] == fid:
-            raise ValueError("orbit is self-paired; rotation system is inconsistent")
         for state in orbit:
             face_of[mirror[state]] = fid
-        walk = tuple([tail[s] for s in orbit])
-        faces.append(Face(walk=walk))
-        total_degree += len(walk)
-
-    if total_degree != 2 * g.m:
-        raise AssertionError("face degrees do not sum to twice the edge count")
+        faces.append(Face(walk=tuple([tail[s] for s in orbit])))
     return tuple(faces)
 
 
@@ -301,26 +300,46 @@ def connected_components(g: Graph | LiveView) -> list[list[int]]:
     return comps
 
 
-def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
-    """Two color classes if g is bipartite, else None."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
+def parity_coloring(g: Graph, roots: dict[int, int] | None = None) -> list[int]:
+    """The BFS-layer parity coloring: every vertex but a BFS root takes the
+    opposite of its BFS parent's color.
+
+    A BFS runs from each of `roots` (vertex -> color 0 or 1) in turn, the root
+    taking its color; a root that an earlier root's BFS reached is refused.
+    Then a BFS runs from the least vertex, colored 0, of each component not yet
+    reached. An edge joins two vertices of one layer or of adjacent layers, so
+    every monochromatic component lies inside one BFS layer, and the coloring
+    is proper exactly when g is bipartite.
+    """
+    adj, color = g.adjacency, [-1] * g.n
+
+    def search(s: int, c: int):
+        color[s] = c
+        queue = [s]
+        for x in queue:
+            cy = color[x] ^ 1
+            for y in adj[x]:
                 if color[y] == -1:
-                    color[y] = 1 - color[x]
+                    color[y] = cy
                     queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return (
-        {v for v in range(g.n) if color[v] == 0},
-        {v for v in range(g.n) if color[v] == 1},
-    )
+
+    for r, c in (roots or {}).items():
+        if color[r] != -1:
+            raise ValueError(f"root {r} lies in an earlier root's component")
+        search(r, c)
+    for s in range(g.n):
+        if color[s] == -1:
+            search(s, 0)
+    return color
+
+
+def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
+    """Two color classes if g is bipartite, else None: the parity coloring's classes."""
+    color = parity_coloring(g)
+    sides = {v for v, c in enumerate(color) if c == 0}, {v for v, c in enumerate(color) if c}
+    if any(not sides[c].isdisjoint(nbrs) for c, nbrs in zip(color, g.adjacency)):
+        return None
+    return sides
 
 
 def girth(g: Graph) -> float:

@@ -27,8 +27,8 @@ the same vertex and explores the same tree as a scan from the first rank. The
 search state lives in local lists that _search's nested steps share; what
 depends on the graph alone (adjacency, branching order and ranks, components)
 comes from _setup, once per mc_decide or mc_optimize. mc_optimize is one
-branch-and-bound run of the same search (Land and Doig, 1960), from the
-BFS-layer parity coloring down.
+branch-and-bound run of the same search (Land and Doig, 1960), from
+graphs.parity_coloring's BFS-layer parity coloring down.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from archipelago.graphs import Graph, connected_components
+from archipelago.graphs import Graph, connected_components, parity_coloring
 from archipelago.peeling import audit
 
 
@@ -258,29 +258,10 @@ def _yes(g: Graph, color: list[int], k: int, nodes: int) -> MCResult:
     return MCResult("yes", coloring, nodes, report.max_component)
 
 
-def _parity(adj: tuple, components: list[list[int]]) -> list[int]:
-    """The BFS-layer parity coloring from each component's first vertex.
-
-    An edge joins two vertices of one layer or of adjacent layers, so every
-    monochromatic component of it lies inside one layer.
-    """
-    color = [-1] * len(adj)
-    for comp in components:
-        color[comp[0]] = 0
-        queue = deque(comp[:1])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    queue.append(y)
-    return color
-
-
 def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
     """Least largest monochromatic component over all colorings, within a node budget.
 
-    One branch-and-bound _search from the BFS-layer parity coloring down.
+    One branch-and-bound _search from graphs.parity_coloring(g) down.
     exact means the search refuted every coloring below the one returned; a
     budget that runs out returns the best coloring found. The coloring is
     audited, and k is its largest component.
@@ -289,11 +270,10 @@ def mc_optimize(g: Graph, budget: int = 10**7) -> OptimizeResult:
         raise ValueError(f"budget must be nonnegative, not {budget}")
     if g.n == 0:
         return OptimizeResult(0, {}, True, 0)
-    setup = _setup(g)
-    best = _parity(setup[0], setup[3])
+    best = parity_coloring(g)
     top = audit(g, dict(enumerate(best))).max_component
     if top == 1:  # a proper coloring
         return OptimizeResult(1, dict(enumerate(best)), True, 0)
-    res = _search(g, setup, top - 1, {}, budget, best)
+    res = _search(g, _setup(g), top - 1, {}, budget, best)
     found = _yes(g, best, res.best_max_component, res.nodes_explored)
     return OptimizeResult(found.best_max_component, found.coloring, res.verdict == "no", res.nodes_explored)

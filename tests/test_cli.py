@@ -96,9 +96,16 @@ class TestExitCodes:
         code, _ = dispatch(["islands", "find", "--graph", str(p), "--k", "1"])
         assert code == 2
 
-    def test_empty_argv(self):
+    def test_empty_argv(self, capsys):
         code, _ = dispatch([])
         assert code == 2
+        assert capsys.readouterr().err == "usage: islands|mc|suite <subcommand> ...\n"
+
+    @pytest.mark.parametrize("argv", [["foo"], ["foo", "solve"]])
+    def test_unknown_program_is_a_usage_error(self, capsys, argv):
+        code, _ = dispatch(argv)
+        assert code == 2
+        assert capsys.readouterr().err == "usage: islands|mc|suite <subcommand> ...\n"
 
     def test_header_above_vertex_cap(self, tmp_path, capsys):
         p = tmp_path / "big.g"

@@ -5,7 +5,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,9 +36,11 @@ from archipelago.graphs import (
     Embedding,
     Graph,
     LiveView,
+    bipartition,
     connected_components,
     euler_characteristic,
     girth,
+    parity_coloring,
     trace_faces,
 )
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
@@ -114,6 +116,31 @@ def test_trace_faces_matches_oracle_under_random_rotations(source, data):
     negative = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges))) if edges else ()
     emb = Embedding(g, rotations, {e: -1 for e in negative})
     assert outcome(trace_faces, emb) == outcome(oracles.trace_faces, emb)
+
+
+def every_signed_rotation_system(g):
+    """Every rotation system of g (each neighbor order up to rotation) under every sign assignment."""
+    orders = [[(nbrs[0], *rest) for rest in permutations(nbrs[1:])] for nbrs in g.adjacency]
+    edges = list(g.edges())
+    for rotations in product(*orders):
+        for signs in product((1, -1), repeat=len(edges)):
+            yield Embedding(g, rotations, dict(zip(edges, signs)))
+
+
+@pytest.mark.parametrize("g, count", [
+    (Graph(4, list(combinations(range(4), 2))), 16 * 64),  # K4
+    (Graph(5, [(u, v) for u in range(2) for v in range(2, 5)]), 4 * 64),  # K2,3
+    (Graph(4, [(0, 1), (1, 2), (2, 3)]), 8),  # a path
+    (Graph(5, [(0, v) for v in range(1, 5)]), 6 * 16),  # a star
+], ids=["K4", "K2,3", "path", "star"])
+def test_trace_faces_matches_oracle_on_every_signed_rotation_system(g, count):
+    # the oracle keeps the self-paired-orbit and degree-sum checks that
+    # trace_faces argues away: no input here reaches either of them
+    embeddings = list(every_signed_rotation_system(g))
+    assert len(embeddings) == count
+    for emb in embeddings:
+        want = outcome(oracles.trace_faces, emb)
+        assert want[0] == "value" and outcome(trace_faces, emb) == want
 
 
 def _oracle_verdict(dec):
@@ -494,6 +521,21 @@ def solver_cases(draw):
     pins = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1), max_size=3))
     budget = draw(st.one_of(st.just(10**7), st.integers(0, 60)))
     return Graph(n, sorted(edges)), pins, draw(st.integers(1, 6)), budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 16), data=st.data())
+def test_parity_coloring_and_bipartition_match_oracles(n, data):
+    # from the empty graph up, often disconnected, often not bipartite
+    import networkx as nx
+
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    g = Graph(n, sorted(edges))
+    assert dict(enumerate(parity_coloring(g))) == oracles.parity_coloring(g)
+    ng = nx.Graph(list(edges))
+    ng.add_nodes_from(range(n))
+    assert (bipartition(g) is not None) == nx.is_bipartite(ng)
 
 
 @settings(max_examples=400, deadline=None)

@@ -286,6 +286,18 @@ class TestGirth8Reduction:
         with pytest.raises(ValueError):
             forward_coloring_girth8(h, {0: 0, 1: 0, 2: 1}, reduce_girth8(h, 3), 2)
 
+    def test_forward_coloring_audits_an_oversized_component(self):
+        # at k = 3 the path e0_1 .. e0_4 takes the colors of primitives 1, 2, 0, 1:
+        # 0, 1, 0, 0; an added edge from e0_1 to e0_3 merges {e0_1} and {e0_3, e0_4}
+        h = Hypergraph3.from_edges(3, [(0, 1, 2)])
+        hcol = {0: 0, 1: 0, 2: 1}
+        g = reduce_girth8(h, 3)
+        e = [g.terminals[f"e0_{j}"] for j in range(1, 5)]
+        assert [forward_coloring_girth8(h, hcol, g, 3)[v] for v in e] == [0, 1, 0, 0]
+        corrupted = GadgetGraph(Graph(g.graph.n, [*g.graph.edges(), (e[0], e[2])]), g.terminals)
+        with pytest.raises(AssertionError, match="forward coloring produced an oversized component"):
+            forward_coloring_girth8(h, hcol, corrupted, 3)
+
     def test_k_validation(self):
         h = Hypergraph3.from_edges(3, [(0, 1, 2)])
         with pytest.raises(ValueError):

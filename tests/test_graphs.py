@@ -12,6 +12,7 @@ from archipelago.graphs import (
     connected_components,
     euler_characteristic,
     girth,
+    parity_coloring,
     parse_embedding,
     parse_graph,
     parse_hypergraph,
@@ -254,6 +255,20 @@ class TestTraversals:
         left, right = bipartition(g)
         assert {frozenset(left), frozenset(right)} == {frozenset({0, 2}), frozenset({1, 3})}
         assert bipartition(Graph(3, [(0, 1), (1, 2), (0, 2)])) is None
+
+    def test_parity_coloring(self):
+        path_and_point = Graph(5, [(0, 1), (1, 2), (2, 3)])
+        assert parity_coloring(path_and_point) == [0, 1, 0, 1, 0]
+        # a root takes its color; the rest of its component follows by BFS parity
+        assert parity_coloring(path_and_point, {2: 1}) == [1, 0, 1, 0, 0]
+        assert parity_coloring(path_and_point, {4: 1, 3: 0}) == [1, 0, 1, 0, 1]
+        # on an odd cycle one edge of the last layer is monochromatic
+        assert parity_coloring(Graph(5, [(i, (i + 1) % 5) for i in range(5)])) == [0, 1, 0, 0, 1]
+        assert parity_coloring(Graph(0, [])) == []
+
+    def test_parity_coloring_refuses_two_roots_in_one_component(self):
+        with pytest.raises(ValueError, match="root 3 lies in an earlier root's component"):
+            parity_coloring(Graph(4, [(0, 1), (1, 2), (2, 3)]), {0: 0, 3: 0})
 
     def test_degeneracy(self):
         tree = Graph(4, [(0, 1), (1, 2), (1, 3)])
