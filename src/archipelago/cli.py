@@ -7,7 +7,7 @@ from the underlying modules, wall-clock timings, and output file paths.
 
 Exit codes: 0 success or verdict yes, 1 verdict no or a failed property,
 2 usage error, 3 a peel ran out of islands above the threshold (the
-residual component is dumped next to the input for inspection).
+residual base is dumped next to the input for inspection).
 """
 
 import argparse
@@ -102,7 +102,7 @@ def _dump_residual(g: Graph, tv: TheoremViolation, path: str, report: dict):
     order = sorted(tv.residual)
     sub, _ = g.induced(order)
     comments = [
-        f"residual component: regime {tv.regime.name}, chi {tv.chi}, "
+        f"residual base: regime {tv.regime.name}, chi {tv.chi}, "
         f"threshold {tv.threshold}",
         "original-ids: " + " ".join(str(v) for v in order),
     ]

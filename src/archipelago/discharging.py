@@ -67,7 +67,7 @@ def _euler_charges(emb: Embedding, regime: Regime) -> tuple[list[int], list[int]
     a, b = regime.vertex_charge
     c, e = regime.face_charge
     vc = [a * d + b for d in map(len, g.adjacency)]
-    fc = [c * len(f.walk) + e for f in faces]
+    fc = [c * len(f) + e for f in faces]
     if sum(vc) + sum(fc) != b * chi:
         raise AssertionError(f"regime {regime.name} charges do not total {b}*chi")
     if regime.face_bound is None:
@@ -177,7 +177,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
     if fb is not None:
         fc = state.face_charge
         for fi in _below(fc, fb):
-            entries.append(BoundEntry("f", fi, fc[fi], witness_near(faces[fi].vertices())))
+            entries.append(BoundEntry("f", fi, fc[fi], witness_near(frozenset(faces[fi]))))
     if theorem_applies:
         for e in entries:
             if e.witness is None:

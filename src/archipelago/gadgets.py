@@ -503,12 +503,12 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    # a single spherical drawing cannot hold disconnected pieces
+    # a single spherical drawing holds exactly one connected piece
     if {v for t in h.edges for v in t} != set(range(h.n)):
         raise ValueError("every vertex must occur in some hyperedge; "
                          "drop isolated vertices first")
     pairs = {(a, b) for a, b, _ in h.edges} | {(b, c) for _, b, c in h.edges}
-    if len(connected_components(Graph(h.n, pairs))) > 1:
+    if len(connected_components(Graph(h.n, pairs))) != 1:
         raise ValueError("the hypergraph must be connected through shared "
                          "vertices; reduce its pieces separately")
     length = k * (k - 1) + 1

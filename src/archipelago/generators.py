@@ -69,7 +69,7 @@ def _surface(rot, chi: int, face_degree: int | None, what: str) -> Embedding:
     and with 4f = 2m gives m = 2n - 4 for a quadrangulation.
     """
     emb = Embedding(_graph(rot), rot)
-    _check(face_degree is None or all(f.degree == face_degree for f in emb.faces), f"{what} face degrees")
+    _check(face_degree is None or all(len(f) == face_degree for f in emb.faces), f"{what} face degrees")
     _check(euler_characteristic(emb) == chi, f"{what} characteristic")
     return emb
 

@@ -123,33 +123,6 @@ class LiveView:
         return 0 <= v < self.n and self._alive[v]
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding, as the closed walk of vertices along its boundary.
-
-    `walk` is the orbit of the face's least state, which may carry either
-    orientation flag, so two faces' walks need not run the same way round;
-    `reverse_walk` is its mirror orbit, read off the walk when asked for.
-    Both sides are offered because a face of a signed embedding has no
-    preferred one.
-    """
-
-    walk: tuple[int, ...]
-
-    @property
-    def reverse_walk(self) -> tuple[int, ...]:
-        """The walk's mirror: from walk[1] back round to walk[2]."""
-        w = self.walk
-        return w[1::-1] + w[:1:-1]
-
-    @property
-    def degree(self) -> int:
-        return len(self.walk)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.walk)
-
-
 class Embedding:
     """Rotation system with optional edge signs.
 
@@ -184,13 +157,13 @@ class Embedding:
                 if s == -1:
                     sign[key] = -1
         self._sign = sign
-        self._faces: tuple[Face, ...] | None = None
+        self._faces: tuple[tuple[int, ...], ...] | None = None
 
     def sign(self, u: int, v: int) -> int:
         return self._sign.get((u, v) if u < v else (v, u), 1)
 
     @property
-    def faces(self) -> tuple[Face, ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         if self._faces is None:
             self._faces = trace_faces(self)
         return self._faces
@@ -200,7 +173,7 @@ class Embedding:
         return f"Embedding({self.graph!r}, negative_edges={neg})"
 
 
-def trace_faces(emb: Embedding) -> tuple[Face, ...]:
+def trace_faces(emb: Embedding) -> tuple[tuple[int, ...], ...]:
     """Recover the faces of a signed rotation system.
 
     A state (u, v, d) is the directed edge u->v carried with orientation flag
@@ -217,7 +190,10 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
     s_{L-1} is mirror(s_0), mirror(s_{L-1}), .., mirror(s_1): it is marked,
     not traced, and its walk is read off the orbit's.
 
-    Faces come out in order of their least state, found by one pass over the
+    Each face is returned as its walk: the tails of the states of the orbit
+    of its least state. That state may carry either flag, so two walks need
+    not run the same way round; reverse_walk gives the other side. Faces
+    come out in order of their least state, found by one pass over the
     states in increasing order, so the cost is linear in m.
     """
     g = emb.graph
@@ -227,7 +203,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
         # single isolated vertex: one face, the sphere
-        return (Face(walk=(0,)),)
+        return ((0,),)
 
     # the dart from v to adj[v][j] is first[v] + j; the states are filled
     # rotation by rotation, so no per-vertex table outlives its vertex
@@ -270,8 +246,13 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
             state = succ[state]
         for state in orbit:
             face_of[mirror[state]] = fid
-        faces.append(Face(walk=tuple([tail[s] for s in orbit])))
+        faces.append(tuple([tail[s] for s in orbit]))
     return tuple(faces)
+
+
+def reverse_walk(walk: tuple[int, ...]) -> tuple[int, ...]:
+    """A face walk's mirror: from walk[1] back round to walk[2]."""
+    return walk[1::-1] + walk[:1:-1]
 
 
 def euler_characteristic(emb: Embedding) -> int:

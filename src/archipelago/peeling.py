@@ -1,8 +1,8 @@
 """Peeling decompositions and the clustered colorings they support.
 
 peel() repeatedly removes a small island from the graph (layer by layer)
-until none is left; the remaining vertices form the base, whose components
-must be at or below the regime's guarantee threshold. Coloring the base
+until none is left; the remaining vertices form the base, which must have
+at most the regime's guarantee threshold of vertices. Coloring the base
 first and the layers in reverse removal order, with each island member
 avoiding only its already-colored neighbors outside the island, keeps every
 monochromatic component inside one layer or one base component, so within
@@ -21,16 +21,16 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from archipelago.graphs import Graph, LiveView, connected_components
+from archipelago.graphs import Graph, LiveView
 from archipelago.islands import REGIME_A, Regime, find_island, forbidden_configuration
 
 
 class TheoremViolation(RuntimeError):
-    """A component above the guarantee threshold had no island.
+    """A base above the guarantee threshold had no island.
 
     On honestly embedded inputs this cannot happen; it signals either a
     mismatched Euler characteristic or a broken precondition. The residual
-    component is kept for inspection.
+    base is kept for inspection.
     """
 
     def __init__(self, regime: Regime, chi: int, residual: tuple[int, ...]):
@@ -39,7 +39,7 @@ class TheoremViolation(RuntimeError):
         self.threshold = regime.threshold(chi)
         self.residual = residual
         super().__init__(
-            f"regime {regime.name}: component of {len(residual)} vertices exceeds "
+            f"regime {regime.name}: base of {len(residual)} vertices exceeds "
             f"threshold {self.threshold} (chi={chi}) but contains no "
             f"{regime.k}-island of at most {regime.size} vertices"
         )
@@ -50,8 +50,8 @@ class PeelDecomposition:
     """Removal layers plus the base left at the end.
 
     Each layer was an island of at most `size` vertices of the graph still
-    present when it was removed; base components all have at most
-    `threshold` vertices. `planar`: footnote 12's size capped every layer.
+    present when it was removed; the base has at most `threshold` vertices.
+    `planar`: footnote 12's size capped every layer.
     """
 
     graph: Graph
@@ -84,9 +84,9 @@ class PeelDecomposition:
         repeated, each with at most k live neighbors outside it. A layer's
         members leave the mask before their neighbors are counted, so a
         repeat finds its vertex gone and the live neighbors left are those
-        outside. The base must then be exactly the live vertices, in
-        components of at most `threshold`. Malformed layers (out-of-range or
-        already removed vertices) make the replay fail rather than raise.
+        outside. The base must then be exactly the live vertices, and at most
+        `threshold` of them. Malformed layers (out-of-range or already
+        removed vertices) make the replay fail rather than raise.
         The cost is linear in n + m.
         """
         g, k, size = self.graph, self.regime.k, self.size
@@ -106,17 +106,16 @@ class PeelDecomposition:
                         outside += 1
                 if outside > k:
                     return False
-        if sorted(self.base) != list(compress(range(n), alive)):
-            return False
-        return all(len(c) <= self.threshold for c in connected_components(g.induced(self.base)[0]))
+        return len(self.base) <= self.threshold and sorted(self.base) == list(compress(range(n), alive))
 
 
 def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelDecomposition:
     """Decompose g into islands and a small base.
 
     chi, at most 2, is the Euler characteristic of a surface the graph
-    embeds in; it only enters through the threshold below which island-free
-    components are acceptable. g must meet the regime's precondition.
+    embeds in; it only enters through the threshold: an island-free base of
+    at most that many vertices is acceptable. g must meet the regime's
+    precondition.
 
     Each island is looked for in this order, on a LiveView of the vertices
     not yet removed:
@@ -125,8 +124,9 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
          of a removed vertex (only those changed degree) until it yields none;
       3. full scan: the patterns, searched from every live vertex;
       4. find_island on the live graph.
-    When all four fail, the live vertices are the base; one component pass
-    splits it, and a component above the threshold is a TheoremViolation.
+    When all four fail, the live vertices are the base, and a base above the
+    threshold is a TheoremViolation: the paper's "all but O(g) vertices"
+    bounds the whole base, not each of its components.
     Steps 1 and 2 cost time proportional to the degrees around the island
     just removed; steps 3 and 4 cost linear time or more, and run only when
     the first two find nothing, so inputs that the cascade and the local scans
@@ -192,11 +192,9 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
             break
         remove(witness.members)
 
-    threshold = regime.threshold(chi)
-    for comp in connected_components(live):
-        if len(comp) > threshold:
-            raise TheoremViolation(regime, chi, tuple(comp))
     base = tuple(live.vertices())
+    if len(base) > regime.threshold(chi):
+        raise TheoremViolation(regime, chi, base)
     return PeelDecomposition(g, regime, chi, tuple(layers), base, planar)
 
 

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from archipelago.graphs import Embedding, Graph, LiveView, girth
+from archipelago.graphs import Embedding, Graph, LiveView, girth, reverse_walk
 
 
 class Transfer(NamedTuple):
@@ -218,9 +218,9 @@ def _walk_rule(emb: Embedding, starter_deg: int, inner_deg: int, min_inner: int,
     deg = list(map(len, emb.graph.adjacency))
     vname, fname = names or _names(emb)
     for fi, face in enumerate(emb.faces):
-        if starter_deg not in map(deg.__getitem__, face.walk):
+        if starter_deg not in map(deg.__getitem__, face):
             continue
-        for w in (face.walk, face.reverse_walk):
+        for w in (face, reverse_walk(face)):
             dw = [deg[x] for x in w]
             d = len(w)
             for i, s in enumerate(w):
@@ -250,7 +250,7 @@ def _rules_b(emb: Embedding) -> Iterator[Transfer]:
     heavy, light = Fraction(1, 18), Fraction(1, 54)
     for fi, face in enumerate(emb.faces):
         f = fname[fi]
-        for v in face.walk:
+        for v in face:
             dv = deg[v]
             if dv >= 5:
                 yield Transfer("B2v", vname[v], f, heavy)

@@ -21,12 +21,12 @@ from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build
 from archipelago.graphs import (
     MAX_VERTICES,
     Embedding,
-    Face,
     Graph,
     Hypergraph3,
     LiveView,
     connected_components,
     euler_characteristic,
+    reverse_walk,
 )
 from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration
 from archipelago.peeling import ColoringReport, PeelDecomposition, TheoremViolation
@@ -150,7 +150,7 @@ def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> Colori
     )
 
 
-def trace_faces(emb: Embedding) -> tuple[Face, ...]:
+def trace_faces(emb: Embedding) -> tuple[tuple[int, ...], ...]:
     """trace_faces on (u, v, d) tuple states, tracing each mirror orbit again."""
     g = emb.graph
     if g.n == 0:
@@ -159,7 +159,7 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
         # single isolated vertex: one face, the sphere
-        return (Face(walk=(0,)),)
+        return ((0,),)
 
     def step(u: int, v: int, d: int) -> tuple[int, int, int]:
         d2 = d * emb.sign(u, v)
@@ -200,10 +200,9 @@ def trace_faces(emb: Embedding) -> tuple[Face, ...]:
         while state != rstart:
             rorbit.append(state)
             state = step(*state)
-        face = Face(walk=walk)
-        if face.reverse_walk != tuple(s[0] for s in rorbit):
+        if reverse_walk(walk) != tuple(s[0] for s in rorbit):
             raise AssertionError(f"reverse_walk of {walk} is not its traced mirror orbit")
-        faces.append(face)
+        faces.append(walk)
         total_degree += len(walk)
 
     if total_degree != 2 * g.m:
@@ -286,7 +285,7 @@ def charge_bounds_report(state: ChargeState, emb: Embedding) -> BoundsReport:
         for fi, face in enumerate(emb.faces):
             if state.face_charge[fi] < fb:
                 entries.append(
-                    BoundEntry("f", fi, state.face_charge[fi], witness_near(face.vertices()))
+                    BoundEntry("f", fi, state.face_charge[fi], witness_near(frozenset(face)))
                 )
     if theorem_applies:
         for e in entries:

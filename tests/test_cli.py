@@ -107,6 +107,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "usage: islands|mc|suite <subcommand> ...\n"
 
+    def test_console_scripts_exit_with_the_dispatch_code(self, tmp_path, monkeypatch, capsys):
+        # the [project.scripts] entry points, run in-process: each passes its
+        # argv after the script name to dispatch and exits with its code
+        monkeypatch.chdir(tmp_path)
+        runs = [
+            (cli.main_islands, ["islands", "gen", "--family", "triangulation", "--n", "12",
+                                "--seed", "1", "--out", "t.emb"], 0),
+            (cli.main_mc, ["mc", "solve", "--graph", "t.emb", "--optimize"], 0),
+            (cli.main_suite, ["suite", "run", "--name", "planar-A", "--count", "2"], 0),
+            (cli.main_mc, ["mc", "solve", "--graph", "t.emb"], 2),
+        ]
+        for main, argv, want in runs:
+            monkeypatch.setattr("sys.argv", argv)
+            with pytest.raises(SystemExit) as info:
+                main()
+            assert info.value.code == want, argv
+        out = capsys.readouterr().out
+        assert "embedding: 12 vertices" in out and "planar-A: 2/2 pass (seed 0)" in out
+
     def test_header_above_vertex_cap(self, tmp_path, capsys):
         p = tmp_path / "big.g"
         p.write_text("2000000 0\n")
@@ -774,6 +793,15 @@ class TestReduce:
         code, rep = dispatch(["islands", "discharge", "--embedding", str(out),
                               "--regime", "B"])
         assert code == 0 and rep["verdicts"]["chi"] == 2
+
+    def test_empty_hypergraph_is_refused(self, tmp_path, capsys):
+        h = tmp_path / "h.h3"
+        h.write_text("0 0\n")
+        code, _ = dispatch(["mc", "reduce", "--variant", "planar", "--hypergraph", str(h),
+                            "--k", "2", "--out", str(tmp_path / "r.emb")])
+        assert code == 2
+        assert "the hypergraph must be connected through shared vertices" in capsys.readouterr().err
+        assert not (tmp_path / "r.emb").exists()
 
     def test_oversized_planar_reduction_is_refused_before_allocating(self, tmp_path, capsys):
         # one hyperedge's connectors alone number k(k - 1) + 1

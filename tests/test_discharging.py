@@ -145,7 +145,7 @@ class TestRegimeBRules:
         ]
         emb = Embedding(g, rot)
         assert euler_characteristic(emb) == 2
-        inner = [i for i, f in enumerate(emb.faces) if f.degree == 4]
+        inner = [i for i, f in enumerate(emb.faces) if len(f) == 4]
         assert len(inner) == 1
         state = discharge(emb, REGIME_B)
         hits = [t for t in state.transfers if t.rule == "B1f"]
@@ -187,7 +187,7 @@ class TestRegimeCRules:
         ]
         emb = Embedding(g, rot)
         assert euler_characteristic(emb) == 2
-        inner = [i for i, f in enumerate(emb.faces) if f.degree == 6]
+        inner = [i for i, f in enumerate(emb.faces) if len(f) == 6]
         assert len(inner) == 1
         state = discharge(emb, REGIME_C)
         face_hits = [t for t in state.transfers if t.rule == "C1f"]
@@ -269,7 +269,7 @@ class TestBoundsReport:
     def test_heptagonal_patch_interior_safe(self):
         emb = heptagonal_patch()
         assert euler_characteristic(emb) == 2
-        degs = sorted(f.degree for f in emb.faces)
+        degs = sorted(map(len, emb.faces))
         assert degs == [3] * 35 + [21]
         state = discharge(emb, REGIME_A)
         report = charge_bounds_report(state, emb)

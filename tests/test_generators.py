@@ -26,7 +26,7 @@ class TestTriangulation:
             assert emb.graph.n == n
             assert emb.graph.m == 3 * n - 6
             assert len(emb.faces) == 2 * n - 4
-            assert all(f.degree == 3 for f in emb.faces)
+            assert all(len(f) == 3 for f in emb.faces)
             assert euler_characteristic(emb) == 2
             assert min(emb.graph.degree(v) for v in range(n)) >= 3
 
@@ -48,7 +48,7 @@ class TestQuadrangulation:
             emb = quadrangulation(n, seed=3)
             assert emb.graph.n == n
             assert emb.graph.m == 2 * n - 4
-            assert all(f.degree == 4 for f in emb.faces)
+            assert all(len(f) == 4 for f in emb.faces)
             assert euler_characteristic(emb) == 2
             assert bipartition(emb.graph) is not None
         assert girth(quadrangulation(40, seed=3).graph) == 4

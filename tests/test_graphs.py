@@ -18,6 +18,7 @@ from archipelago.graphs import (
     parse_hypergraph,
     parse_terminals,
     read_rows,
+    reverse_walk,
     serialize_embedding,
     serialize_graph,
     trace_faces,
@@ -80,7 +81,7 @@ class TestFaceTracing:
         emb = k4_embedding()
         faces = emb.faces
         assert len(faces) == 4
-        assert sorted(f.degree for f in faces) == [3, 3, 3, 3]
+        assert sorted(map(len, faces)) == [3, 3, 3, 3]
         assert euler_characteristic(emb) == 2
 
     def test_face_walks_cover_darts(self):
@@ -89,7 +90,7 @@ class TestFaceTracing:
         emb = k4_embedding()
         count = {}
         for f in emb.faces:
-            for w in (f.walk, f.reverse_walk):
+            for w in (f, reverse_walk(f)):
                 for i in range(len(w)):
                     d = (w[i], w[(i + 1) % len(w)])
                     count[d] = count.get(d, 0) + 1
@@ -102,7 +103,7 @@ class TestFaceTracing:
         assert emb.graph.m == 30
         faces = emb.faces
         assert len(faces) == 20
-        assert all(f.degree == 3 for f in faces)
+        assert all(len(f) == 3 for f in faces)
         assert euler_characteristic(emb) == 2
 
     def test_triangle_projective_plane(self):
@@ -111,7 +112,7 @@ class TestFaceTracing:
         emb = Embedding(g, [[1, 2], [0, 2], [0, 1]], signs={(0, 1): -1})
         faces = emb.faces
         assert len(faces) == 1
-        assert faces[0].degree == 6
+        assert len(faces[0]) == 6
         assert euler_characteristic(emb) == 1
 
     def test_cycle_sphere(self):
@@ -129,14 +130,14 @@ class TestFaceTracing:
         g = Graph(2, [(0, 1)])
         emb = Embedding(g, [[1], [0]])
         faces = emb.faces
-        assert len(faces) == 1 and faces[0].degree == 2
+        assert len(faces) == 1 and len(faces[0]) == 2
         assert euler_characteristic(emb) == 2
 
     def test_tree_single_face(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)])
         emb = Embedding(g, [[1], [0, 2, 3], [1], [1]])
         faces = emb.faces
-        assert len(faces) == 1 and faces[0].degree == 6
+        assert len(faces) == 1 and len(faces[0]) == 6
         assert euler_characteristic(emb) == 2
 
     def test_disconnected_rejected(self):
@@ -150,11 +151,17 @@ class TestFaceTracing:
         with pytest.raises(ValueError):
             Embedding(g, [[1], [0, 0], [1]])
 
+    def test_reprs(self):
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        emb = Embedding(g, [[1, 2], [0, 2], [0, 1]], signs={(0, 1): -1})
+        assert repr(g) == "Graph(n=3, m=3)"
+        assert repr(emb) == "Embedding(Graph(n=3, m=3), negative_edges=1)"
+
     def test_reverse_walk_is_mirror(self):
         emb = k4_embedding()
         for f in emb.faces:
-            assert sorted(f.walk) == sorted(f.reverse_walk)
-            assert f.vertices() == frozenset(f.walk)
+            assert sorted(f) == sorted(reverse_walk(f))
+            assert reverse_walk(reverse_walk(f)) == f
 
 
 def brute_girth(g):

@@ -1,14 +1,15 @@
 """Argument guards, one table row each: every refusal the generators make,
 an edge sign that is not +1 or -1 or is given twice, faces of the empty
-graph, a gadget with a foreign embedding, and a charge state reported on
-an embedding it does not belong to."""
+graph, a planar reduction of the empty hypergraph, a gadget with a foreign
+embedding, and a charge state reported on an embedding it does not belong
+to."""
 
 import re
 
 import pytest
 
 from archipelago.discharging import charge_bounds_report, discharge
-from archipelago.gadgets import GadgetGraph
+from archipelago.gadgets import GadgetGraph, reduce_planar
 from archipelago.generators import (
     GenSpec,
     gen,
@@ -19,7 +20,7 @@ from archipelago.generators import (
     triangulated_torus,
     triangulation,
 )
-from archipelago.graphs import Embedding, Graph, trace_faces
+from archipelago.graphs import Embedding, Graph, Hypergraph3, trace_faces
 from archipelago.islands import REGIME_A
 
 
@@ -50,6 +51,8 @@ GUARDS = [
     ("embedding sign twice, reversed", lambda: Embedding(TRIANGLE, TRIANGLE_ROTATIONS, {(1, 0): -1, (0, 1): 1}),
      "two signs for edge (0, 1)"),
     ("empty faces", lambda: trace_faces(Embedding(Graph(0, []), [])), "cannot trace faces of the empty graph"),
+    ("reduce_planar of the empty hypergraph", lambda: reduce_planar(Hypergraph3(0, ()), 2),
+     "the hypergraph must be connected through shared vertices"),
     ("gadget embedding", lambda: GadgetGraph(TRIANGLE, {}, triangulation(4, seed=0)),
      "embedding belongs to a different graph"),
     ("charge state of a larger embedding", lambda: report_across(triangulation(30, seed=1), triangulation(20, seed=2)),

@@ -16,6 +16,11 @@ from archipelago.peeling import (
     extend_coloring,
     peel,
 )
+from oracles import peel as oracle_peel, replay_ok as oracle_replay_ok
+
+
+def disjoint_k9s(count: int) -> Graph:
+    return Graph(9 * count, [(9 * i + u, 9 * i + v) for i in range(count) for u, v in combinations(range(9), 2)])
 
 
 @pytest.fixture
@@ -108,6 +113,20 @@ class TestPeel:
         assert dec.base == tuple(range(9))
         assert dec.replay_ok()
 
+    def test_whole_base_bounds_violation(self):
+        # each K9 fits under threshold 72 at chi -1, but the 81-vertex base
+        # does not: the guarantee bounds the whole base
+        with pytest.raises(TheoremViolation) as info:
+            peel(disjoint_k9s(9), REGIME_A, chi=-1)
+        exc = info.value
+        assert exc.threshold == 72
+        assert exc.residual == tuple(range(81))
+        assert "base of 81 vertices exceeds threshold 72" in str(exc)
+        # the oracle bounds each component and keeps all 81 as its base
+        assert len(oracle_peel(disjoint_k9s(9), REGIME_A, chi=-1).base) == 81
+        dec = peel(disjoint_k9s(8), REGIME_A, chi=-1)
+        assert len(dec.base) == 72 and dec.replay_ok()
+
     def test_disconnected_mixed(self):
         k9 = list(combinations(range(9), 2))
         cycle = [(9 + i, 9 + (i + 1) % 5) for i in range(5)]
@@ -167,6 +186,17 @@ class TestReplay:
         assert not replace(dec, layers=dec.layers[:-1]).replay_ok()
         assert replace(dec, chi=-1).replay_ok()
         assert not replace(dec, chi=-1, base=dec.layers[0]).replay_ok()
+
+    def test_base_is_bounded_as_a_whole(self):
+        # peeled at chi -2 (threshold 144), the 81-vertex base replays; moved
+        # to chi -1 (threshold 72), every 9-vertex component still fits but
+        # the base does not. The oracle bounds each component and accepts it.
+        dec = peel(disjoint_k9s(9), REGIME_A, chi=-2)
+        assert dec.layers == () and len(dec.base) == 81 and dec.replay_ok()
+        mutated = replace(dec, chi=-1)
+        assert mutated.threshold == 72
+        assert not mutated.replay_ok()
+        assert oracle_replay_ok(mutated)
 
     def test_threshold_follows_chi(self):
         # a stored threshold of 10**9 once let an unpeeled triangulation pass
