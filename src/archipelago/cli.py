@@ -169,6 +169,8 @@ def _cmd_color(args, report) -> int:
         print(f"{tv}\nresidual dumped to {path}", file=sys.stderr)
         _emit(args, report, [])
         return 3
+    if not dec.replay_ok():
+        raise AssertionError("peel replay failed: a layer is not an island")
     if args.footnote_12 and not dec.planar:
         print(f"warning: no {regime.planar_size}-island in a residual component; "
               f"using up to {regime.size} "
@@ -494,7 +496,8 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--t", type=int, help="arity for tree and J")
         p.add_argument("--k", type=int, help="component bound for N, "
                                              "equalizer, uncrosser")
-        p.add_argument("--out", help="graph file to write")
+        p.add_argument("--out", help="file to write: an embedding for N, "
+                                     "equalizer, uncrosser, else a graph")
         p.add_argument("--validate", action="store_true",
                        help="run the uncrosser's pinned solver checks")
         p.add_argument("--budget", type=int, default=10**6)

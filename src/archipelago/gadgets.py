@@ -209,38 +209,29 @@ def build_N(k: int) -> GadgetGraph:
     y sees the even-indexed path vertices and z the odd ones. If y and z
     shared a color, too few path vertices could take it, leaving a run of
     the opposite color longer than k(k-1).
+
+    Drawn with y above, z below, the path running west to east. Clockwise,
+    y lists the even v_i east to west and z the odd v_i west to east; v_i
+    lists y (north), v_{i+1} (east), z (south), v_{i-1} (west), each where
+    it is a neighbor.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     length = 3 * k**4
     check_size(length + 2, "build_N")
-    edges = []
+    # keys at v_i; y and z order the path by -i and by i
+    north, east, south, west = 0, 1, 2, 3
+    asm = _Assembler(length + 2)
     for i in range(1, length + 1):
         v = 1 + i  # v_i; y is 0, z is 1
         if i < length:
-            edges.append((v, v + 1))
-        edges.append((0 if i % 2 == 0 else 1, v))
-    return GadgetGraph(Graph(length + 2, edges), {"y": 0, "z": 1})
-
-
-def _drawn_N(k: int) -> GadgetGraph:
-    """build_N(k) drawn with y above, z below, the path running west to east.
-
-    Clockwise, y lists the even v_i east to west and z the odd v_i west to
-    east; v_i lists y (north), v_{i+1} (east), z (south), v_{i-1} (west),
-    each where it is a neighbor.
-    """
-    link = build_N(k)
-    length = 3 * k**4
-    rotations = [
-        [1 + i for i in range(length, 0, -1) if i % 2 == 0],
-        [1 + i for i in range(1, length + 1) if i % 2],
-    ]
-    for i in range(1, length + 1):
-        east = [2 + i] if i < length else []
-        west = [i] if i > 1 else []
-        rotations.append([0, *east, *west] if i % 2 == 0 else [*east, 1, *west])
-    return GadgetGraph(link.graph, link.terminals, Embedding(link.graph, rotations))
+            asm.add_edge(v, v + 1, (east, west))
+        if i % 2 == 0:
+            asm.add_edge(0, v, (-i, north))
+        else:
+            asm.add_edge(1, v, (i, south))
+    emb = asm.embedding()
+    return GadgetGraph(emb.graph, {"y": 0, "z": 1}, emb)
 
 
 def build_equalizer(k: int) -> GadgetGraph:
@@ -248,22 +239,20 @@ def build_equalizer(k: int) -> GadgetGraph:
 
     If the terminals differed, each of the 2k(k-1)-1 middle vertices would
     join one terminal's component, and some component would exceed k(k-1).
+
+    Drawn as a lens: clockwise, y lists the middles [m1..mt], z lists
+    [mt..m1], and each middle lists y, then z.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     middles = 2 * k * (k - 1) - 1
     check_size(2 + middles, "build_equalizer")
-    edges = [(side, 2 + i) for side in (0, 1) for i in range(middles)]
-    return GadgetGraph(Graph(2 + middles, edges), {"y": 0, "z": 1})
-
-
-def _drawn_equalizer(k: int) -> GadgetGraph:
-    """build_equalizer(k) drawn as a lens: clockwise, y lists the middles
-    [m1..mt] and z lists [mt..m1]."""
-    eq = build_equalizer(k)
-    middles = list(range(2, eq.graph.n))
-    rotations = [middles, middles[::-1]] + [[0, 1]] * len(middles)
-    return GadgetGraph(eq.graph, eq.terminals, Embedding(eq.graph, rotations))
+    asm = _Assembler(2 + middles)
+    for side, sign in ((0, 1), (1, -1)):  # y lists the middles by key i, z by -i
+        for i in range(middles):
+            asm.add_edge(side, 2 + i, (sign * i, side))
+    emb = asm.embedding()
+    return GadgetGraph(emb.graph, {"y": 0, "z": 1}, emb)
 
 
 def _uncrosser_size(k: int) -> int:
@@ -298,8 +287,8 @@ def build_uncrosser(k: int) -> GadgetGraph:
     for i in range(1, 2 * (k - 1) + 1):
         ys.append(asm.fresh())
         terminals[f"y_{i}"] = ys[-1]
-    distinct = _drawn_N(k)
-    equal = _drawn_equalizer(k)
+    distinct = build_N(k)
+    equal = build_equalizer(k)
     # keys at y_i: pendants 0..k-2, then east, south (x_C), west
     east, south, west = k - 1, k, k + 1
 
@@ -545,7 +534,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
             prev = ej
 
     uncrosser = build_uncrosser(k)
-    equal = _drawn_equalizer(k)
+    equal = build_equalizer(k)
     # one shared uncrosser per crossing pair, keyed with the lower index first
     shared: dict[tuple[int, int], dict] = {}
     for p, target in enumerate(targets):

@@ -9,6 +9,7 @@ import pytest
 
 from archipelago import cli, graphs, solver, suites
 from archipelago.cli import dispatch
+from archipelago.gadgets import build_equalizer, build_N
 from archipelago.generators import GenSpec, gen
 from archipelago.graphs import (
     Embedding,
@@ -23,6 +24,7 @@ from archipelago.graphs import (
     serialize_embedding,
     serialize_graph,
     serialize_lists,
+    terminal_comments,
 )
 from archipelago.islands import REGIME_C
 from archipelago.peeling import TheoremViolation, audit, color, peel
@@ -403,6 +405,27 @@ class TestColor:
                             "--lists", str(tmp_path / "l.txt"), "--regime", "A"])
         assert code == 0 and traced == []
 
+    def test_failed_replay_exits_one_and_writes_nothing(self, tmp_path, monkeypatch):
+        emb = tmp_path / "t.emb"
+        dispatch(["islands", "gen", "--family", "triangulation", "--n", "50",
+                  "--seed", "3", "--out", str(emb)])
+        write_lists(tmp_path / "l.txt", 50, [1, 2, 3, 4, 5])
+        bad = []
+
+        def last_layer_first(*args, **kwargs):
+            dec = peel(*args, **kwargs)
+            bad.append(replace(dec, layers=dec.layers[-1:] + dec.layers[:-1]))
+            return bad[-1]
+
+        monkeypatch.setattr(cli, "peel", last_layer_first)
+        out = tmp_path / "c.txt"
+        code, rep = dispatch(["islands", "color", "--graph", str(emb), "--lists",
+                              str(tmp_path / "l.txt"), "--regime", "A", "--out", str(out)])
+        assert not bad[0].replay_ok()
+        assert code == 1
+        assert rep["verdicts"]["assertion"] == "peel replay failed: a layer is not an island"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_oversized_fails(self, tmp_path):
@@ -765,6 +788,22 @@ class TestGadget:
                   "--out", str(out)])
         emb = parse_embedding(out.read_text())
         assert emb.graph.n == 162
+
+    @pytest.mark.parametrize("kind, build", [("N", build_N), ("equalizer", build_equalizer)])
+    def test_link_file_is_embedding_after_the_graph(self, tmp_path, kind, build):
+        out = tmp_path / "link.emb"
+        code, _ = dispatch(["mc", "gadget", "--type", kind, "--k", "2", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        link = build(2)
+        # the graph section comes first, so graph readers see the same graph
+        assert text.startswith(serialize_graph(link.graph, terminal_comments(link.terminals)))
+        assert parse_embedding(text).rotations == link.embedding.rotations
+        code, rep = dispatch(["islands", "discharge", "--embedding", str(out), "--regime", "A"])
+        assert code == 0 and rep["verdicts"]["chi"] == 2
+        code, _ = dispatch(["mc", "solve", "--graph", str(out), "--k", "2",
+                            "--pin", "y=0", "--pin", "z=1" if kind == "N" else "z=0"])
+        assert code == 0
 
 
 class TestReduce:

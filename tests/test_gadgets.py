@@ -1,5 +1,6 @@
 """Gadget constructions, their terminal-forcing properties, and the reductions."""
 
+import hashlib
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +34,7 @@ from archipelago.graphs import (
     euler_characteristic,
     girth,
     parse_hypergraph,
+    serialize_embedding,
     serialize_hypergraph,
 )
 from archipelago.peeling import audit
@@ -241,6 +243,32 @@ class TestUncrosser:
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="budget must be nonnegative, not -3"):
             validate_uncrosser(build_uncrosser(2), 2, budget=-3)
+
+
+# sha256 of serialize_embedding: any change to a block's key, or to the
+# order in which edges are drawn, shows as a changed digest
+DRAWING_DIGESTS = {
+    (build_N, 2): "87d3d9c70ae43c2e848c3b5570b8f1c71ecb03436c46b2be94637150229aa66f",
+    (build_N, 3): "4bf3258b614f2199b91d94f2874919eb1768938a55ecbfacafb1e78f4efce456",
+    (build_N, 4): "884fe8d930f8bde7ecbd6a3409ec981e8b9f0e34a4c6ccc6033d1976f906d7be",
+    (build_equalizer, 2): "eb41adf84b65ffbad6a709430625282a9fc0ad42e32857545c8671050c80cde1",
+    (build_equalizer, 3): "8711f5bd89356aea55b6be9877995e2ffb73e1443b6df8a788257eb171da96a4",
+    (build_equalizer, 4): "bbb499cebfdecb46fbd331e265a5319b3a4189ebf19d31321d441841347a1a65",
+    (build_uncrosser, 2): "b406dfd9b9c68d36561108bbd3aa66c6cb8d4591c272bb64e6f603108a970dcf",
+    (build_uncrosser, 3): "3e78809ef9c199206320933c55a05d127168d68c47181fceeacac3d1a98a8c8d",
+}
+
+
+class TestDrawings:
+    @pytest.mark.parametrize("build,k", list(DRAWING_DIGESTS))
+    def test_gadget_drawing_is_pinned(self, build, k):
+        text = serialize_embedding(build(k).embedding)
+        assert hashlib.sha256(text.encode()).hexdigest() == DRAWING_DIGESTS[build, k]
+
+    def test_planar_reduction_drawing_is_pinned(self):
+        text = serialize_embedding(reduce_planar(hypergraph3(6, 3, 7), 2).embedding)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a2c3a43fb2a3a4a8a09d79f718a890e77be094a18446311fa148fa8e6a0493dc")
 
 
 class TestGirth8Reduction:
