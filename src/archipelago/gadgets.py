@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from archipelago.graphs import (
     Embedding,
@@ -77,22 +78,19 @@ class _Assembler:
             self.blocks[u].append((keys[0], (v,)))
             self.blocks[v].append((keys[1], (u,)))
 
-    def splice(self, gadget: GadgetGraph, identify: dict, keys: dict | None = None) -> dict:
+    def splice(self, gadget: GadgetGraph, identify: dict, keys: dict | None = None) -> list[int]:
         """Copy a gadget in, mapping the given local ids onto existing ones.
 
-        A drawn gadget's block at local vertex v is filed under keys[v],
-        by default 0.
+        The rest take fresh ids in local order; returns each local id's global id.
+        A drawn gadget's block at local vertex v is filed under keys[v], by default 0.
         """
-        mapping = dict(identify)
-        for v in range(gadget.graph.n):
-            if v not in mapping:
-                mapping[v] = self.fresh()
-        self.edges.extend((mapping[u], mapping[v]) for u, v in gadget.graph.edges())
+        ids = [identify[v] if v in identify else self.fresh() for v in range(gadget.graph.n)]
+        self.edges.extend((ids[u], ids[v]) for u, nbrs in enumerate(gadget.graph.adjacency) for v in nbrs if u < v)
         if gadget.embedding is not None:
             keys = keys or {}
             for v, rot in enumerate(gadget.embedding.rotations):
-                self.blocks[mapping[v]].append((keys.get(v, 0), [mapping[w] for w in rot]))
-        return mapping
+                self.blocks[ids[v]].append((keys.get(v, 0), [ids[w] for w in rot]))
+        return ids
 
     def graph(self) -> Graph:
         return Graph(self.n, self.edges)
@@ -117,25 +115,20 @@ def _tree_sizes(t: int) -> tuple[int, int]:
 def build_tree(t: int) -> GadgetGraph:
     """Complete rooted tree of height 3, branching 5t, root terminal x.
 
-    Ids are breadth-first, so the (5t)^3 leaves occupy the final contiguous
-    block in lexicographic order of their (l1, l2, l3) labels; tree_leaf maps
-    a label to its id.
+    Ids are breadth-first: the children of p are p*5t + 1 .. p*5t + 5t. The
+    (5t)^3 leaves occupy the final contiguous block in lexicographic order of
+    their (l1, l2, l3) labels; tree_leaf maps a label to its id.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     b, n = _tree_sizes(t)
     check_size(n, "build_tree")
-    edges = []
-    for i in range(b):
-        edges.append((0, 1 + i))
-    for i in range(b):
-        for j in range(b):
-            edges.append((1 + i, 1 + b + i * b + j))
-    leaf_base = 1 + b + b * b
-    for ij in range(b * b):
-        for l in range(b):
-            edges.append((1 + b + ij, leaf_base + ij * b + l))
-    return GadgetGraph(Graph(n, edges), {"x": 0})
+    return GadgetGraph(Graph(n, [((v - 1) // b, v) for v in range(1, n)]), {"x": 0})
+
+
+def _leaf(b: int, l1: int, l2: int, l3: int) -> int:
+    """Id of the leaf labelled (l1, l2, l3), labels counted from 0, in the tree of branching b."""
+    return 1 + b + b * b + (l1 * b + l2) * b + l3
 
 
 def tree_leaf(t: int, l1: int, l2: int, l3: int) -> int:
@@ -144,36 +137,26 @@ def tree_leaf(t: int, l1: int, l2: int, l3: int) -> int:
     for l in (l1, l2, l3):
         if not 1 <= l <= b:
             raise ValueError(f"leaf label {l} outside 1..{b}")
-    return 1 + b + b * b + ((l1 - 1) * b + (l2 - 1)) * b + (l3 - 1)
+    return _leaf(b, l1 - 1, l2 - 1, l3 - 1)
 
 
 def build_J(t: int) -> GadgetGraph:
     """Two coupler trees glued leaf-to-leaf with reversed labels.
 
-    The leaf (l1, l2, l3) of the y-side tree is the leaf (l3, l2, l1) of the
-    z-side tree, so only the z-side's two internal layers are new vertices.
-    Terminals y and z are the two roots.
+    build_tree(t) is spliced in twice, the second copy's leaf (l1, l2, l3)
+    identified with the first's leaf (l3, l2, l1). The second copy's root z
+    and internal layers take the next ids in breadth-first order.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     b, size_y = _tree_sizes(t)
-    z = size_y
-    n = size_y + 1 + b + b * b
-    check_size(n, "build_J")
+    check_size(size_y + 1 + b + b * b, "build_J")
     tree = build_tree(t)
-    edges = list(tree.graph.edges())
-    for m1 in range(b):
-        edges.append((z, z + 1 + m1))
-    for m1 in range(b):
-        for m2 in range(b):
-            edges.append((z + 1 + m1, z + 1 + b + m1 * b + m2))
-    for m1 in range(b):
-        for m2 in range(b):
-            for m3 in range(b):
-                # z-side leaf (m1, m2, m3) is the y-side leaf (m3, m2, m1)
-                leaf = tree_leaf(t, m3 + 1, m2 + 1, m1 + 1)
-                edges.append((z + 1 + b + m1 * b + m2, leaf))
-    return GadgetGraph(Graph(n, edges), {"y": 0, "z": z})
+    asm = _Assembler()
+    asm.splice(tree, {})
+    glue = {_leaf(b, l1, l2, l3): _leaf(b, l3, l2, l1) for l1, l2, l3 in product(range(b), repeat=3)}
+    z = asm.splice(tree, glue)[0]
+    return GadgetGraph(asm.graph(), {"y": 0, "z": z})
 
 
 @dataclass(frozen=True)
@@ -536,7 +519,7 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
     uncrosser = build_uncrosser(k)
     equal = build_equalizer(k)
     # one shared uncrosser per crossing pair, keyed with the lower index first
-    shared: dict[tuple[int, int], dict] = {}
+    shared: dict[tuple[int, int], list[int]] = {}
     for p, target in enumerate(targets):
         stops = []
         for q in crossings[p]:

@@ -305,6 +305,10 @@ def parity_coloring(g: Graph, roots: dict[int, int] | None = None) -> list[int]:
                     queue.append(y)
 
     for r, c in (roots or {}).items():
+        if not 0 <= r < g.n:
+            raise ValueError(f"root {r} outside 0..{g.n - 1}")
+        if c not in (0, 1):
+            raise ValueError(f"root {r} has color {c}, not 0 or 1")
         if color[r] != -1:
             raise ValueError(f"root {r} lies in an earlier root's component")
         search(r, c)

@@ -4,7 +4,9 @@
 
 Run from anywhere; the repository root and src/ go on sys.path. The tier-1
 suite runs in this process under sys.settrace (no coverage package needed),
-so code run only in a subprocess counts as never run. Hypothesis draws from
+so code run only in a subprocess counts as never run. Each module of
+src/archipelago is imported and parsed before the tests start, so an edit to
+src/ during the run cannot shift the lines it reports. Hypothesis draws from
 the fixed seed HYPOTHESIS_SEED, so two runs of one tree list the same lines.
 It takes a few minutes. For each module of src/archipelago the script prints its
 executable statement lines, how many of them never ran, and their numbers,
@@ -20,6 +22,7 @@ start its bytecode below its first line).
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 import threading
 from pathlib import Path
@@ -51,6 +54,7 @@ def statement_spans(path: Path) -> dict[int, range]:
 
 def main(args: list[str]) -> int:
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
+    spans: dict[str, dict[int, range]] = {}
     hits: dict[str, set[int]] = {name: set() for name in files}
 
     def local(frame, event, arg):
@@ -65,6 +69,10 @@ def main(args: list[str]) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
+        # imported under the tracer, which sees the module-level statements run
+        for name, path in files.items():
+            importlib.import_module("archipelago" if path.stem == "__init__" else f"archipelago.{path.stem}")
+            spans[name] = statement_spans(path)
         status = pytest.main(["-q", "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
                               *(args or [str(ROOT / "tests")])])
     finally:
@@ -72,11 +80,10 @@ def main(args: list[str]) -> int:
         threading.settrace(None)
     total = missed = 0
     for name, path in files.items():
-        spans = statement_spans(path)
-        never = sorted(line for line, span in spans.items() if hits[name].isdisjoint(span))
-        total += len(spans)
+        never = sorted(line for line, span in spans[name].items() if hits[name].isdisjoint(span))
+        total += len(spans[name])
         missed += len(never)
-        print(f"{path.relative_to(ROOT)}: {len(spans)} executable, {len(never)} never run", *never)
+        print(f"{path.relative_to(ROOT)}: {len(spans[name])} executable, {len(never)} never run", *never)
     print(f"total: {total} executable statement lines, {missed} never run (pytest exit {int(status)})")
     return int(status)
 

@@ -17,13 +17,14 @@ from fractions import Fraction
 
 from archipelago import peeling
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
-from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build_N
+from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build_N, tree_leaf
 from archipelago.graphs import (
     MAX_VERTICES,
     Embedding,
     Graph,
     Hypergraph3,
     LiveView,
+    check_size,
     connected_components,
     euler_characteristic,
     reverse_walk,
@@ -743,6 +744,61 @@ def planar_embedding(g: Graph) -> Embedding:
     if euler_characteristic(out) != 2:
         raise AssertionError("planar rotation system does not trace to a sphere")
     return out
+
+
+# the coupler builders that numbered every layer by hand in nested loops
+
+def build_tree(t: int) -> GadgetGraph:
+    """Complete rooted tree of height 3, branching 5t, root terminal x.
+
+    Ids are breadth-first, so the (5t)^3 leaves occupy the final contiguous
+    block in lexicographic order of their (l1, l2, l3) labels; tree_leaf maps
+    a label to its id.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    b, n = _tree_sizes(t)
+    check_size(n, "build_tree")
+    edges = []
+    for i in range(b):
+        edges.append((0, 1 + i))
+    for i in range(b):
+        for j in range(b):
+            edges.append((1 + i, 1 + b + i * b + j))
+    leaf_base = 1 + b + b * b
+    for ij in range(b * b):
+        for l in range(b):
+            edges.append((1 + b + ij, leaf_base + ij * b + l))
+    return GadgetGraph(Graph(n, edges), {"x": 0})
+
+
+def build_J(t: int) -> GadgetGraph:
+    """Two coupler trees glued leaf-to-leaf with reversed labels.
+
+    The leaf (l1, l2, l3) of the y-side tree is the leaf (l3, l2, l1) of the
+    z-side tree, so only the z-side's two internal layers are new vertices.
+    Terminals y and z are the two roots.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    b, size_y = _tree_sizes(t)
+    z = size_y
+    n = size_y + 1 + b + b * b
+    check_size(n, "build_J")
+    tree = build_tree(t)
+    edges = list(tree.graph.edges())
+    for m1 in range(b):
+        edges.append((z, z + 1 + m1))
+    for m1 in range(b):
+        for m2 in range(b):
+            edges.append((z + 1 + m1, z + 1 + b + m1 * b + m2))
+    for m1 in range(b):
+        for m2 in range(b):
+            for m3 in range(b):
+                # z-side leaf (m1, m2, m3) is the y-side leaf (m3, m2, m1)
+                leaf = tree_leaf(t, m3 + 1, m2 + 1, m1 + 1)
+                edges.append((z + 1 + b + m1 * b + m2, leaf))
+    return GadgetGraph(Graph(n, edges), {"y": 0, "z": z})
 
 
 class _Assembler:

@@ -35,10 +35,12 @@ from archipelago.graphs import (
     girth,
     parse_hypergraph,
     serialize_embedding,
+    serialize_graph,
     serialize_hypergraph,
 )
 from archipelago.peeling import audit
 from archipelago.solver import mc_decide
+import oracles
 from oracles import degeneracy_order, distance
 
 FANO = Hypergraph3.from_edges(
@@ -269,6 +271,37 @@ class TestDrawings:
         text = serialize_embedding(reduce_planar(hypergraph3(6, 3, 7), 2).embedding)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a2c3a43fb2a3a4a8a09d79f718a890e77be094a18446311fa148fa8e6a0493dc")
+
+
+def graph_digest(g: GadgetGraph) -> str:
+    """sha256 of serialize_graph and the terminals' repr, which keeps their order."""
+    return hashlib.sha256((serialize_graph(g.graph) + repr(g.terminals)).encode()).hexdigest()
+
+
+# the couplers' ids, edges and terminals as the hand-numbered builders made them
+GRAPH_DIGESTS = {
+    (build_tree, 2): "0621518fa927224094fbcd3d0299d7b99a299aead7490554021fe19dcd0fdbff",
+    (build_tree, 3): "fb9fbfc816cd440dd88a77ba815ac06f8cf71ebc7473dee46972fb0dd0498f69",
+    (build_J, 2): "53d911725e1a7cc16faec5edcf5b779cb6d2413259dca65999484b91e06da7b5",
+    (build_J, 3): "585682fa386f44fe7ae2328d4d23c27be1157851f0907de844ba0d53c21f421d",
+}
+
+
+class TestCouplerDigests:
+    @pytest.mark.parametrize("build,t", list(GRAPH_DIGESTS))
+    def test_coupler_is_pinned(self, build, t):
+        assert graph_digest(build(t)) == GRAPH_DIGESTS[build, t]
+
+    def test_girth8_reduction_is_pinned(self):
+        assert graph_digest(reduce_girth8(hypergraph3(6, 3, 7), 2)) == (
+            "572d8a2e9c03d023ae63ca8f56fa618ae7c87473d9972a8459a27a8567aeb5b5")
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_couplers_match_oracles(self, t):
+        for build, old in ((build_tree, oracles.build_tree), (build_J, oracles.build_J)):
+            got, want = build(t), old(t)
+            assert got.graph == want.graph
+            assert list(got.terminals.items()) == list(want.terminals.items())
 
 
 class TestGirth8Reduction:

@@ -277,6 +277,16 @@ class TestTraversals:
         with pytest.raises(ValueError, match="root 3 lies in an earlier root's component"):
             parity_coloring(Graph(4, [(0, 1), (1, 2), (2, 3)]), {0: 0, 3: 0})
 
+    @pytest.mark.parametrize("roots,message", [
+        ({-1: 1}, r"root -1 outside 0\.\.2"),
+        ({5: 1}, r"root 5 outside 0\.\.2"),
+        ({0: 7}, "root 0 has color 7, not 0 or 1"),
+        ({0: -1}, "root 0 has color -1, not 0 or 1"),
+    ])
+    def test_parity_coloring_refuses_a_bad_root(self, roots, message):
+        with pytest.raises(ValueError, match=message):
+            parity_coloring(Graph(3, [(0, 1), (1, 2)]), roots)
+
     def test_degeneracy(self):
         tree = Graph(4, [(0, 1), (1, 2), (1, 3)])
         assert degeneracy_order(tree)[0] == 1
