@@ -17,6 +17,7 @@ import json
 import sys
 import time
 
+from archipelago.certify import audit
 from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.gadgets import (
     GadgetGraph,
@@ -49,7 +50,7 @@ from archipelago.graphs import (
     terminal_comments,
 )
 from archipelago.islands import REGIMES, find_island
-from archipelago.peeling import TheoremViolation, audit, color, peel
+from archipelago.peeling import TheoremViolation, color, peel
 from archipelago.solver import mc_decide, mc_optimize
 from archipelago.suites import SUITE_NAMES, run_suite
 

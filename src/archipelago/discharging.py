@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from archipelago.certify import IslandWitness
 from archipelago.graphs import Embedding, euler_characteristic
-from archipelago.islands import IslandWitness, Regime, find_island, forbidden_configuration
+from archipelago.islands import Regime, find_island, forbidden_configuration
 from archipelago.regimes import Transfer
 
 

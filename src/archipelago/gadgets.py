@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from archipelago.certify import audit
 from archipelago.graphs import (
     Embedding,
     Graph,
@@ -30,7 +31,6 @@ from archipelago.graphs import (
     euler_characteristic,
     parity_coloring,
 )
-from archipelago.peeling import audit
 from archipelago.solver import mc_decide
 
 
@@ -112,6 +112,12 @@ def _tree_sizes(t: int) -> tuple[int, int]:
     return b, 1 + b + b * b + b**3
 
 
+def _coupler_size(t: int) -> int:
+    """Vertices of build_J(t): a coupler tree plus the second tree's root and internal layers."""
+    b, size_y = _tree_sizes(t)
+    return size_y + 1 + b + b * b
+
+
 def build_tree(t: int) -> GadgetGraph:
     """Complete rooted tree of height 3, branching 5t, root terminal x.
 
@@ -149,8 +155,8 @@ def build_J(t: int) -> GadgetGraph:
     """
     if t < 2:
         raise ValueError("t must be at least 2")
-    b, size_y = _tree_sizes(t)
-    check_size(size_y + 1 + b + b * b, "build_J")
+    check_size(_coupler_size(t), "build_J")
+    b, _ = _tree_sizes(t)
     tree = build_tree(t)
     asm = _Assembler()
     asm.splice(tree, {})
@@ -356,10 +362,8 @@ def reduce_girth8(h: Hypergraph3, k: int) -> GadgetGraph:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    b, size_y = _tree_sizes(k)
-    coupler_n = size_y + 1 + b + b * b
     # each path vertex is a coupler's y-root; its z-root is a primitive
-    check_size(h.n + len(h.edges) * (k + 1) * (coupler_n - 1), "reduce_girth8")
+    check_size(h.n + len(h.edges) * (k + 1) * (_coupler_size(k) - 1), "reduce_girth8")
     coupler = build_J(k)
     z_local = coupler.terminals["z"]
     asm = _Assembler(h.n)

@@ -9,39 +9,9 @@ the table in archipelago.regimes, re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from archipelago.certify import IslandWitness, is_island
 from archipelago.graphs import Graph, LiveView
 from archipelago.regimes import REGIME_A, REGIME_B, REGIME_C, REGIMES, Regime  # noqa: F401 - re-exported
-
-
-@dataclass(frozen=True)
-class IslandWitness:
-    """A verified k-island; lists each member's outside-neighbor count."""
-
-    members: tuple[int, ...]
-    k: int
-    outside_degrees: dict[int, int]
-
-
-def is_island(g: Graph | LiveView, members, k: int) -> IslandWitness | None:
-    """The witness that an explicit vertex set is a k-island, or None.
-
-    None for an empty set, a vertex outside the graph (on a LiveView, a
-    removed one) or a member with more than k neighbors outside the set.
-    """
-    mset = set(members)
-    if not mset or not all(map(g.__contains__, mset)):
-        return None
-    neighbors, inside = g.neighbors, mset.intersection
-    outside = {}
-    for v in sorted(mset):
-        nbrs = neighbors(v)  # distinct, so the members among them are counted once
-        cnt = len(nbrs) - len(inside(nbrs))
-        if cnt > k:
-            return None
-        outside[v] = cnt
-    return IslandWitness(members=tuple(outside), k=k, outside_degrees=outside)
 
 
 # ---------------------------------------------------------------------------

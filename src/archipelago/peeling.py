@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 
+from archipelago.certify import _first_missing, audit, replay_ok
 from archipelago.graphs import Graph, LiveView
 from archipelago.islands import REGIME_A, Regime, find_island, forbidden_configuration
 
@@ -76,37 +76,7 @@ class PeelDecomposition:
         """Largest monochromatic component a coloring of this decomposition may have."""
         return max(self.size, self.threshold)
 
-    def replay_ok(self) -> bool:
-        """Re-verify every layer against the graph it was removed from.
-
-        Layers are replayed against one live mask on the original graph: each
-        must be a non-empty set of at most `size` live vertices, none
-        repeated, each with at most k live neighbors outside it. A layer's
-        members leave the mask before their neighbors are counted, so a
-        repeat finds its vertex gone and the live neighbors left are those
-        outside. The base must then be exactly the live vertices, and at most
-        `threshold` of them. Malformed layers (out-of-range or already
-        removed vertices) make the replay fail rather than raise.
-        The cost is linear in n + m.
-        """
-        g, k, size = self.graph, self.regime.k, self.size
-        n, adj = g.n, g.adjacency
-        alive = [True] * n
-        for layer in self.layers:
-            if not layer or len(layer) > size:
-                return False
-            for v in layer:
-                if not (0 <= v < n and alive[v]):
-                    return False
-                alive[v] = False
-            for v in layer:
-                outside = 0
-                for u in adj[v]:
-                    if alive[u]:
-                        outside += 1
-                if outside > k:
-                    return False
-        return len(self.base) <= self.threshold and sorted(self.base) == list(compress(range(n), alive))
+    replay_ok = replay_ok  # the checker lives in certify, apart from the code that peels
 
 
 def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelDecomposition:
@@ -198,13 +168,6 @@ def peel(g: Graph, regime: Regime, chi: int, footnote_12: bool = False) -> PeelD
     return PeelDecomposition(g, regime, chi, tuple(layers), base, planar)
 
 
-def _first_missing(table, n: int) -> int:
-    """The least vertex below n that table has no entry for, or n."""
-    if all(map(table.__contains__, range(n))):
-        return n
-    return next(v for v in range(n) if v not in table)
-
-
 def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
     """Color a decomposition from per-vertex lists of at least k+1 colors each.
 
@@ -241,63 +204,6 @@ def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
         for v in layer:
             col[v] = coloring[v]
     return coloring
-
-
-@dataclass(frozen=True)
-class ColoringReport:
-    """Audit of a coloring's monochromatic components."""
-
-    max_component: int
-    component_sizes: dict  # color -> largest component of that color
-    list_violations: tuple[tuple[int, int], ...]  # (vertex, color not in its list)
-    oversized_components: tuple[tuple[int, ...], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.list_violations and not self.oversized_components
-
-
-def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> ColoringReport:
-    """Connected components of each color class, checked against bounds.
-
-    Raises for the least vertex that is uncolored, or has no list when lists
-    is given. When max_size is given, components larger than it are
-    reported as oversized; when lists is given, vertices colored outside
-    their list are reported. One pass over a per-vertex color list.
-    """
-    n, adj = g.n, g.adjacency
-    gap = _first_missing(coloring, n)
-    v = min(gap, n if lists is None else _first_missing(lists, n))
-    if v < n:
-        raise ValueError(f"vertex {v} is uncolored" if v == gap else f"no color list for vertex {v}")
-    cols = list(map(coloring.__getitem__, range(n)))
-    seen = [False] * n
-    sizes: dict = {}
-    oversized = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        color = cols[s]
-        comp = [s]
-        for x in comp:
-            for y in adj[x]:
-                if cols[y] == color and not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        size = len(comp)
-        if size > sizes.get(color, 0):
-            sizes[color] = size
-        if max_size is not None and size > max_size:
-            oversized.append(tuple(sorted(comp)))
-    violations = () if lists is None else tuple(
-        (v, c) for v, c in enumerate(cols) if c not in lists[v])
-    return ColoringReport(
-        max_component=max(sizes.values(), default=0),
-        component_sizes=sizes,
-        list_violations=violations,
-        oversized_components=tuple(oversized),
-    )
 
 
 def color(dec: PeelDecomposition, lists=None):

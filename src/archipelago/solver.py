@@ -36,8 +36,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from archipelago.certify import audit
 from archipelago.graphs import Graph, connected_components, parity_coloring
-from archipelago.peeling import audit
 
 
 @dataclass(frozen=True)

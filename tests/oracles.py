@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from archipelago import peeling
+from archipelago.certify import ColoringReport, IslandWitness
 from archipelago.discharging import BoundEntry, BoundsReport, ChargeState, Transfer, initial_charges
 from archipelago.gadgets import GadgetGraph, _tree_sizes, build_equalizer, build_N, tree_leaf
 from archipelago.graphs import (
@@ -29,13 +30,13 @@ from archipelago.graphs import (
     euler_characteristic,
     reverse_walk,
 )
-from archipelago.islands import REGIME_A, IslandWitness, Regime, forbidden_configuration
-from archipelago.peeling import ColoringReport, PeelDecomposition, TheoremViolation
+from archipelago.islands import REGIME_A, Regime, forbidden_configuration
+from archipelago.peeling import PeelDecomposition, TheoremViolation
 from archipelago.solver import MCResult, OptimizeResult
 
 
 def replay_ok(dec: PeelDecomposition) -> bool:
-    """PeelDecomposition.replay_ok with one induced subgraph per layer.
+    """certify.replay_ok with one induced subgraph per layer.
 
     Raises KeyError when a layer names a removed or out-of-range vertex.
     """
@@ -58,7 +59,7 @@ def replay_ok(dec: PeelDecomposition) -> bool:
 
 
 def replay_ok_live_mask(dec: PeelDecomposition) -> bool:
-    """PeelDecomposition.replay_ok with a member set per layer and a live mask."""
+    """certify.replay_ok with a member set per layer and a live mask."""
     g, k, size = dec.graph, dec.regime.k, dec.size
     alive = [True] * g.n
     for layer in dec.layers:
@@ -112,7 +113,7 @@ def extend_coloring(dec: PeelDecomposition, lists) -> dict[int, int]:
 
 
 def audit(g: Graph, coloring, max_size: int | None = None, lists=None) -> ColoringReport:
-    """peeling.audit over the colouring dict, with a deque per component."""
+    """certify.audit over the colouring dict, with a deque per component."""
     for v in range(g.n):
         if v not in coloring:
             raise ValueError(f"vertex {v} is uncolored")

@@ -10,6 +10,7 @@ import time
 from functools import lru_cache
 from itertools import combinations, product
 
+from archipelago.certify import audit, is_island
 from archipelago.discharging import discharge
 from archipelago.gadgets import (
     build_equalizer,
@@ -37,8 +38,8 @@ from archipelago.graphs import (
     euler_characteristic,
     girth,
 )
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island, is_island
-from archipelago.peeling import audit, color, extend_coloring, peel
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
+from archipelago.peeling import color, extend_coloring, peel
 from archipelago.solver import mc_decide, mc_optimize
 from oracles import degeneracy_order, distance
 

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from archipelago import cli, graphs, solver, suites
+from archipelago.certify import audit
 from archipelago.cli import dispatch
 from archipelago.gadgets import build_equalizer, build_N
 from archipelago.generators import GenSpec, gen
@@ -27,7 +28,7 @@ from archipelago.graphs import (
     terminal_comments,
 )
 from archipelago.islands import REGIME_C
-from archipelago.peeling import TheoremViolation, audit, color, peel
+from archipelago.peeling import TheoremViolation, color, peel
 from archipelago.suites import SUITE_NAMES
 from test_peeling import fallback_graph
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from archipelago.certify import audit, is_island
 from archipelago.discharging import charge_bounds_report, discharge
 from archipelago.gadgets import (
     _layout_crossings,
@@ -43,8 +44,8 @@ from archipelago.graphs import (
     parity_coloring,
     trace_faces,
 )
-from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration, is_island
-from archipelago.peeling import TheoremViolation, audit, color, extend_coloring, peel
+from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, REGIMES, find_island, forbidden_configuration
+from archipelago.peeling import TheoremViolation, color, extend_coloring, peel
 from archipelago.regimes import _config_path
 from archipelago.solver import mc_decide, mc_optimize
 

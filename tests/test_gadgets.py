@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from archipelago import gadgets, graphs
+from archipelago.certify import audit
 from archipelago.gadgets import (
     CountingCheck,
     GadgetGraph,
@@ -38,7 +39,6 @@ from archipelago.graphs import (
     serialize_graph,
     serialize_hypergraph,
 )
-from archipelago.peeling import audit
 from archipelago.solver import mc_decide
 import oracles
 from oracles import degeneracy_order, distance
@@ -104,10 +104,10 @@ class TestCouplerTrees:
                 build(1)
 
     def test_coupler_size_formula(self):
-        for t in (2, 3):
+        for t in (2, 3, 4):
             b = 5 * t
             expected = 2 * (1 + b + b * b) + b**3
-            assert build_J(t).graph.n == expected
+            assert build_J(t).graph.n == gadgets._coupler_size(t) == expected
 
     def test_coupler_invariants(self):
         j = build_J(2)

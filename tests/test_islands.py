@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from archipelago import islands
+from archipelago.certify import IslandWitness, is_island
 from archipelago.generators import triangulation
 from archipelago.graphs import Graph, LiveView, connected_components
 from archipelago.islands import (
@@ -15,10 +16,8 @@ from archipelago.islands import (
     REGIME_B,
     REGIME_C,
     REGIMES,
-    IslandWitness,
     find_island,
     forbidden_configuration,
-    is_island,
 )
 from oracles import CountingGraph
 

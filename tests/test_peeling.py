@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 
 from archipelago import peeling
+from archipelago.certify import audit
 from archipelago.generators import hex_patch, hex_torus, quadrangulation, triangulated_torus, triangulation
 from archipelago.graphs import Graph, LiveView, trace_faces
 from archipelago.islands import REGIME_A, REGIME_B, REGIME_C, find_island
 from archipelago.peeling import (
     PeelDecomposition,
     TheoremViolation,
-    audit,
     color,
     extend_coloring,
     peel,

@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from archipelago import solver
+from archipelago.certify import audit
 from archipelago.gadgets import reduce_girth8
 from archipelago.generators import hypergraph3, triangulation
 from archipelago.graphs import Graph
-from archipelago.peeling import audit
 from archipelago.solver import MCResult, OptimizeResult, mc_decide, mc_optimize
 
 
