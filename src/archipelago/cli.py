@@ -11,6 +11,7 @@ residual base is dumped next to the input for inspection).
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -80,22 +81,31 @@ def _emit(args, report: dict, lines: list[str]):
             print(line)
 
 
+@contextlib.contextmanager
+def _timed(report: dict, stage: str):
+    """Record the body's wall time as timings[stage]; nothing if it raises."""
+    t0 = time.perf_counter()
+    yield
+    report["timings"][stage] = round(time.perf_counter() - t0, 6)
+
+
 def _coloring_lines(args, coloring: dict[int, int], report: dict) -> list[str]:
-    """Write the coloring to --out, or return it as "v c" output lines."""
+    """Write the coloring to --out, or record it as verdicts.coloring and
+    return it as "v c" output lines."""
     if args.out:
         _write(args.out, serialize_coloring(coloring), report, "coloring")
         return []
+    report["verdicts"]["coloring"] = {str(v): coloring[v] for v in sorted(coloring)}
     # an empty coloring's file is one blank line, which prints as nothing
     return serialize_coloring(coloring).splitlines() if coloring else []
 
 
-def _audit_report(rep, base_size: int) -> dict:
+def _audit_report(rep) -> dict:
     return {
         "max_component": rep.max_component,
         "component_sizes": dict(rep.component_sizes),
         "list_violations": [list(p) for p in rep.list_violations],
         "oversized": [list(c) for c in rep.oversized_components],
-        "base_size": base_size,
     }
 
 
@@ -113,7 +123,7 @@ def _dump_residual(g: Graph, tv: TheoremViolation, path: str, report: dict):
 # ---------------------------------------------------------------------------
 # islands subcommands
 
-def _cmd_find(args, report) -> int:
+def _cmd_find(args, report) -> tuple[int, list[str]]:
     g, _ = parse_graph(_read(args.graph, report))
     if args.regime:
         regime = REGIMES[args.regime]
@@ -123,25 +133,20 @@ def _cmd_find(args, report) -> int:
         raise ValueError("give --regime, or both --k and --size")
     else:
         k, size = args.k, args.size
-    t0 = time.perf_counter()
-    w = find_island(g, k, size)
-    report["timings"]["find"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "find"):
+        w = find_island(g, k, size)
     if w is None:
         report["verdicts"]["island"] = None
-        _emit(args, report, [f"no {k}-island of at most {size} vertices"])
-        return 1
+        return 1, [f"no {k}-island of at most {size} vertices"]
     members = sorted(w.members)
     degs = [w.outside_degrees[v] for v in members]
     report["verdicts"]["island"] = members
     report["verdicts"]["outside_degrees"] = degs
-    _emit(args, report, [
-        "island: " + " ".join(str(v) for v in members)
-        + " ; outside-degrees: " + " ".join(str(d) for d in degs)
-    ])
-    return 0
+    return 0, ["island: " + " ".join(str(v) for v in members)
+               + " ; outside-degrees: " + " ".join(str(d) for d in degs)]
 
 
-def _cmd_color(args, report) -> int:
+def _cmd_color(args, report) -> tuple[int, list[str]]:
     if args.four_plus_sink and args.lists:
         raise ValueError("--four-plus-sink ignores lists; give one or the other")
     if args.four_plus_sink and (args.footnote_12 or args.regime not in (None, "A")):
@@ -151,11 +156,20 @@ def _cmd_color(args, report) -> int:
         raise ValueError("--regime and --lists are required unless --four-plus-sink")
     g, emb = parse_graph(_read(args.graph, report))
 
-    t0 = time.perf_counter()
-    regime = REGIMES[args.regime or "A"]
-    lists = parse_lists(_read(args.lists, report), g.n) if args.lists else None
+    # only peel raises the violation; it leaves the timed block, so exit 3
+    # records no timing
     try:
-        dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
+        with _timed(report, "color"):
+            regime = REGIMES[args.regime or "A"]
+            lists = parse_lists(_read(args.lists, report), g.n) if args.lists else None
+            dec = peel(g, regime, args.chi, footnote_12=args.footnote_12)
+            if not dec.replay_ok():
+                raise AssertionError("peel replay failed: a layer is not an island")
+            if args.footnote_12 and not dec.planar:
+                print(f"warning: no {regime.planar_size}-island in a residual component; "
+                      f"using up to {regime.size} "
+                      "(is the input really 2-edge-connected and planar?)", file=sys.stderr)
+            coloring, rep, fault = color(dec, lists)
     except TheoremViolation as tv:
         # --chi is checked against the file's embedding only now, so a run that
         # succeeds traces no faces; a disconnected one has no single surface
@@ -168,49 +182,33 @@ def _cmd_color(args, report) -> int:
         _dump_residual(g, tv, path, report)
         report["verdicts"]["violation"] = str(tv)
         print(f"{tv}\nresidual dumped to {path}", file=sys.stderr)
-        _emit(args, report, [])
-        return 3
-    if not dec.replay_ok():
-        raise AssertionError("peel replay failed: a layer is not an island")
-    if args.footnote_12 and not dec.planar:
-        print(f"warning: no {regime.planar_size}-island in a residual component; "
-              f"using up to {regime.size} "
-              "(is the input really 2-edge-connected and planar?)", file=sys.stderr)
-    coloring, rep, fault = color(dec, lists)
-    report["timings"]["color"] = round(time.perf_counter() - t0, 6)
+        return 3, []
 
-    report["verdicts"]["report"] = _audit_report(rep, len(dec.base))
+    report["verdicts"]["report"] = {**_audit_report(rep), "base_size": len(dec.base)}
     report["verdicts"]["ok"] = fault is None
     lines = _coloring_lines(args, coloring, report)
-    if not args.out:
-        report["verdicts"]["coloring"] = {str(v): coloring[v] for v in sorted(coloring)}
     lines.append(f"max component {rep.max_component}; base {len(dec.base)}")
-    _emit(args, report, lines)
-    return 0 if fault is None else 1
+    return 0 if fault is None else 1, lines
 
 
-def _cmd_verify(args, report) -> int:
+def _cmd_verify(args, report) -> tuple[int, list[str]]:
     g, _ = parse_graph(_read(args.graph, report))
     coloring = parse_coloring(_read(args.coloring, report), g.n)
     lists = parse_lists(_read(args.lists, report), g.n) if args.lists else None
     rep = audit(g, coloring, max_size=args.max_size, lists=lists)
-    report["verdicts"]["report"] = _audit_report(rep, 0)
+    report["verdicts"]["report"] = _audit_report(rep)
     report["verdicts"]["ok"] = rep.ok
-    _emit(args, report, [
-        f"max component {rep.max_component}; "
-        f"{len(rep.list_violations)} list violations; "
-        f"{len(rep.oversized_components)} oversized"
-    ])
-    return 0 if rep.ok else 1
+    return 0 if rep.ok else 1, [f"max component {rep.max_component}; "
+                                f"{len(rep.list_violations)} list violations; "
+                                f"{len(rep.oversized_components)} oversized"]
 
 
-def _cmd_discharge(args, report) -> int:
+def _cmd_discharge(args, report) -> tuple[int, list[str]]:
     emb = parse_embedding(_read(args.embedding, report))
     regime = REGIMES[args.regime]
-    t0 = time.perf_counter()
-    state = discharge(emb, regime)
-    bounds = charge_bounds_report(state, emb)
-    report["timings"]["discharge"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "discharge"):
+        state = discharge(emb, regime)
+        bounds = charge_bounds_report(state, emb)
     report["verdicts"]["total"] = str(state.total())
     report["verdicts"]["chi"] = bounds.chi
     report["verdicts"]["transfers"] = len(state.transfers)
@@ -230,17 +228,15 @@ def _cmd_discharge(args, report) -> int:
         f"{len(state.transfers)} transfers; "
         f"{len(bounds.entries)} elements below bound"
     )
-    _emit(args, report, lines)
-    return 0
+    return 0, lines
 
 
-def _cmd_gen(args, report) -> int:
+def _cmd_gen(args, report) -> tuple[int, list[str]]:
     spec = GenSpec(family=args.family, seed=args.seed, n=args.n,
                    rows=args.rows, cols=args.cols, m=args.m,
                    deletions=args.deletions)
-    t0 = time.perf_counter()
-    made = gen(spec)
-    report["timings"]["gen"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "gen"):
+        made = gen(spec)
     if isinstance(made, Embedding):
         text = serialize_embedding(made)
         what = f"embedding: {made.graph.n} vertices, {made.graph.m} edges"
@@ -249,8 +245,7 @@ def _cmd_gen(args, report) -> int:
         what = f"hypergraph: {made.n} vertices, {len(made.edges)} hyperedges"
     _write(args.out, text, report, "instance")
     report["verdicts"]["family"] = args.family
-    _emit(args, report, [f"{what} -> {args.out}"])
-    return 0
+    return 0, [f"{what} -> {args.out}"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +264,33 @@ def _parse_pins(pin_args, terminals: dict[str, int]) -> dict[int, int]:
     return pins
 
 
-def _cmd_solve(args, report) -> int:
+def _cmd_solve(args, report) -> tuple[int, list[str]]:
     if args.optimize and (args.pin or args.k is not None):
         raise ValueError("--optimize searches every k without pins; "
                          "it takes no --pin and no --k")
     text = _read(args.graph, report)
     g, _ = parse_graph(text)
     if args.optimize:
-        t0 = time.perf_counter()
-        res = mc_optimize(g, budget=args.budget)
-        report["timings"]["solve"] = round(time.perf_counter() - t0, 6)
+        with _timed(report, "solve"):
+            res = mc_optimize(g, budget=args.budget)
         report["verdicts"].update(
             k=res.k, exact=res.exact, nodes_explored=res.nodes_explored)
         lines = [f"k {res.k} ({'exact' if res.exact else 'budget ran out'}); "
                  f"{res.nodes_explored} nodes"]
-        _emit(args, report, lines + _coloring_lines(args, res.coloring, report))
-        return 0
+        return 0, lines + _coloring_lines(args, res.coloring, report)
 
     if args.k is None:
         raise ValueError("--k is required unless --optimize")
     pins = _parse_pins(args.pin, parse_terminals(text))
-    t0 = time.perf_counter()
-    res = mc_decide(g, args.k, pins=pins or None, budget=args.budget)
-    report["timings"]["solve"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "solve"):
+        res = mc_decide(g, args.k, pins=pins or None, budget=args.budget)
     report["verdicts"].update(
         verdict=res.verdict, nodes_explored=res.nodes_explored,
         best_max_component=res.best_max_component)
     lines = [f"{res.verdict}; {res.nodes_explored} nodes"]
     if res.coloring is not None:
         lines.extend(_coloring_lines(args, res.coloring, report))
-    _emit(args, report, lines)
-    return 0 if res.verdict == "yes" else 1
+    return 0 if res.verdict == "yes" else 1, lines
 
 
 _GADGETS_BY_T = {"tree": build_tree, "J": build_J}
@@ -316,7 +307,7 @@ def _write_gadget(gg: GadgetGraph, path: str, report: dict):
     _write(path, text, report, "gadget")
 
 
-def _cmd_gadget(args, report) -> int:
+def _cmd_gadget(args, report) -> tuple[int, list[str]]:
     if args.validate and args.type != "uncrosser":
         raise ValueError("--validate applies to --type uncrosser")
     if args.type in _GADGETS_BY_T:
@@ -336,9 +327,8 @@ def _cmd_gadget(args, report) -> int:
         _write_gadget(gg, args.out, report)
     code = 0
     if args.validate:
-        t0 = time.perf_counter()
-        rep = validate_uncrosser(gg, args.k, budget=args.budget)
-        report["timings"]["validate"] = round(time.perf_counter() - t0, 6)
+        with _timed(report, "validate"):
+            rep = validate_uncrosser(gg, args.k, budget=args.budget)
         report["verdicts"]["validate"] = rep.verdict
         report["verdicts"]["checks"] = {
             name: {"verdict": r.verdict, "nodes": r.nodes_explored}
@@ -346,48 +336,38 @@ def _cmd_gadget(args, report) -> int:
         }
         lines.append(f"validation: {rep.verdict}")
         code = 0 if rep.verdict == "pass" else 1
-    _emit(args, report, lines)
-    return code
+    return code, lines
 
 
-def _cmd_reduce(args, report) -> int:
+def _cmd_reduce(args, report) -> tuple[int, list[str]]:
     h = parse_hypergraph(_read(args.hypergraph, report))
     build = reduce_girth8 if args.variant == "girth8" else reduce_planar
-    t0 = time.perf_counter()
-    gg = build(h, args.k)
-    report["timings"]["reduce"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "reduce"):
+        gg = build(h, args.k)
     report["verdicts"]["n"] = gg.graph.n
     report["verdicts"]["m"] = gg.graph.m
     _write_gadget(gg, args.out, report)
-    _emit(args, report, [
-        f"{args.variant}: {gg.graph.n} vertices, {gg.graph.m} edges "
-        f"-> {args.out}"
-    ])
-    return 0
+    return 0, [f"{args.variant}: {gg.graph.n} vertices, {gg.graph.m} edges -> {args.out}"]
 
 
-def _cmd_hyper2color(args, report) -> int:
+def _cmd_hyper2color(args, report) -> tuple[int, list[str]]:
     h = parse_hypergraph(_read(args.hypergraph, report))
-    t0 = time.perf_counter()
-    hcol = hyper2color(h)
-    report["timings"]["search"] = round(time.perf_counter() - t0, 6)
+    with _timed(report, "search"):
+        hcol = hyper2color(h)
     if hcol is None:
         report["verdicts"]["colorable"] = False
-        _emit(args, report, ["no 2-coloring"])
-        return 1
+        return 1, ["no 2-coloring"]
     report["verdicts"]["colorable"] = True
     report["verdicts"]["coloring"] = {str(v): c for v, c in sorted(hcol.items())}
-    _emit(args, report, _coloring_lines(args, hcol, report) + ["2-colorable"])
-    return 0
+    return 0, _coloring_lines(args, hcol, report) + ["2-colorable"]
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _cmd_suite(args, report) -> int:
-    t0 = time.perf_counter()
-    records = run_suite(args.name, args.seed, args.count, args.workers)
-    report["timings"]["suite"] = round(time.perf_counter() - t0, 6)
+def _cmd_suite(args, report) -> tuple[int, list[str]]:
+    with _timed(report, "suite"):
+        records = run_suite(args.name, args.seed, args.count, args.workers)
 
     failures = [r for r in records if not r["pass"]]
     report["verdicts"]["suite"] = args.name
@@ -409,8 +389,7 @@ def _cmd_suite(args, report) -> int:
         path = f"residual-{args.name}-{violation['spec']['seed']}.g"
         _dump_residual(g, tv, path, report)
         lines.append(f"  residual dumped to {path}")
-    _emit(args, report, lines)
-    return 3 if violation is not None else 1 if failures else 0
+    return 3 if violation is not None else 1 if failures else 0, lines
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +403,19 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog=prog)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
+    def add(name, handler, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
     if prog == "islands":
-        p = sub.add_parser("find", parents=[common],
-                           help="search for a small island")
+        p = add("find", _cmd_find, "search for a small island")
         p.add_argument("--graph", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--size", type=int)
         p.add_argument("--regime", choices=sorted(REGIMES))
-        p.set_defaults(handler=_cmd_find)
 
-        p = sub.add_parser("color", parents=[common],
-                           help="peel and color from lists")
+        p = add("color", _cmd_color, "peel and color from lists")
         p.add_argument("--graph", required=True)
         p.add_argument("--lists")
         p.add_argument("--regime", choices=sorted(REGIMES),
@@ -447,26 +428,20 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
                        help="assert 2-edge-connected planar input; "
                             "regime C then peels 12-vertex islands")
         p.add_argument("--out", help="coloring file to write")
-        p.set_defaults(handler=_cmd_color)
 
-        p = sub.add_parser("verify", parents=[common],
-                           help="audit a coloring file")
+        p = add("verify", _cmd_verify, "audit a coloring file")
         p.add_argument("--graph", required=True)
         p.add_argument("--coloring", required=True)
         p.add_argument("--lists")
         p.add_argument("--max-size", type=int)
-        p.set_defaults(handler=_cmd_verify)
 
-        p = sub.add_parser("discharge", parents=[common],
-                           help="run charge rules on an embedding")
+        p = add("discharge", _cmd_discharge, "run charge rules on an embedding")
         p.add_argument("--embedding", required=True)
         p.add_argument("--regime", choices=sorted(REGIMES), required=True)
         p.add_argument("--log", action="store_true",
                        help="print every transfer")
-        p.set_defaults(handler=_cmd_discharge)
 
-        p = sub.add_parser("gen", parents=[common],
-                           help="generate a test instance")
+        p = add("gen", _cmd_gen, "generate a test instance")
         p.add_argument("--family", choices=FAMILIES, required=True)
         p.add_argument("--n", type=int, default=0)
         p.add_argument("--rows", type=int, default=0)
@@ -475,11 +450,9 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--deletions", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
-        p.set_defaults(handler=_cmd_gen)
 
     elif prog == "mc":
-        p = sub.add_parser("solve", parents=[common],
-                           help="decide 2-colorability with small components")
+        p = add("solve", _cmd_solve, "decide 2-colorability with small components")
         p.add_argument("--graph", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--pin", action="append", metavar="V=C",
@@ -488,10 +461,8 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--optimize", action="store_true",
                        help="find the least k instead of deciding one")
         p.add_argument("--out", help="coloring file to write")
-        p.set_defaults(handler=_cmd_solve)
 
-        p = sub.add_parser("gadget", parents=[common],
-                           help="build a reduction gadget")
+        p = add("gadget", _cmd_gadget, "build a reduction gadget")
         p.add_argument("--type", choices=sorted(_GADGETS_BY_T | _GADGETS_BY_K),
                        required=True)
         p.add_argument("--t", type=int, help="arity for tree and J")
@@ -502,35 +473,31 @@ def _build_parser(prog: str) -> argparse.ArgumentParser:
         p.add_argument("--validate", action="store_true",
                        help="run the uncrosser's pinned solver checks")
         p.add_argument("--budget", type=int, default=10**6)
-        p.set_defaults(handler=_cmd_gadget)
 
-        p = sub.add_parser("reduce", parents=[common],
-                           help="reduce a 3-uniform hypergraph")
+        p = add("reduce", _cmd_reduce, "reduce a 3-uniform hypergraph")
         p.add_argument("--variant", choices=("girth8", "planar"), required=True)
         p.add_argument("--hypergraph", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(handler=_cmd_reduce)
 
-        p = sub.add_parser("hyper2color", parents=[common],
-                           help="2-color a small hypergraph by exhaustion")
+        p = add("hyper2color", _cmd_hyper2color, "2-color a small hypergraph by exhaustion")
         p.add_argument("--hypergraph", required=True)
         p.add_argument("--out", help="coloring file to write")
-        p.set_defaults(handler=_cmd_hyper2color)
 
     else:  # "suite", the one program left: dispatch refuses any other
-        p = sub.add_parser("run", parents=[common],
-                           help="run a generated acceptance suite")
+        p = add("run", _cmd_suite, "run a generated acceptance suite")
         p.add_argument("--name", choices=SUITE_NAMES, required=True)
         p.add_argument("--count", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)
-        p.set_defaults(handler=_cmd_suite)
     return top
 
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
-    """Run one command line; returns (exit code, run report)."""
+    """Run one command line; returns (exit code, run report).
+
+    Each handler returns (exit code, human lines); only this prints them or
+    the report, and a usage error (exit 2) prints neither."""
     report = {"command": list(argv), "inputs": {}, "verdicts": {},
               "timings": {}, "outputs": {}}
     if not argv or argv[0] not in ("islands", "mc", "suite"):
@@ -542,15 +509,15 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     except SystemExit as e:
         return (int(e.code) if e.code else 0), report
     try:
-        code = args.handler(args, report)
+        code, lines = args.handler(args, report)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2, report
     except AssertionError as e:
         print(f"property failed: {e}", file=sys.stderr)
         report["verdicts"]["assertion"] = str(e)
-        _emit(args, report, [])
-        return 1, report
+        code, lines = 1, []
+    _emit(args, report, lines)
     return code, report
 
 

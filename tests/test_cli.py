@@ -493,6 +493,18 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err == "error: no color list for vertex 2\n"
 
+    def test_report_has_no_base_size(self, tmp_path):
+        # verify audits a coloring file; no decomposition, so no base
+        g = tmp_path / "g.g"
+        g.write_text("3 2\n0 1\n1 2\n")
+        col = tmp_path / "c.txt"
+        col.write_text("0 0\n1 1\n2 0\n")
+        code, rep = dispatch(["islands", "verify", "--graph", str(g),
+                              "--coloring", str(col), "--max-size", "1"])
+        assert code == 0
+        assert set(rep["verdicts"]["report"]) == {
+            "max_component", "component_sizes", "list_violations", "oversized"}
+
 
 class TestDischarge:
     def test_log_line_format(self, tmp_path, capsys):
@@ -635,6 +647,21 @@ class TestSolve:
         code, rep = dispatch(["mc", "solve", "--graph", str(g), "--optimize"])
         assert code == 0
         assert rep["verdicts"]["k"] == 2 and rep["verdicts"]["exact"]
+
+    @pytest.mark.parametrize("extra", [["--k", "1"], ["--optimize"]])
+    def test_coloring_without_out_is_in_the_report(self, tmp_path, capsys, extra):
+        # --json claims stdout, so the report is the only place left for it
+        g = tmp_path / "p4.g"
+        g.write_text("4 3\n0 1\n1 2\n2 3\n")
+        capsys.readouterr()
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), *extra, "--json"])
+        assert code == 0
+        want = {"0": 0, "1": 1, "2": 0, "3": 1}
+        assert rep["verdicts"]["coloring"] == want
+        assert json.loads(capsys.readouterr().out)["verdicts"]["coloring"] == want
+        code, rep = dispatch(["mc", "solve", "--graph", str(g), *extra,
+                              "--out", str(tmp_path / "c.txt")])
+        assert code == 0 and "coloring" not in rep["verdicts"]
 
     def test_budget_runs_out(self, tmp_path):
         # K5 at k = 2 is refuted in 4 nodes, whichever color a branch tries first
@@ -1009,13 +1036,53 @@ class TestSuite:
 
 class TestJsonReport:
     def test_stdout_is_the_report(self, tmp_path, capsys):
+        # every subcommand, its exit code and the timing keys it records;
+        # exits 1 and 3 print the report too
+        p4 = tmp_path / "p4.g"
+        p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+        col = tmp_path / "c.txt"
+        col.write_text("0 0\n1 1\n2 0\n3 1\n")
+        k9 = tmp_path / "k9.g"
+        write_k9(k9)
+        l9 = tmp_path / "l9.txt"
+        write_lists(l9, 9, [1, 2, 3, 4, 5])
+        emb = tmp_path / "t.emb"
+        emb.write_text(serialize_embedding(gen(GenSpec("triangulation", seed=1, n=12))))
+        h = tmp_path / "h.h3"
+        h.write_text("3 1\n0 1 2\n")
+        runs = [
+            (["islands", "find", "--graph", p4, "--k", "1", "--size", "1"], 0, {"find"}),
+            (["islands", "color", "--graph", emb, "--four-plus-sink"], 0, {"color"}),
+            (["islands", "color", "--graph", k9, "--lists", l9, "--regime", "A"], 3, set()),
+            (["islands", "verify", "--graph", p4, "--coloring", col, "--max-size", "1"], 0, set()),
+            (["islands", "discharge", "--embedding", emb, "--regime", "A"], 0, {"discharge"}),
+            (["islands", "gen", "--family", "triangulation", "--n", "12",
+              "--out", tmp_path / "g.emb"], 0, {"gen"}),
+            (["mc", "solve", "--graph", p4, "--k", "1"], 0, {"solve"}),
+            (["mc", "solve", "--graph", p4, "--optimize"], 0, {"solve"}),
+            (["mc", "solve", "--graph", k9, "--k", "1"], 1, {"solve"}),
+            (["mc", "gadget", "--type", "N", "--k", "2"], 0, set()),
+            (["mc", "gadget", "--type", "uncrosser", "--k", "2", "--validate"], 0, {"validate"}),
+            (["mc", "reduce", "--variant", "girth8", "--hypergraph", h, "--k", "2",
+              "--out", tmp_path / "r.g"], 0, {"reduce"}),
+            (["mc", "hyper2color", "--hypergraph", h], 0, {"search"}),
+            (["suite", "run", "--name", "planar-A", "--count", "2"], 0, {"suite"}),
+        ]
+        for argv, want, stages in runs:
+            argv = [str(a) for a in argv] + ["--json"]
+            capsys.readouterr()
+            code, rep = dispatch(argv)
+            assert code == want, argv
+            assert capsys.readouterr().out == json.dumps(rep, indent=2) + "\n", argv
+            assert rep["command"] == argv
+            assert set(rep["timings"]) == stages, argv
+
+    def test_usage_error_prints_nothing_on_stdout(self, tmp_path, capsys):
         g = tmp_path / "g.g"
         g.write_text("2 1\n0 1\n")
         capsys.readouterr()
-        code, rep = dispatch(["islands", "find", "--graph", str(g),
-                              "--k", "1", "--size", "1", "--json"])
-        assert code == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == json.loads(json.dumps(rep))
-        assert printed["command"][:2] == ["islands", "find"]
-        assert "find" in printed["timings"]
+        code, _ = dispatch(["mc", "solve", "--graph", str(g), "--json"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --k is required unless --optimize\n"
