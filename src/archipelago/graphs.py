@@ -127,17 +127,23 @@ class Embedding:
     """Rotation system with optional edge signs.
 
     `rotations[v]` lists the neighbors of v in cyclic order; it must be a
-    permutation of the graph's adjacency at v. `signs` maps unordered edges to
-    +1/-1; edges absent from the map are positive, and an edge named twice, in
-    either order, is an error. All-positive signs describe an orientable
-    surface.
+    permutation of the graph's adjacency at v, and the table (a sequence or a
+    dict) must hold exactly one rotation for each vertex 0..n-1. `signs` maps
+    unordered edges to +1/-1; edges absent from the map are positive, and an
+    edge named twice, in either order, is an error. All-positive signs
+    describe an orientable surface.
     """
 
     __slots__ = ("graph", "rotations", "_sign", "_faces")
 
     def __init__(self, graph: Graph, rotations, signs=None):
         self.graph = graph
-        rots = tuple(map(tuple, map(rotations.__getitem__, range(graph.n))))
+        if len(rotations) != graph.n:
+            raise ValueError(f"{len(rotations)} rotations given for a graph of {graph.n} vertices")
+        try:
+            rots = tuple(map(tuple, map(rotations.__getitem__, range(graph.n))))
+        except KeyError as missing:
+            raise ValueError(f"no rotation for vertex {missing}") from None
         if tuple(map(tuple, map(sorted, rots))) != graph._adj:
             v = next(v for v, rot in enumerate(rots) if tuple(sorted(rot)) != graph.neighbors(v))
             raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
@@ -190,6 +196,12 @@ def trace_faces(emb: Embedding) -> tuple[tuple[int, ...], ...]:
     s_{L-1} is mirror(s_0), mirror(s_{L-1}), .., mirror(s_1): it is marked,
     not traced, and its walk is read off the orbit's.
 
+    The states are filled rotation by rotation, v increasing, so for each
+    tail u the darts u->v come up in the order of u's sorted adjacency: a
+    counter per tail numbers them, with no search. The neighbours of
+    position i in a rotation of length d are positions i - 1 and i + 1 - d,
+    where a negative index wraps round.
+
     Each face is returned as its walk: the tails of the states of the orbit
     of its least state. That state may carry either flag, so two walks need
     not run the same way round; reverse_walk gives the other side. Faces
@@ -199,29 +211,44 @@ def trace_faces(emb: Embedding) -> tuple[tuple[int, ...], ...]:
     g = emb.graph
     if g.n == 0:
         raise ValueError("cannot trace faces of the empty graph")
-    if g.n > 1 and len(connected_components(g)) > 1:
+    adj = g._adj
+    seen = [True] + [False] * (g.n - 1)
+    reached = [0]
+    for x in reached:
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+    if len(reached) < g.n:
         raise ValueError("face tracing requires a connected graph")
     if g.m == 0:
         # single isolated vertex: one face, the sphere
         return ((0,),)
 
-    # the dart from v to adj[v][j] is first[v] + j; the states are filled
-    # rotation by rotation, so no per-vertex table outlives its vertex
-    adj, signs = g._adj, emb._sign
+    # the dart from v to adj[v][j] is first[v] + j; into[u] is the flag -1
+    # state of u's next dart, the counter of the docstring
+    signs = emb._sign
     first = [0]
     for nbrs in adj:
         first.append(first[-1] + len(nbrs))
     succ, mirror, tail = [0] * (2 * first[-1]), [0] * (2 * first[-1]), [0] * (2 * first[-1])
+    into = [2 * f for f in first[:-1]]
     for v, rot in enumerate(emb.rotations):
         base, nbrs, d = first[v], adj[v], len(rot)
-        at = [base + bisect_left(nbrs, w) for w in rot]  # at[i]: the dart v -> rot[i]
+        at = [2 * (base + bisect_left(nbrs, w)) for w in rot]  # at[i]: flag -1 state of v -> rot[i]
         for i, u in enumerate(rot):
-            sign = signs.get((u, v) if u < v else (v, u), 1) if signs else 1
-            s = 2 * (first[u] + bisect_left(adj[u], v))  # dart u -> v, flag -1
-            succ[s] = 2 * at[(i - sign) % d] + (sign < 0)
-            succ[s + 1] = 2 * at[(i + sign) % d] + (sign > 0)
-            mirror[s] = 2 * at[i] + (sign > 0)
-            mirror[s + 1] = 2 * at[i] + (sign < 0)
+            s = into[u]  # dart u -> v, flag -1
+            into[u] = s + 2
+            if signs and ((u, v) if u < v else (v, u)) in signs:
+                succ[s] = at[i + 1 - d] + 1
+                succ[s + 1] = at[i - 1]
+                mirror[s] = at[i]
+                mirror[s + 1] = at[i] + 1
+            else:
+                succ[s] = at[i - 1]
+                succ[s + 1] = at[i + 1 - d] + 1
+                mirror[s] = at[i] + 1
+                mirror[s + 1] = at[i]
             tail[s] = tail[s + 1] = u
 
     # No orbit is its own mirror, and the walks total 2m. mirror and
@@ -232,20 +259,19 @@ def trace_faces(emb: Embedding) -> tuple[tuple[int, ...], ...]:
     # and its orbits there are the even and the odd positions, which mirror
     # swaps. Each face is one orbit plus its distinct mirror orbit of equal
     # length, so the 4m states come in pairs of orbits and the walks total 2m.
-    face_of = [-1] * len(succ)
+    marked = [False] * len(succ)
     faces = []
     for start in range(len(succ)):
-        if face_of[start] >= 0:
+        if marked[start]:
             continue
-        fid = len(faces)
         orbit = []
         state = start
-        while face_of[state] < 0:
-            face_of[state] = fid
+        while not marked[state]:
+            marked[state] = True
             orbit.append(state)
             state = succ[state]
         for state in orbit:
-            face_of[mirror[state]] = fid
+            marked[mirror[state]] = True
         faces.append(tuple([tail[s] for s in orbit]))
     return tuple(faces)
 

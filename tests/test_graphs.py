@@ -140,10 +140,17 @@ class TestFaceTracing:
         assert len(faces) == 1 and len(faces[0]) == 6
         assert euler_characteristic(emb) == 2
 
-    def test_disconnected_rejected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        emb = Embedding(g, [[1], [0], [3], [2]])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n, edges", [
+        (4, [(0, 1), (2, 3)]),
+        (3, [(1, 2)]),
+        (2, []),
+        (5, [(0, 3), (1, 2), (2, 4), (1, 4)]),
+    ], ids=["two edges", "vertex 0 isolated beside an edge", "two isolated vertices",
+            "vertex 0 in the smaller component"])
+    def test_disconnected_rejected(self, n, edges):
+        g = Graph(n, edges)
+        emb = Embedding(g, [list(g.neighbors(v)) for v in range(n)])
+        with pytest.raises(ValueError, match="face tracing requires a connected graph"):
             trace_faces(emb)
 
     def test_bad_rotation_rejected(self):

@@ -1,8 +1,8 @@
 """Argument guards, one table row each: every refusal the generators make,
-an edge sign that is not +1 or -1 or is given twice, faces of the empty
-graph, a planar reduction of the empty hypergraph, a gadget with a foreign
-embedding, and a charge state reported on an embedding it does not belong
-to."""
+a rotation table that is not one rotation per vertex, an edge sign that is
+not +1 or -1 or is given twice, faces of the empty graph, a planar reduction
+of the empty hypergraph, a gadget with a foreign embedding, and a charge
+state reported on an embedding it does not belong to."""
 
 import re
 
@@ -31,6 +31,7 @@ def report_across(state_of, emb):
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
 TRIANGLE_ROTATIONS = [[1, 2], [2, 0], [0, 1]]
+PATH = Graph(3, [(0, 1), (1, 2)])
 
 GUARDS = [
     ("gen", lambda: gen(GenSpec("klein_bottle")), "unknown family 'klein_bottle'; choose from"),
@@ -45,6 +46,14 @@ GUARDS = [
     ("hypergraph3 n", lambda: hypergraph3(2, 0, seed=0), "hypergraph3 needs n >= 3"),
     ("hypergraph3 m", lambda: hypergraph3(5, -1, seed=0), "hypergraph3 needs m >= 0"),
     ("hypergraph3 triples", lambda: hypergraph3(5, 11, seed=0), "only 10 distinct triples exist on 5 vertices"),
+    ("embedding with a rotation too many", lambda: Embedding(PATH, [[1], [0, 2], [1], []]),
+     "4 rotations given for a graph of 3 vertices"),
+    ("embedding with a rotation too few", lambda: Embedding(PATH, [[1], [0, 2]]),
+     "2 rotations given for a graph of 3 vertices"),
+    ("embedding dict lacking a vertex", lambda: Embedding(PATH, {0: [1], 1: [0, 2]}),
+     "2 rotations given for a graph of 3 vertices"),
+    ("embedding dict with a foreign vertex", lambda: Embedding(PATH, {0: [1], 1: [0, 2], 3: [1]}),
+     "no rotation for vertex 2"),
     ("embedding sign", lambda: Embedding(TRIANGLE, TRIANGLE_ROTATIONS, {(0, 1): 2}), "sign of (0, 1) must be +1 or -1"),
     ("embedding sign twice", lambda: Embedding(TRIANGLE, TRIANGLE_ROTATIONS, {(0, 1): 1, (1, 0): -1}),
      "two signs for edge (0, 1)"),
