@@ -510,7 +510,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         return (int(e.code) if e.code else 0), report
     try:
         code, lines = args.handler(args, report)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2, report
     except AssertionError as e:

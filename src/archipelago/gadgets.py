@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from archipelago import graphs
 from archipelago.certify import audit
 from archipelago.graphs import (
     Embedding,
@@ -404,7 +405,7 @@ def forward_coloring_girth8(h: Hypergraph3, hcol, g: GadgetGraph, k: int) -> dic
     return coloring
 
 
-def _layout_crossings(targets: list[int], slots: dict) -> list[list[int]]:
+def _layout_crossings(targets: list[int], slots: dict, most: int) -> list[list[int]] | None:
     """Pairwise crossings of the connectors, as a wiring diagram.
 
     Connector p joins path vertex p to its primitive, slots[targets[p]].
@@ -414,7 +415,8 @@ def _layout_crossings(targets: list[int], slots: dict) -> list[list[int]]:
     pair p < q with q's slot below p's, and each swap is a crossing. Taken
     in swap order the swaps draw every connector as a curve crossing the
     others one at a time: planar, with no ties to break. Returns, per
-    connector, the connectors it crosses, from the primitive side inward.
+    connector, the connectors it crosses, from the primitive side inward;
+    or None as soon as the connectors laid out cross more than `most` times.
     """
     rows: list[list[int]] = [[] for _ in targets]
     order: list[int] = []
@@ -428,29 +430,10 @@ def _layout_crossings(targets: list[int], slots: dict) -> list[list[int]]:
             order[i] = q
             i -= 1
         order[i] = p
+        most -= len(order) - 1 - i  # the crossings p just made
+        if most < 0:
+            return None
     return rows
-
-
-def _count_crossings(slots: list[int], n: int) -> int:
-    """Pairs i < j with slots[i] > slots[j], for slots in 0..n-1.
-
-    These are exactly the pairs _layout_crossings swaps, so the count sizes
-    reduce_planar's output before the layout is made. Counted with a Fenwick
-    tree over the slots, in O(L log n) whatever the number of crossings.
-    """
-    tree = [0] * (n + 1)
-    total = 0
-    for seen, a in enumerate(slots):
-        total += seen
-        i = a + 1
-        while i:  # less the earlier slots at most a
-            total -= tree[i]
-            i &= i - 1
-        i = a + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-    return total
 
 
 def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
@@ -489,21 +472,21 @@ def reduce_planar(h: Hypergraph3, k: int) -> GadgetGraph:
                          "vertices; reduce its pieces separately")
     length = k * (k - 1) + 1
     middles = 2 * k * (k - 1) - 1
-    # refuse on the crossing-free part first: the connectors alone are
-    # quadratic in k, and crossings only add to the size
-    check_size(h.n + len(h.edges) * length * (1 + middles), "reduce_planar's crossing-free part")
+    # the size without crossings, refused first: the connectors alone are
+    # quadratic in k. Each crossing adds an uncrosser, and an equalizer to
+    # each of its two connectors
+    fixed = h.n + len(h.edges) * length * (1 + middles)
+    check_size(fixed, "reduce_planar's crossing-free part")
     targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
     slots: dict[int, int] = {}
     for u in targets:
         if u not in slots:
             slots[u] = len(slots)
-
-    n_crossings = _count_crossings([slots[u] for u in targets], h.n)
-    # a connector with c crossings runs through c + 1 equalizers
-    check_size(h.n + len(targets) + n_crossings * _uncrosser_size(k)
-                + (len(targets) + 2 * n_crossings) * middles, "reduce_planar")
-
-    crossings = _layout_crossings(targets, slots)
+    most = (graphs.MAX_VERTICES - fixed) // (_uncrosser_size(k) + 2 * middles)
+    crossings = _layout_crossings(targets, slots, most)
+    if crossings is None:
+        raise ValueError(f"reduce_planar would build more than {graphs.MAX_VERTICES} vertices; "
+                         f"its connectors cross more than {most} times")
 
     # keys at a path vertex: the next one, its connector, the previous one
     north, east, south = 0, 1, 2

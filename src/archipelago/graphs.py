@@ -462,6 +462,8 @@ def read_rows(text: str, width: int, what: str) -> tuple[int, Iterator[tuple[int
     n, m = int(header[0]), int(header[1])
     if n > MAX_VERTICES:
         raise ValueError(f"header declares {n} vertices; at most {MAX_VERTICES} are read")
+    if m < 0:
+        raise ValueError(f"header {lines[0]!r} declares a negative {what} count")
     body = lines[1 : 1 + m]
     if len(body) != m:
         raise ValueError(f"expected {m} {what}s, found {len(body)}")

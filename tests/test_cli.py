@@ -129,6 +129,19 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "embedding: 12 vertices" in out and "planar-A: 2/2 pass (seed 0)" in out
 
+    def test_key_error_is_a_bug_not_a_usage_error(self, tmp_path, monkeypatch):
+        # the readers and Embedding turn missing keys into ValueError, so a
+        # KeyError out of a handler is a fault of the program and propagates
+        p = tmp_path / "g.g"
+        p.write_text("2 1\n0 1\n")
+
+        def broken(*args):
+            raise KeyError(7)
+
+        monkeypatch.setattr(cli, "find_island", broken)
+        with pytest.raises(KeyError):
+            dispatch(["islands", "find", "--graph", str(p), "--k", "1", "--size", "1"])
+
     def test_header_above_vertex_cap(self, tmp_path, capsys):
         p = tmp_path / "big.g"
         p.write_text("2000000 0\n")

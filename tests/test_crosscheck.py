@@ -894,7 +894,8 @@ def assert_reduce_planar_matches_oracle(h, k):
     length = k * (k - 1) + 1
     targets = [triple[j % 3] for triple in h.edges for j in range(1, length + 1)]
     slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
-    assert crossing_pairs(_layout_crossings(targets, slots)) == oracle_crossing_pairs(targets, slots)
+    rows = _layout_crossings(targets, slots, len(targets) ** 2)
+    assert crossing_pairs(rows) == oracle_crossing_pairs(targets, slots)
     g = got.graph
     assert euler_characteristic(got.embedding) == 2
     assert len(got.embedding.faces) == g.m - g.n + 2
@@ -934,7 +935,20 @@ def test_forward_coloring_girth8_matches_oracle(k, count, most_edges):
 @given(targets=st.lists(st.integers(0, 7), max_size=40))
 def test_layout_crossings_matches_oracle(targets):
     slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
-    rows = _layout_crossings(targets, slots)
+    rows = _layout_crossings(targets, slots, len(targets) ** 2)
     assert crossing_pairs(rows) == oracle_crossing_pairs(targets, slots)
     assert sum(map(len, rows)) == 2 * len(crossing_pairs(rows))
     assert_rows_draw_a_wiring_diagram(targets, slots, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets=st.lists(st.integers(0, 7), max_size=40), most=st.integers(0, 400))
+def test_layout_crossings_refuses_past_most(targets, most):
+    # None exactly when the connectors cross more than most times; else the
+    # rows of an uncapped layout (L^2 bounds the L(L - 1)/2 pairs)
+    slots = {u: i for i, u in enumerate(dict.fromkeys(targets))}
+    rows = _layout_crossings(targets, slots, most)
+    if len(oracle_crossing_pairs(targets, slots)) > most:
+        assert rows is None
+    else:
+        assert rows == _layout_crossings(targets, slots, len(targets) ** 2)

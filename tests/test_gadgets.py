@@ -42,6 +42,7 @@ from archipelago.graphs import (
 from archipelago.solver import mc_decide
 import oracles
 from oracles import degeneracy_order, distance
+from test_crosscheck import crossing_pairs, oracle_crossing_pairs
 
 FANO = Hypergraph3.from_edges(
     7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -458,9 +459,10 @@ class TestPlanarReduction:
         h = Hypergraph3.from_edges(601, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(300)])
         targets = [triple[j % 3] for triple in h.edges for j in range(1, 4)]
         slots = Slots({u: i for i, u in enumerate(dict.fromkeys(targets))})
-        crossings = gadgets._layout_crossings(targets, slots)
+        crossings = gadgets._layout_crossings(targets, slots, 599)
         assert slots.reads <= 2 * len(targets)
-        assert sum(map(len, crossings)) == 2 * gadgets._count_crossings([slots[u] for u in targets], h.n) == 2 * 599
+        pairs = oracle_crossing_pairs(targets, dict(slots))
+        assert crossing_pairs(crossings) == pairs and len(pairs) == 599
         assert reduce_planar(h, 2).graph.n == 104833
 
 
@@ -469,9 +471,10 @@ class TestReductionSize:
         # 11 couplers of 130,102 vertices
         with pytest.raises(ValueError, match="1431114 vertices"):
             reduce_girth8(Hypergraph3.from_edges(3, [(0, 1, 2)]), 10)
-        # 26,531 and 175,245 crossings of 162-vertex uncrossers
+        # 26,531 and 175,245 crossings of 162-vertex uncrossers: the layout
+        # stops soon after the 5,943 and 5,930 that fit
         for n, m in ((60, 120), (100, 300)):
-            with pytest.raises(ValueError, match="would build"):
+            with pytest.raises(ValueError, match="would build more than 1000000 vertices"):
                 reduce_planar(hypergraph3(n, m, 1), 2)
 
     @pytest.mark.parametrize("build,h", [
@@ -483,7 +486,9 @@ class TestReductionSize:
         monkeypatch.setattr(graphs, "MAX_VERTICES", n)
         assert build(h, 2).graph.n == n
         monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
-        with pytest.raises(ValueError, match=f"would build {n} vertices"):
+        # the planar layout stops past the limit, so its refusal names the limit
+        refusal = f"more than {n - 1}" if build is reduce_planar else n
+        with pytest.raises(ValueError, match=f"would build {refusal} vertices"):
             build(h, 2)
 
 

@@ -299,6 +299,7 @@ REJECTED = [
     (parse_graph, "3\n0 1\n", "bad header '3'"),
     (parse_graph, "3 2\n0 1 2\n3\n", "bad edge line '0 1 2'"),  # still 2m tokens
     (parse_graph, "3 1\n0 x\n", "invalid literal for int"),
+    (parse_graph, "3 -1\n0 1\n", "header '3 -1' declares a negative edge count"),
     (parse_graph, "3 1\n0 3\n", r"edge \(0, 3\) out of range"),
     (parse_graph, "3 1\n1 1\n", "loop at vertex 1"),
     (parse_graph, "3 2\n0 1\n1 0\n", r"duplicate edge \(0, 1\)"),
